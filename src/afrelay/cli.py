@@ -10,8 +10,9 @@ Subcommands:
 Configuration comes from a flat JSON file (--config) with explicit flags
 taking precedence. Sweep math is linear internally; dB appears only at this
 boundary. Outputs are byte identical for identical config and seed, also
-under --workers parallelism (per-chunk counter-based streams, integer-count
-reduction).
+under --workers parallelism: the simulator's Monte Carlo chunks, each with its
+own counter-based stream, are mapped over a process pool and their integer
+counts summed.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from .bussgang import sel_apply, sel_params
 from .epsilon_critical import report as phase_report, threshold
 from .errors import ConfigError, DomainError, RegimeError
-from .link_budget import NetworkConfig, build_budget, normalize_protocol, sndr
+from .link_budget import NetworkConfig, build_budget, normalize_protocol
 from .outage import (
     diversity_fit,
     exact_outage,
@@ -41,15 +42,18 @@ from .outage import (
 from .simulator import (
     Rng,
     SimStats,
+    estimate_bussgang,
     fg_stationarity_check,
     gen_channel,
     generator,
+    mc_outage_sweep,
     measure_sndr,
     model_sndr,
-    wilson_interval,
 )
 
-_MC_CHUNK = 1 << 16
+# Grids beyond this are input errors; every published figure uses <= 121
+# points, and the Monte Carlo comparison holds points x 65 536 bytes.
+_MAX_GRID_POINTS = 4096
 
 
 @dataclass
@@ -103,8 +107,10 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} needs finite bounds and step > 0, got {spec!r}")
     if stop < start:
         raise ConfigError(f"{name} has stop < start: {spec!r}")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step
+    if steps > _MAX_GRID_POINTS - 1:
+        raise ConfigError(f"{name} has more than {_MAX_GRID_POINTS} points: {spec!r}")
+    return start + step * np.arange(int(round(steps)) + 1)
 
 
 def _db_to_lin(db):
@@ -139,42 +145,11 @@ def _rows_to_csv(header, rows, preamble=(), trailer=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- Monte Carlo over gamma grids with deterministic chunked streams ----------
-
-
-def _mc_chunk_counts(args):
-    protocol, gammas, cfg_kwargs, chunk_size, seed, stream = args
-    budget = build_budget(NetworkConfig(**cfg_kwargs))
-    gen = generator(Rng(seed, stream))
-    x = gen.exponential(cfg_kwargs["mu1"], chunk_size)
-    y = gen.exponential(cfg_kwargs["mu2"], chunk_size)
-    lam = sndr(protocol, x, y, budget)
-    return np.count_nonzero(lam[None, :] <= np.asarray(gammas)[:, None], axis=1)
-
-
-def _mc_sweep(protocol, gammas, cfg: NetworkConfig, trials, seed, workers) -> list[SimStats]:
-    if trials <= 0:
-        return []
-    cfg_kwargs = asdict(cfg)
-    chunks = []
-    done = 0
-    idx = 0
-    while done < trials:
-        m = min(_MC_CHUNK, trials - done)
-        chunks.append((protocol, list(gammas), cfg_kwargs, m, seed, idx + 1))
-        done += m
-        idx += 1
-    if workers > 1:
-        with Pool(workers) as pool:
-            parts = pool.map(_mc_chunk_counts, chunks)
-    else:
-        parts = [_mc_chunk_counts(c) for c in chunks]
-    counts = np.sum(parts, axis=0)
-    out = []
-    for k in counts:
-        lo, hi = wilson_interval(int(k), trials)
-        out.append(SimStats(trials, int(k), int(k) / trials, lo, hi))
-    return out
+def _mc_sweep(protocol, gammas, budget, trials, rc: RunConfig) -> list[SimStats]:
+    if rc.workers == 1:
+        return mc_outage_sweep(protocol, gammas, budget, trials, Rng(rc.seed))
+    with Pool(rc.workers) as pool:
+        return mc_outage_sweep(protocol, gammas, budget, trials, Rng(rc.seed), map_fn=pool.map)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -187,7 +162,7 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
     gammas = _db_to_lin(gammas_db)
     th = threshold(protocol, budget)
     th_db = 10.0 * math.log10(th) if th < math.inf else math.inf
-    mc = _mc_sweep(protocol, gammas, rc.network(), rc.trials, rc.seed, rc.workers)
+    mc = _mc_sweep(protocol, gammas, budget, rc.trials, rc) if rc.trials else []
     rows = []
     for i, (g_db, g) in enumerate(zip(gammas_db, gammas)):
         p_an = exact_outage(protocol, float(g), budget, tol=1e-10)
@@ -287,9 +262,7 @@ def cmd_validate(rc: RunConfig) -> int:
             continue
         p = sel_params(1.0, ratio)
         x = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / math.sqrt(2.0)
-        y = sel_apply(x, ratio)
-        zeta_hat = float(np.vdot(x, y).real / np.vdot(x, x).real)
-        eta_hat = float(np.mean(np.abs(y - zeta_hat * x) ** 2))
+        zeta_hat, eta_hat, _ = estimate_bussgang(x, sel_apply(x, ratio))
         ok = abs(zeta_hat - p.zeta) <= 2e-3 and abs(eta_hat - p.eta) <= 0.25 * p.eta
         lines.append(
             f"limiter[{label}]: zeta {zeta_hat:.6f} vs {p.zeta:.6f}, "
@@ -322,7 +295,7 @@ def cmd_validate(rc: RunConfig) -> int:
     # closed form vs channel-level Monte Carlo
     trials = max(int(rc.trials), 10_000)
     gammas = [0.1, 1.0, 10.0]
-    mc = _mc_sweep(proto, gammas, rc.network(), trials, rc.seed, rc.workers)
+    mc = _mc_sweep(proto, gammas, budget, trials, rc)
     for g, s in zip(gammas, mc):
         p_an = exact_outage(proto, g, budget, tol=1e-10)
         sigma = math.sqrt(max(p_an * (1.0 - p_an), 1e-12) / trials)

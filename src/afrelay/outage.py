@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -274,20 +274,12 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
     protocol = normalize_protocol(protocol)
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
-    ref = build_budget(_with_ps(cfg, 1.0))
+    ref = build_budget(replace(cfg, p_s=1.0))
     out = []
     for p_s in p_s_grid:
         floor, term = _expansion_terms(protocol, gamma_th, p_s, ref)
         out.append(OutagePoint(gamma_th, _clamp01(floor + term), "asymptotic"))
     return out
-
-
-def _with_ps(cfg: NetworkConfig, p_s: float) -> NetworkConfig:
-    return NetworkConfig(
-        mu1=cfg.mu1, mu2=cfg.mu2, n0=cfg.n0, p_s=p_s, p_ratio=cfg.p_ratio,
-        clip_ratio_s=cfg.clip_ratio_s, clip_ratio_r=cfg.clip_ratio_r,
-        n_subcarriers=cfg.n_subcarriers, n_taps=cfg.n_taps,
-    )
 
 
 def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> float:
@@ -312,7 +304,7 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
         top = grid[-3:]
     ps, vals = [], []
     for p_s in top:
-        budget = build_budget(_with_ps(cfg, p_s))
+        budget = build_budget(replace(cfg, p_s=p_s))
         p = exact_outage(protocol, gamma_th, budget, tol=1e-12)
         if p < 1e-300:
             warnings.warn(f"outage underflow at p_s={p_s:g}; point dropped from diversity fit")
@@ -328,7 +320,8 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
     ss_res = float(np.sum((vals - pred) ** 2))
     ss_tot = float(np.sum((vals - np.mean(vals)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return DiversityFit(slope=-float(slope_b), power_grid=tuple(np.exp(ps)), r_squared=r2)
+    # 0.0 - b rather than -b: a flat fit reads 0.0, not -0.0
+    return DiversityFit(slope=0.0 - float(slope_b), power_grid=tuple(np.exp(ps)), r_squared=r2)
 
 
 def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) -> float:

@@ -160,6 +160,19 @@ def _cp_extend(block: np.ndarray, cp: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _hop(block: np.ndarray, taps: np.ndarray, p_max: float, n0: float,
+         gen: np.random.Generator, cp_len: int) -> np.ndarray:
+    """One hop in the time domain: prefix, limiter, taps, noise, receive window.
+
+    The taps are scaled by 1/sqrt(n) into the physical impulse response, so
+    the window's unitary DFT sees exactly freq_h as the per-subcarrier gain.
+    """
+    n = block.shape[-1]
+    rx = _convolve_taps(sel_apply(_cp_extend(block, cp_len), p_max), taps / math.sqrt(n))
+    rx = rx + _cgauss(gen, rx.shape, n0)
+    return rx[..., cp_len : cp_len + n]
+
+
 def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,
                    protocol: str, gen: np.random.Generator, cp_len: int | None = None) -> np.ndarray:
     """Push frequency-domain blocks (..., n) through the full two-hop chain.
@@ -171,36 +184,19 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     operation, which is the standard per-subcarrier model.
     """
     protocol = normalize_protocol(protocol)
-    n = x_freq.shape[-1]
     l = channel.taps_h1.shape[0]
     if cp_len is None:
         cp_len = 2 * l + 1
     if cp_len <= 2 * l:
         raise ConfigError(f"cyclic prefix must exceed 2l = {2 * l} samples, got {cp_len}")
-    cfg = budget.config
-    n0 = cfg.n0
-    # physical impulse responses; the 1/sqrt(n) makes the window DFT see
-    # exactly freq_h as the per-subcarrier gain
-    g1 = channel.taps_h1 / math.sqrt(n)
-    g2 = channel.taps_h2 / math.sqrt(n)
-
-    tx = _cp_extend(unitary_idft(x_freq), cp_len)
-    tx = sel_apply(tx, budget.sel_s.p_max)
-    rx1 = _convolve_taps(tx, g1)
-    rx1 = rx1 + _cgauss(gen, rx1.shape, n0)
-
-    window = rx1[..., cp_len : cp_len + n]
+    n0 = budget.config.n0
+    window = _hop(unitary_idft(x_freq), channel.taps_h1, budget.sel_s.p_max, n0, gen, cp_len)
     if protocol == "fg":
         gains = gain_fg(budget)
     else:
         gains = gain_vg(budget, np.abs(channel.freq_h1) ** 2)
-    relay_freq = gains * unitary_dft(window)
-    relay_block = unitary_idft(relay_freq)
-    relay_tx = sel_apply(_cp_extend(relay_block, cp_len), budget.sel_r.p_max)
-
-    rx2 = _convolve_taps(relay_tx, g2)
-    rx2 = rx2 + _cgauss(gen, rx2.shape, n0)
-    return unitary_dft(rx2[..., cp_len : cp_len + n])
+    relay_block = unitary_idft(gains * unitary_dft(window))
+    return unitary_dft(_hop(relay_block, channel.taps_h2, budget.sel_r.p_max, n0, gen, cp_len))
 
 
 def run_waveform_trial(protocol: str, channel: ChannelRealization, budget: LinkBudget,
@@ -272,23 +268,14 @@ def model_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str) -
     return sndr(protocol, np.abs(channel.freq_h1) ** 2, np.abs(channel.freq_h2) ** 2, budget)
 
 
-def _mc_counts(protocol, gammas, budget, n_trials, rng):
-    """Outage counts per gamma over chunked, independently seeded draws."""
-    gammas = np.asarray(gammas, dtype=float)
-    counts = np.zeros(gammas.shape, dtype=np.int64)
-    mu1, mu2 = budget.config.mu1, budget.config.mu2
-    done = 0
-    idx = 0
-    while done < n_trials:
-        m = min(_CHUNK, n_trials - done)
-        gen = generator(substream(rng, idx))
-        x = gen.exponential(mu1, m)
-        y = gen.exponential(mu2, m)
-        lam = sndr(protocol, x, y, budget)
-        counts += np.count_nonzero(lam[None, :] <= gammas[:, None], axis=1)
-        done += m
-        idx += 1
-    return counts
+def _chunk_counts(chunk) -> np.ndarray:
+    """Outage counts per gamma over one chunk of independently seeded draws."""
+    protocol, gammas, budget, rng, m = chunk
+    gen = generator(rng)
+    x = gen.exponential(budget.config.mu1, m)
+    y = gen.exponential(budget.config.mu2, m)
+    lam = sndr(protocol, x, y, budget)
+    return np.count_nonzero(lam[None, :] <= gammas[:, None], axis=1)
 
 
 def mc_outage(protocol: str, gamma_th: float, budget: LinkBudget, n_trials: int,
@@ -299,23 +286,27 @@ def mc_outage(protocol: str, gamma_th: float, budget: LinkBudget, n_trials: int,
     across gamma values couples the draws, so estimates are monotone in
     gamma_th.
     """
-    protocol = normalize_protocol(protocol)
-    if n_trials < 1:
-        raise DomainError("n_trials must be at least 1")
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
-    k = int(_mc_counts(protocol, [gamma_th], budget, n_trials, rng)[0])
-    lo, hi = wilson_interval(k, n_trials)
-    return SimStats(n_trials=n_trials, n_outages=k, p_hat=k / n_trials, ci_low=lo, ci_high=hi)
+    return mc_outage_sweep(protocol, [gamma_th], budget, n_trials, rng)[0]
 
 
 def mc_outage_sweep(protocol: str, gammas, budget: LinkBudget, n_trials: int,
-                    rng: Rng) -> list[SimStats]:
-    """Outage estimates for a whole gamma grid from one shared draw set."""
+                    rng: Rng, map_fn=map) -> list[SimStats]:
+    """Outage estimates for a whole gamma grid from one shared draw set.
+
+    The trials are cut into fixed chunks of 65 536, chunk i drawing from
+    substream(rng, i), and the integer counts are summed. map_fn applies the
+    chunk counter to the chunks; passing a process pool's map spreads them
+    over workers without changing any result.
+    """
     protocol = normalize_protocol(protocol)
     if n_trials < 1:
         raise DomainError("n_trials must be at least 1")
-    counts = _mc_counts(protocol, gammas, budget, n_trials, rng)
+    gammas = np.asarray(gammas, dtype=float)
+    chunks = [(protocol, gammas, budget, substream(rng, i), min(_CHUNK, n_trials - start))
+              for i, start in enumerate(range(0, n_trials, _CHUNK))]
+    counts = sum(map_fn(_chunk_counts, chunks))
     out = []
     for k in counts:
         lo, hi = wilson_interval(int(k), n_trials)
@@ -425,10 +416,6 @@ def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: 
         ch = gen_channel(l, n, cfg.mu1, cfg.mu2, rng=substream(r, 0))
         gen = generator(substream(r, 1))
         x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
-        cp = 2 * l + 1
-        tx = sel_apply(_cp_extend(unitary_idft(x), cp), budget.sel_s.p_max)
-        rx = _convolve_taps(tx, ch.taps_h1 / math.sqrt(n))
-        rx = rx + _cgauss(gen, rx.shape, cfg.n0)
-        window = g * rx[..., cp : cp + n]
+        window = g * _hop(unitary_idft(x), ch.taps_h1, budget.sel_s.p_max, cfg.n0, gen, 2 * l + 1)
         powers[i] = float(np.mean(np.abs(window) ** 2))
     return float(np.std(powers) / np.mean(powers))

@@ -1,9 +1,10 @@
 """Numerical kernels used throughout the package.
 
-Four primitives: the complementary error function, the first-order modified
-Bessel function of the second kind, the unitary DFT pair, and adaptive
-quadrature on the half line. All are pure functions with no shared mutable
-state, so they are safe to call concurrently.
+The first-order modified Bessel function of the second kind and adaptive
+quadrature on the half line are written here; the complementary error
+function is math.erfc behind a domain check, and the unitary DFT pair is
+numpy's FFT behind a length check. All are pure functions with no shared
+mutable state, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -16,67 +17,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-_SQRT_PI = math.sqrt(math.pi)
-
-# Crossover between the confluent series for erf and the continued fraction
-# for erfc. Below 2 the cancellation in 1 - erf costs at most ~2e-14 relative.
-_ERFC_SPLIT = 2.0
-
 
 def erfc(x: float) -> float:
-    """Complementary error function, relative error below 1e-12 for |x| <= 26.
-
-    Uses the all-positive confluent series for erf when |x| < 2 and a Lentz
-    continued fraction for the tail. Arguments beyond ~27 underflow cleanly
-    to 0.0 rather than faulting.
-    """
+    """Complementary error function (math.erfc) of a finite argument."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"erfc requires a finite argument, got {x!r}")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERFC_SPLIT:
-        return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
-
-
-def _erf_series(x: float) -> float:
-    """erf(x) = (2x/sqrt(pi)) e^{-x^2} sum_k (2x^2)^k / (1*3*...*(2k+1))."""
-    if x == 0.0:
-        return 0.0
-    x2 = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= x2 / (2 * k + 1)
-        total += term
-        if term < total * 1e-18 or k > 300:
-            break
-    return (2.0 * x / _SQRT_PI) * math.exp(-x * x) * total
-
-
-def _erfc_cf(x: float) -> float:
-    """erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))."""
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
+    return math.erfc(x)
 
 
 # -- modified Bessel K1 ------------------------------------------------------

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from afrelay.cli import main
+from afrelay.cli import _parse_grid, main
+from afrelay.errors import ConfigError
+from afrelay.link_budget import NetworkConfig, build_budget
+from afrelay.simulator import Rng, mc_outage_sweep
 
 SWEEP_ARGS = [
     "outage-sweep", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
@@ -91,6 +94,20 @@ class TestOutageSweep:
         mc = [float(ln.split(",")[4]) for ln in read_lines(out)[2:]]
         assert mc == sorted(mc)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mc_columns_are_the_library_sweep(self, tmp_path, workers):
+        # the CLI runs the simulator's engine on the same streams, pooled or not
+        out = tmp_path / "lib.json"
+        args = SWEEP_ARGS + ["--gamma-db", "0:5:30", "--trials", "7e4", "--format", "json",
+                             "--workers", workers, "--out", str(out)]
+        assert main(args) == 0
+        rows = json.loads(out.read_text())["rows"]
+        gammas = 10.0 ** (np.array([r["gamma_th_db"] for r in rows]) / 10.0)
+        cfg = NetworkConfig(p_s=1e5, clip_ratio_s=5.0, clip_ratio_r=8.0)
+        stats = mc_outage_sweep("vg", gammas, build_budget(cfg), 70_000, Rng(7))
+        assert [(r["po_mc"], r["ci_low"], r["ci_high"], r["n_trials"]) for r in rows] == [
+            (s.p_hat, s.ci_low, s.ci_high, s.n_trials) for s in stats]
+
 
 class TestPowerSweep:
     def test_vg_summary_slope(self, tmp_path):
@@ -134,8 +151,11 @@ class TestPowerSweep:
             "--gamma-db", "47.43", "--ps-db", "40:10:80", "--out", str(out),
         ]
         assert main(args) == 0
-        for ln in read_lines(out)[1:-1]:
+        lines = read_lines(out)
+        for ln in lines[1:-1]:
             assert float(ln.split(",")[2]) == 1.0
+        # every point is a sure outage, so the fitted slope is zero, not -0.0
+        assert '"slope": 0.0,' in lines[-1]
 
     def test_narrow_grid_rejected(self, tmp_path):
         args = [
@@ -219,6 +239,16 @@ class TestConfigHandling:
 
     def test_bad_grid_spec(self):
         assert main(["outage-sweep", "--gamma-db", "5:-1:0"]) == 2
+
+    @pytest.mark.parametrize("spec", ["0:1e-9:30", "0:1e-320:30", "0:1:4096"])
+    def test_oversized_grid_exits_2(self, spec):
+        # rejected before any allocation: 0:1e-9:30 would be 3e10 points
+        assert main(["outage-sweep", "--gamma-db", spec, "--trials", "0"]) == 2
+
+    def test_grid_cap_is_inclusive(self):
+        assert _parse_grid("0:1:4095", "gamma_db").size == 4096
+        with pytest.raises(ConfigError):
+            _parse_grid("0:0.5:2048", "gamma_db")
 
     def test_db_roundtrip(self):
         for db in np.linspace(-30, 60, 91):

@@ -1,6 +1,7 @@
 """Simulator tests: chain identities, moment checks, determinism."""
 
 import math
+from multiprocessing.pool import ThreadPool
 
 import numpy as np
 import pytest
@@ -220,6 +221,14 @@ class TestMcOutage:
         ps = [s.p_hat for s in stats]
         assert ps == sorted(ps)
 
+    def test_sweep_map_fn_matches_serial(self):
+        b = build_budget(CLIPPED_CFG)
+        gammas = [0.5, 1.0, 2.0, 4.0]
+        serial = mc_outage_sweep("vg", gammas, b, 150_000, Rng(29))
+        with ThreadPool(2) as pool:
+            pooled = mc_outage_sweep("vg", gammas, b, 150_000, Rng(29), map_fn=pool.map)
+        assert pooled == serial
+
     def test_sweep_consistent_with_single(self):
         b = build_budget(CLIPPED_CFG)
         sweep = mc_outage_sweep("vg", [1.0], b, 30_000, Rng(23))
@@ -263,6 +272,17 @@ class TestStationarity:
         cv_full = fg_stationarity_check(256, b, 300, Rng(27))
         assert cv1 / cv16 > 3.0
         assert cv_full < cv16
+
+    @pytest.mark.parametrize("l,seed,expected", [
+        (1, 24, 0.8371876866550735),
+        (16, 26, 0.20046818297135116),
+    ])
+    def test_frozen_values(self, l, seed, expected):
+        # pins the first hop's draw order and arithmetic shared with waveform_chain
+        cfg = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0,
+                            n_subcarriers=256, n_taps=1)
+        cv = fg_stationarity_check(l, build_budget(cfg), 50, Rng(seed))
+        assert cv == pytest.approx(expected, rel=1e-12)
 
     def test_decreasing_in_taps(self):
         cfg = NetworkConfig(p_s=50.0, n_subcarriers=128, n_taps=1)
