@@ -1,8 +1,8 @@
-"""Time-domain OFDM simulation vs the per-subcarrier analytic model.
+"""Waveform-level OFDM simulation vs the per-subcarrier analytic model.
 
-Runs full waveform blocks (IFFT, cyclic prefix, limiter, tapped channel,
-noise, relay gain, limiter, second hop, FFT) for one frozen channel and
-compares the measured per-subcarrier SNDR with the analytic expression.
+Runs full waveform blocks (IFFT, per-sample limiter, tapped channel applied
+per subcarrier, noise, relay gain, limiter, second hop) for one frozen channel
+and compares the measured per-subcarrier SNDR with the analytic expression.
 Also shows why the fixed-gain model needs enough channel taps: with a flat
 channel the relay limiter's input power inherits the first-hop fade, and the
 stationary-Gaussian picture behind the model breaks down.

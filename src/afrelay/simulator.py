@@ -4,9 +4,10 @@ Two levels of fidelity:
 
 * channel-level trials draw per-subcarrier fading gains and evaluate the
   SNDR expression directly (fast, used to validate the closed forms);
-* waveform-level trials run full OFDM blocks through both limiters, the
-  tapped channels and the additive noise, with cyclic-prefix handling at the
-  source and destination only (used to validate the Bussgang model itself).
+* waveform-level trials run full OFDM blocks through both limiters, clipping
+  each time-domain sample, with the tapped channels and the relay gains
+  applied per subcarrier and the additive noise drawn per received sample
+  (used to validate the Bussgang model itself).
 
 Randomness is counter based: every (seed, stream_id) pair indexes an
 independent Philox stream, trials are pre-partitioned into fixed chunks with
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bussgang import sel_apply
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .link_budget import LinkBudget, gain_fg, gain_vg, normalize_protocol, sndr
 from .special_math import unitary_dft, unitary_idft
 
@@ -116,12 +117,7 @@ def gen_channel(l: int, n: int, mu1: float, mu2: float, mode: str = "statistical
             v = _cgauss(gen, l, mu / l)
             t = math.sqrt(n / l) * v / np.linalg.norm(v)
         taps.append(t)
-    pad = np.zeros(n, dtype=complex)
-    freqs = []
-    for t in taps:
-        buf = pad.copy()
-        buf[:l] = t
-        freqs.append(unitary_dft(buf))
+    freqs = unitary_dft(np.pad(np.stack(taps), ((0, 0), (0, n - l))))
     return ChannelRealization(
         taps_h1=taps[0], taps_h2=taps[1], freq_h1=freqs[0], freq_h2=freqs[1],
         normalization_mode=mode,
@@ -143,69 +139,52 @@ def _qpsk(gen, shape, sigma_sq):
     return math.sqrt(sigma_sq / 2.0) * _QPSK_POINTS[idx]
 
 
-def _convolve_taps(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Linear convolution along the last axis; taps loop keeps it vectorized."""
-    l = taps.shape[0]
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + l - 1,), dtype=complex)
-    for m in range(l):
-        out[..., m : m + x.shape[-1]] += taps[m] * x
-    return out
+def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
+         gen: np.random.Generator, l: int) -> np.ndarray:
+    """One hop, frequency domain in and out: limiter per sample, channel per subcarrier.
 
-
-def _cp_extend(block: np.ndarray, cp: int) -> np.ndarray:
-    """Prepend the circular prefix; handles cp longer than the block."""
-    n = block.shape[-1]
-    reps, rem = divmod(cp, n)
-    parts = ([block[..., n - rem :]] if rem else []) + [block] * (reps + 1)
-    return np.concatenate(parts, axis=-1)
-
-
-def _hop(block: np.ndarray, taps: np.ndarray, p_max: float, n0: float,
-         gen: np.random.Generator, cp_len: int) -> np.ndarray:
-    """One hop in the time domain: prefix, limiter, taps, noise, receive window.
-
-    The taps are scaled by 1/sqrt(n) into the physical impulse response, so
-    the window's unitary DFT sees exactly freq_h as the per-subcarrier gain.
+    The cyclic prefix of cp = 2l + 1 samples in front of a memoryless limiter
+    makes the receive window's convolution with the l taps circular, so the
+    channel is a per-subcarrier multiply by freq_h. The noise is drawn over
+    the whole received burst (n + cp + l - 1 samples) and cut to the window.
     """
-    n = block.shape[-1]
-    rx = _convolve_taps(sel_apply(_cp_extend(block, cp_len), p_max), taps / math.sqrt(n))
-    rx = rx + _cgauss(gen, rx.shape, n0)
-    return rx[..., cp_len : cp_len + n]
+    n, cp = x_freq.shape[-1], 2 * l + 1
+    w = _cgauss(gen, x_freq.shape[:-1] + (n + cp + l - 1,), n0)[..., cp : cp + n]
+    return unitary_dft(sel_apply(unitary_idft(x_freq), p_max)) * freq_h + unitary_dft(w)
+
+
+def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
+    """Relay gain per subcarrier: a scalar for fixed gain, a vector for variable gain."""
+    if protocol == "fg":
+        return gain_fg(budget)
+    return gain_vg(budget, np.abs(channel.freq_h1) ** 2)
 
 
 def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,
-                   protocol: str, gen: np.random.Generator, cp_len: int | None = None) -> np.ndarray:
+                   protocol: str, gen: np.random.Generator) -> np.ndarray:
     """Push frequency-domain blocks (..., n) through the full two-hop chain.
 
-    The cyclic prefix is long enough to absorb both hops, so only the source
-    and destination touch it. The relay sees its received window, applies its
-    gain per subcarrier (a scalar for fixed gain), rebuilds the prefix and
-    clips; physically its gain stage is an idealized frequency-domain
-    operation, which is the standard per-subcarrier model.
+    Each node clips the time-domain samples of its block; each hop multiplies
+    every subcarrier by its channel response and adds the receive window's
+    noise. The relay applies its gain per subcarrier (a scalar for fixed
+    gain) between the hops, the standard idealized per-subcarrier model. Both
+    hops place their noise window with the first hop's tap count l.
     """
     protocol = normalize_protocol(protocol)
     l = channel.taps_h1.shape[0]
-    if cp_len is None:
-        cp_len = 2 * l + 1
-    if cp_len <= 2 * l:
-        raise ConfigError(f"cyclic prefix must exceed 2l = {2 * l} samples, got {cp_len}")
     n0 = budget.config.n0
-    window = _hop(unitary_idft(x_freq), channel.taps_h1, budget.sel_s.p_max, n0, gen, cp_len)
-    if protocol == "fg":
-        gains = gain_fg(budget)
-    else:
-        gains = gain_vg(budget, np.abs(channel.freq_h1) ** 2)
-    relay_block = unitary_idft(gains * unitary_dft(window))
-    return unitary_dft(_hop(relay_block, channel.taps_h2, budget.sel_r.p_max, n0, gen, cp_len))
+    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, n0, gen, l)
+    gains = _relay_gains(budget, channel, protocol)
+    return _hop(gains * relay_in, channel.freq_h2, budget.sel_r.p_max, n0, gen, l)
 
 
 def run_waveform_trial(protocol: str, channel: ChannelRealization, budget: LinkBudget,
-                       rng: Rng, cp_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """One OFDM block end to end; returns (sent symbols, received symbols)."""
     gen = generator(rng)
     n = channel.freq_h1.shape[0]
     x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
-    y = waveform_chain(x, channel, budget, protocol, gen, cp_len=cp_len)
+    y = waveform_chain(x, channel, budget, protocol, gen)
     return x[0], y[0]
 
 
@@ -327,10 +306,7 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     n = channel.freq_h1.shape[0]
     gen = generator(rng)
     sigma_sq = budget.sel_s.sigma_sq
-    if protocol == "fg":
-        gains = gain_fg(budget)
-    else:
-        gains = gain_vg(budget, np.abs(channel.freq_h1) ** 2)
+    gains = _relay_gains(budget, channel, protocol)
     c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
     x = _qpsk(gen, (n_blocks, n), sigma_sq)
     y = waveform_chain(x, channel, budget, protocol, gen)
@@ -364,6 +340,8 @@ def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
     within-draw correlation.
     """
     protocol = normalize_protocol(protocol)
+    if n_draws < 1 or n_blocks < 1:
+        raise DomainError(f"need n_draws >= 1 and n_blocks >= 1, got {n_draws} and {n_blocks}")
     gammas = np.asarray(gammas, dtype=float)
     cfg = budget.config
     n = cfg.n_subcarriers
@@ -416,6 +394,7 @@ def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: 
         ch = gen_channel(l, n, cfg.mu1, cfg.mu2, rng=substream(r, 0))
         gen = generator(substream(r, 1))
         x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
-        window = g * _hop(unitary_idft(x), ch.taps_h1, budget.sel_s.p_max, cfg.n0, gen, 2 * l + 1)
-        powers[i] = float(np.mean(np.abs(window) ** 2))
+        # by Parseval the mean power over subcarriers is the window's mean power
+        relay_in = g * _hop(x, ch.freq_h1, budget.sel_s.p_max, cfg.n0, gen, l)
+        powers[i] = float(np.mean(np.abs(relay_in) ** 2))
     return float(np.std(powers) / np.mean(powers))

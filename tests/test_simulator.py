@@ -6,8 +6,9 @@ from multiprocessing.pool import ThreadPool
 import numpy as np
 import pytest
 
-from afrelay.errors import ConfigError, DomainError
-from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, sndr
+from afrelay.bussgang import sel_apply
+from afrelay.errors import DomainError
+from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr
 from afrelay.outage import outage_vg
 from afrelay.simulator import (
     ChannelRealization,
@@ -24,6 +25,7 @@ from afrelay.simulator import (
     run_waveform_trial,
     substream,
     waveform_chain,
+    waveform_outage,
     wilson_interval,
 )
 
@@ -68,6 +70,15 @@ class TestChannels:
         pad[:4] = ch.taps_h1
         assert np.allclose(ch.freq_h1, np.fft.fft(pad, norm="ortho"))
 
+    @pytest.mark.parametrize("l,n", [(1, 8), (4, 32), (64, 64)])
+    def test_freq_is_per_hop_dft_bitwise(self, l, n):
+        for mode in ("statistical", "unit_norm"):
+            ch = gen_channel(l, n, 2.0, 0.5, mode=mode, rng=Rng(4, l))
+            for taps, freq in ((ch.taps_h1, ch.freq_h1), (ch.taps_h2, ch.freq_h2)):
+                pad = np.zeros(n, dtype=complex)
+                pad[:l] = taps
+                assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gen_channel(65, 64, 1.0, 1.0, rng=Rng(5))
@@ -97,6 +108,31 @@ class TestQpsk:
         n = 1 << 16
         x = gen_qpsk_block(n, 1.0, Rng(8))
         assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
+
+
+def reference_chain(x_freq, channel, budget, protocol, gen):
+    """Time-domain oracle for waveform_chain, one hop at a time.
+
+    Cyclic prefix of 2l + 1 samples, per-sample limiter, linear convolution
+    with the taps scaled to the physical impulse response, noise over the
+    whole received burst, receive window; the relay gain is applied to the
+    window's DFT. Draws the noise in the same order as the simulator.
+    """
+    n = x_freq.shape[-1]
+    cp = 2 * channel.taps_h1.shape[0] + 1
+
+    def hop(block, taps, p_max):
+        sent = sel_apply(block[..., np.arange(-cp, n) % n], p_max)
+        rx = np.array([np.convolve(row, taps / math.sqrt(n)) for row in sent])
+        if budget.config.n0 > 0.0:
+            s = math.sqrt(budget.config.n0 / 2.0)
+            rx = rx + s * (gen.standard_normal(rx.shape) + 1j * gen.standard_normal(rx.shape))
+        return rx[..., cp : cp + n]
+
+    window = hop(np.fft.ifft(x_freq, norm="ortho"), channel.taps_h1, budget.sel_s.p_max)
+    gains = gain_fg(budget) if protocol == "fg" else gain_vg(budget, np.abs(channel.freq_h1) ** 2)
+    relay_block = np.fft.ifft(gains * np.fft.fft(window, norm="ortho"), norm="ortho")
+    return np.fft.fft(hop(relay_block, channel.taps_h2, budget.sel_r.p_max), norm="ortho")
 
 
 class TestWaveformChain:
@@ -135,13 +171,18 @@ class TestWaveformChain:
         assert np.median(np.abs(ratio - 1.0)) < 0.05
         assert np.max(np.abs(ratio - 1.0)) < 0.25
 
-    def test_cp_too_short_rejected(self):
-        n = 64
-        b = build_budget(NetworkConfig(n_subcarriers=n, n_taps=4))
-        ch = gen_channel(4, n, 1.0, 1.0, rng=Rng(12))
-        x = gen_qpsk_block(n, 1.0, Rng(12, 1)).reshape(1, n)
-        with pytest.raises(ConfigError):
-            waveform_chain(x, ch, b, "fg", generator(Rng(12, 2)), cp_len=8)
+    @pytest.mark.parametrize("protocol", ["fg", "vg"])
+    @pytest.mark.parametrize("n,l,n0", [(64, 16, 1.0), (256, 256, 1.0), (64, 1, 1.0),
+                                        (128, 4, 0.0)])
+    def test_matches_time_domain_reference(self, protocol, n, l, n0):
+        cfg = NetworkConfig(n0=n0, p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0,
+                            n_subcarriers=n, n_taps=l)
+        b = build_budget(cfg)
+        ch = gen_channel(l, n, 1.0, 1.0, rng=Rng(12))
+        x = generator(Rng(12, 1)).standard_normal((3, n)) * math.sqrt(b.sel_s.sigma_sq) + 0j
+        y = waveform_chain(x, ch, b, protocol, generator(Rng(12, 2)))
+        y_ref = reference_chain(x, ch, b, protocol, generator(Rng(12, 2)))
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
     def test_run_waveform_trial_shapes(self):
         b = build_budget(CLIPPED_CFG)
@@ -289,6 +330,41 @@ class TestStationarity:
         b = build_budget(cfg)
         cvs = [fg_stationarity_check(l, b, 250, Rng(28, l)) for l in (1, 4, 16, 64)]
         assert cvs[0] > cvs[1] > cvs[2] > cvs[3]
+
+
+class TestWaveformFrozen:
+    # values recorded with the time-domain chain; they pin the draw order of
+    # the whole waveform Monte Carlo
+    CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
+                        n_taps=4)
+
+    @pytest.mark.parametrize("protocol,expected", [
+        ("fg", [(0.020833333333333332, 0.0, 0.042885448545177715),
+                (0.234375, 0.15399597996329195, 0.31475402003670805)]),
+        ("vg", [(0.010416666666666666, 0.0020817505618831427, 0.01875158277145019),
+                (0.16666666666666666, 0.05831275730448082, 0.2750205760288525)]),
+    ])
+    def test_waveform_outage(self, protocol, expected):
+        stats = waveform_outage(protocol, [1.0, 10.0], build_budget(self.CFG), 3, 20, Rng(41))
+        assert [(s.p_hat, s.ci_low, s.ci_high) for s in stats] == expected
+
+    def test_measure_sndr(self):
+        expected = [
+            92.71865434567178, 94.95559221464369, 33.48364723252935, 2.802070776395918,
+            18.98856368237596, 3.206376539267704, 23.796214085192627, 59.198667880958354,
+            67.66252090670106, 30.286834892219506, 3.84737380531036, 33.14262311832031,
+            32.382584379278235, 12.208873071185176, 10.999536288540773, 42.67679962460879,
+        ]
+        cfg = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
+                            n_taps=4)
+        ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(42))
+        lam = measure_sndr(ch, build_budget(cfg), "vg", 100, Rng(43))
+        assert lam == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n_draws,n_blocks", [(0, 20), (3, 0), (3, -3)])
+    def test_waveform_outage_rejects_bad_counts(self, n_draws, n_blocks):
+        with pytest.raises(DomainError):
+            waveform_outage("vg", [1.0], build_budget(self.CFG), n_draws, n_blocks, Rng(44))
 
 
 class TestDeterminism:
