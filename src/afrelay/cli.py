@@ -247,6 +247,21 @@ def cmd_thresholds(rc: RunConfig) -> int:
     return 0
 
 
+def _circular_gaussian(gen, n: int) -> np.ndarray:
+    """n CN(0, 1) samples from a stratified exponential radius and a uniform phase.
+
+    Stratifying the radius removes most of the spread in the few clip events
+    a limiter's eta rests on. The products go straight into the output's real
+    and imaginary parts, which keeps the peak memory that of plain draws.
+    """
+    radius = np.sqrt(-np.log1p(-(np.arange(n) + gen.uniform(0.0, 1.0, n)) / n))
+    phase = gen.uniform(0.0, 2.0 * np.pi, n)
+    x = np.empty(n, dtype=complex)
+    np.multiply(radius, np.cos(phase), out=x.real)
+    np.multiply(radius, np.sin(phase), out=x.imag)
+    return x
+
+
 def cmd_validate(rc: RunConfig) -> int:
     failures = []
     notes = []
@@ -261,7 +276,7 @@ def cmd_validate(rc: RunConfig) -> int:
             lines.append(f"limiter[{label}]: linear node, skipped")
             continue
         p = sel_params(1.0, ratio)
-        x = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / math.sqrt(2.0)
+        x = _circular_gaussian(gen, n)
         zeta_hat, eta_hat, _ = estimate_bussgang(x, sel_apply(x, ratio))
         ok = abs(zeta_hat - p.zeta) <= 2e-3 and abs(eta_hat - p.eta) <= 0.25 * p.eta
         lines.append(

@@ -5,9 +5,9 @@ Two levels of fidelity:
 * channel-level trials draw per-subcarrier fading gains and evaluate the
   SNDR expression directly (fast, used to validate the closed forms);
 * waveform-level trials run full OFDM blocks through both limiters, clipping
-  each time-domain sample, with the tapped channels and the relay gains
-  applied per subcarrier and the additive noise drawn per received sample
-  (used to validate the Bussgang model itself).
+  each time-domain sample, with the tapped channels, the relay gains and the
+  additive noise applied per subcarrier (used to validate the Bussgang model
+  itself).
 
 Randomness is counter based: every (seed, stream_id) pair indexes an
 independent Philox stream, trials are pre-partitioned into fixed chunks with
@@ -58,7 +58,6 @@ class ChannelRealization:
     taps_h2: np.ndarray
     freq_h1: np.ndarray
     freq_h2: np.ndarray
-    normalization_mode: str
 
 
 @dataclass(frozen=True)
@@ -93,35 +92,20 @@ def _cgauss(gen, shape, var):
     return s * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
-def gen_channel(l: int, n: int, mu1: float, mu2: float, mode: str = "statistical",
-                rng: Rng = Rng(0)) -> ChannelRealization:
+def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng = Rng(0)) -> ChannelRealization:
     """Draw one quasi-static channel pair with l taps over n subcarriers.
 
-    statistical mode makes each subcarrier response exactly CN(0, mu); the
-    unit_norm mode instead hard-normalizes the tap vector to total power n/l,
-    which is kept for fidelity experiments despite biasing the per-subcarrier
-    power to 1/l.
+    Each tap is CN(0, n mu / l), so each subcarrier response is exactly
+    CN(0, mu).
     """
     if not (1 <= l <= n):
         raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
     if n & (n - 1):
         raise DomainError(f"n must be a power of two, got {n}")
-    if mode not in ("statistical", "unit_norm"):
-        raise DomainError(f"unknown normalization mode {mode!r}")
     gen = generator(rng)
-    taps = []
-    for mu in (mu1, mu2):
-        if mode == "statistical":
-            t = _cgauss(gen, l, n * mu / l)
-        else:
-            v = _cgauss(gen, l, mu / l)
-            t = math.sqrt(n / l) * v / np.linalg.norm(v)
-        taps.append(t)
+    taps = [_cgauss(gen, l, n * mu / l) for mu in (mu1, mu2)]
     freqs = unitary_dft(np.pad(np.stack(taps), ((0, 0), (0, n - l))))
-    return ChannelRealization(
-        taps_h1=taps[0], taps_h2=taps[1], freq_h1=freqs[0], freq_h2=freqs[1],
-        normalization_mode=mode,
-    )
+    return ChannelRealization(taps[0], taps[1], freqs[0], freqs[1])
 
 
 def gen_qpsk_block(n: int, sigma_sq: float, rng: Rng) -> np.ndarray:
@@ -140,17 +124,17 @@ def _qpsk(gen, shape, sigma_sq):
 
 
 def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
-         gen: np.random.Generator, l: int) -> np.ndarray:
-    """One hop, frequency domain in and out: limiter per sample, channel per subcarrier.
+         gen: np.random.Generator) -> np.ndarray:
+    """One hop, frequency domain in and out: limiter per sample, the rest per subcarrier.
 
-    The cyclic prefix of cp = 2l + 1 samples in front of a memoryless limiter
-    makes the receive window's convolution with the l taps circular, so the
-    channel is a per-subcarrier multiply by freq_h. The noise is drawn over
-    the whole received burst (n + cp + l - 1 samples) and cut to the window.
+    A cyclic prefix longer than the channel in front of a memoryless limiter
+    makes the receive window's convolution circular, so the channel is a
+    per-subcarrier multiply by freq_h. The unitary DFT of the window's white
+    CN(0, n0) noise is again white CN(0, n0), so the noise is drawn per
+    subcarrier.
     """
-    n, cp = x_freq.shape[-1], 2 * l + 1
-    w = _cgauss(gen, x_freq.shape[:-1] + (n + cp + l - 1,), n0)[..., cp : cp + n]
-    return unitary_dft(sel_apply(unitary_idft(x_freq), p_max)) * freq_h + unitary_dft(w)
+    return (unitary_dft(sel_apply(unitary_idft(x_freq), p_max)) * freq_h
+            + _cgauss(gen, x_freq.shape, n0))
 
 
 def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
@@ -165,17 +149,15 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     """Push frequency-domain blocks (..., n) through the full two-hop chain.
 
     Each node clips the time-domain samples of its block; each hop multiplies
-    every subcarrier by its channel response and adds the receive window's
-    noise. The relay applies its gain per subcarrier (a scalar for fixed
-    gain) between the hops, the standard idealized per-subcarrier model. Both
-    hops place their noise window with the first hop's tap count l.
+    every subcarrier by its channel response and adds CN(0, n0) noise per
+    subcarrier. The relay applies its gain per subcarrier (a scalar for fixed
+    gain) between the hops, the standard idealized per-subcarrier model.
     """
     protocol = normalize_protocol(protocol)
-    l = channel.taps_h1.shape[0]
     n0 = budget.config.n0
-    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, n0, gen, l)
+    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, n0, gen)
     gains = _relay_gains(budget, channel, protocol)
-    return _hop(gains * relay_in, channel.freq_h2, budget.sel_r.p_max, n0, gen, l)
+    return _hop(gains * relay_in, channel.freq_h2, budget.sel_r.p_max, n0, gen)
 
 
 def run_waveform_trial(protocol: str, channel: ChannelRealization, budget: LinkBudget,
@@ -218,6 +200,8 @@ def measure_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     """
     if n_blocks < 100:
         raise DomainError("need at least 100 blocks for a stable split")
+    if batch < 1:
+        raise DomainError(f"batch must be at least 1, got {batch}")
     n = channel.freq_h1.shape[0]
     sigma_sq = budget.sel_s.sigma_sq
     acc_xy = np.zeros(n, dtype=complex)
@@ -332,12 +316,13 @@ def estimator_consistent_outage(p_of_gamma, gamma: float, n_blocks: int) -> floa
 
 
 def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
-                    n_blocks: int, rng: Rng, l: int | None = None) -> list[SimStats]:
+                    n_blocks: int, rng: Rng) -> list[SimStats]:
     """Full-waveform outage: measured per-subcarrier SNDR against thresholds.
 
     Each channel draw contributes the outage fraction across its subcarriers;
     the interval is a normal one on the draw-level means, which respects the
-    within-draw correlation.
+    within-draw correlation. One draw cannot estimate that spread, so its
+    interval is [0, 1].
     """
     protocol = normalize_protocol(protocol)
     if n_draws < 1 or n_blocks < 1:
@@ -345,13 +330,12 @@ def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
     gammas = np.asarray(gammas, dtype=float)
     cfg = budget.config
     n = cfg.n_subcarriers
-    l = cfg.n_taps if l is None else l
     sums = np.zeros(gammas.shape)
     sq_sums = np.zeros(gammas.shape)
     total = np.zeros(gammas.shape, dtype=np.int64)
     for d in range(n_draws):
         draw_rng = substream(rng, d)
-        ch = gen_channel(l, n, cfg.mu1, cfg.mu2, rng=substream(draw_rng, 0))
+        ch = gen_channel(cfg.n_taps, n, cfg.mu1, cfg.mu2, rng=substream(draw_rng, 0))
         lam = _pilot_sndr(ch, budget, protocol, n_blocks, substream(draw_rng, 1))
         hits = lam[None, :] <= gammas[:, None]
         frac = np.mean(hits, axis=1)
@@ -360,19 +344,10 @@ def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
         total += np.count_nonzero(hits, axis=1)
     mean = sums / n_draws
     var = np.maximum(sq_sums / n_draws - mean**2, 0.0)
-    half = 1.959963984540054 * np.sqrt(var / n_draws)
-    out = []
-    for g_i in range(gammas.size):
-        out.append(
-            SimStats(
-                n_trials=n_draws * n,
-                n_outages=int(total[g_i]),
-                p_hat=float(mean[g_i]),
-                ci_low=float(max(0.0, mean[g_i] - half[g_i])),
-                ci_high=float(min(1.0, mean[g_i] + half[g_i])),
-            )
-        )
-    return out
+    half = 1.959963984540054 * np.sqrt(var / n_draws) if n_draws > 1 else np.inf
+    lo, hi = np.maximum(mean - half, 0.0), np.minimum(mean + half, 1.0)
+    return [SimStats(n_trials=n_draws * n, n_outages=int(k), p_hat=float(p), ci_low=float(a),
+                     ci_high=float(b)) for k, p, a, b in zip(total, mean, lo, hi)]
 
 
 def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: Rng) -> float:
@@ -395,6 +370,6 @@ def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: 
         gen = generator(substream(r, 1))
         x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
         # by Parseval the mean power over subcarriers is the window's mean power
-        relay_in = g * _hop(x, ch.freq_h1, budget.sel_s.p_max, cfg.n0, gen, l)
+        relay_in = g * _hop(x, ch.freq_h1, budget.sel_s.p_max, cfg.n0, gen)
         powers[i] = float(np.mean(np.abs(relay_in) ** 2))
     return float(np.std(powers) / np.mean(powers))

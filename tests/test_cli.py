@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from afrelay.cli import _parse_grid, main
+from afrelay.cli import _circular_gaussian, _parse_grid, main
 from afrelay.errors import ConfigError
 from afrelay.link_budget import NetworkConfig, build_budget
-from afrelay.simulator import Rng, mc_outage_sweep
+from afrelay.simulator import Rng, generator, mc_outage_sweep
 
 SWEEP_ARGS = [
     "outage-sweep", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
@@ -206,6 +206,26 @@ class TestValidate:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "informational" in out
+
+
+class TestValidateLimiterSampling:
+    def test_relay_eta_seed_2_passes(self, capsys):
+        # plain Gaussian draws put eta at clip ratio 8 29% high on this seed
+        args = ["validate", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
+                "--snr-db", "25", "--seed", "2", "--blocks", "100", "--trials", "1e4",
+                "--n", "64", "--taps", "16"]
+        assert main(args) == 0
+        assert "validate: PASS" in capsys.readouterr().out
+
+    def test_samples_are_circular_gaussian(self):
+        n = 1 << 16
+        x = _circular_gaussian(generator(Rng(3)), n)
+        power = np.abs(x) ** 2
+        # stratified exponential radius: every tail fraction is exact to 1/n
+        for t in (0.5, 2.0, 8.0):
+            assert abs(np.mean(power > t) - math.exp(-t)) <= 1.0 / n
+        assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
+        assert np.var(x.real) / np.var(x.imag) == pytest.approx(1.0, abs=0.03)
 
 
 class TestConfigHandling:

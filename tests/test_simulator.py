@@ -38,7 +38,7 @@ def flat_unit_channel(n):
     pad = np.zeros(n, dtype=complex)
     pad[0] = taps[0]
     freq = np.fft.fft(pad, norm="ortho")
-    return ChannelRealization(taps, taps, freq, freq, "statistical")
+    return ChannelRealization(taps, taps, freq, freq)
 
 
 class TestChannels:
@@ -55,11 +55,6 @@ class TestChannels:
         assert acc1 / reps == pytest.approx(2.0, rel=0.01)
         assert acc2 / reps == pytest.approx(0.5, rel=0.01)
 
-    def test_unit_norm_exact_power(self):
-        ch = gen_channel(8, 64, 1.0, 1.0, mode="unit_norm", rng=Rng(2))
-        assert float(np.sum(np.abs(ch.taps_h1) ** 2)) == pytest.approx(64 / 8, rel=1e-12)
-        assert float(np.sum(np.abs(ch.taps_h2) ** 2)) == pytest.approx(64 / 8, rel=1e-12)
-
     def test_single_tap_is_flat(self):
         ch = gen_channel(1, 64, 1.0, 1.0, rng=Rng(3))
         assert np.max(np.abs(ch.freq_h1 - ch.freq_h1[0])) < 1e-12
@@ -72,12 +67,11 @@ class TestChannels:
 
     @pytest.mark.parametrize("l,n", [(1, 8), (4, 32), (64, 64)])
     def test_freq_is_per_hop_dft_bitwise(self, l, n):
-        for mode in ("statistical", "unit_norm"):
-            ch = gen_channel(l, n, 2.0, 0.5, mode=mode, rng=Rng(4, l))
-            for taps, freq in ((ch.taps_h1, ch.freq_h1), (ch.taps_h2, ch.freq_h2)):
-                pad = np.zeros(n, dtype=complex)
-                pad[:l] = taps
-                assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
+        ch = gen_channel(l, n, 2.0, 0.5, rng=Rng(4, l))
+        for taps, freq in ((ch.taps_h1, ch.freq_h1), (ch.taps_h2, ch.freq_h2)):
+            pad = np.zeros(n, dtype=complex)
+            pad[:l] = taps
+            assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -114,9 +108,11 @@ def reference_chain(x_freq, channel, budget, protocol, gen):
     """Time-domain oracle for waveform_chain, one hop at a time.
 
     Cyclic prefix of 2l + 1 samples, per-sample limiter, linear convolution
-    with the taps scaled to the physical impulse response, noise over the
-    whole received burst, receive window; the relay gain is applied to the
-    window's DFT. Draws the noise in the same order as the simulator.
+    with the taps scaled to the physical impulse response, receive window,
+    DFT, then CN(0, n0) noise per subcarrier; the relay gain is applied to
+    the first hop's output. Draws the noise in the same order as the
+    simulator, so only the channel path is checked independently; the noise
+    has a statistical test of its own.
     """
     n = x_freq.shape[-1]
     cp = 2 * channel.taps_h1.shape[0] + 1
@@ -124,15 +120,16 @@ def reference_chain(x_freq, channel, budget, protocol, gen):
     def hop(block, taps, p_max):
         sent = sel_apply(block[..., np.arange(-cp, n) % n], p_max)
         rx = np.array([np.convolve(row, taps / math.sqrt(n)) for row in sent])
+        y = np.fft.fft(rx[..., cp : cp + n], norm="ortho")
         if budget.config.n0 > 0.0:
             s = math.sqrt(budget.config.n0 / 2.0)
-            rx = rx + s * (gen.standard_normal(rx.shape) + 1j * gen.standard_normal(rx.shape))
-        return rx[..., cp : cp + n]
+            y = y + s * (gen.standard_normal(y.shape) + 1j * gen.standard_normal(y.shape))
+        return y
 
-    window = hop(np.fft.ifft(x_freq, norm="ortho"), channel.taps_h1, budget.sel_s.p_max)
+    relay_in = hop(np.fft.ifft(x_freq, norm="ortho"), channel.taps_h1, budget.sel_s.p_max)
     gains = gain_fg(budget) if protocol == "fg" else gain_vg(budget, np.abs(channel.freq_h1) ** 2)
-    relay_block = np.fft.ifft(gains * np.fft.fft(window, norm="ortho"), norm="ortho")
-    return np.fft.fft(hop(relay_block, channel.taps_h2, budget.sel_r.p_max), norm="ortho")
+    relay_block = np.fft.ifft(gains * relay_in, norm="ortho")
+    return hop(relay_block, channel.taps_h2, budget.sel_r.p_max)
 
 
 class TestWaveformChain:
@@ -183,6 +180,22 @@ class TestWaveformChain:
         y = waveform_chain(x, ch, b, protocol, generator(Rng(12, 2)))
         y_ref = reference_chain(x, ch, b, protocol, generator(Rng(12, 2)))
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+
+    def test_noise_is_white_per_subcarrier(self):
+        # zero input through linear nodes and flat unit hops leaves only the
+        # noise, g w1 + w2: circular, of power n0 (g^2 + 1), white across
+        # subcarriers
+        n, blocks = 64, 4000
+        cfg = NetworkConfig(n0=0.7, n_subcarriers=n, n_taps=1)
+        b = build_budget(cfg)
+        g = gain_fg(b)
+        y = waveform_chain(np.zeros((blocks, n), dtype=complex), flat_unit_channel(n), b, "fg",
+                           generator(Rng(31)))
+        power = float(np.mean(np.abs(y) ** 2))
+        assert power / (cfg.n0 * (g * g + 1.0)) == pytest.approx(1.0, abs=0.02)
+        assert float(np.var(y.real) / np.var(y.imag)) == pytest.approx(1.0, abs=0.03)
+        adjacent = abs(np.mean(y[:, 1:] * np.conj(y[:, :-1]))) / power
+        assert adjacent < 0.02
 
     def test_run_waveform_trial_shapes(self):
         b = build_budget(CLIPPED_CFG)
@@ -315,8 +328,8 @@ class TestStationarity:
         assert cv_full < cv16
 
     @pytest.mark.parametrize("l,seed,expected", [
-        (1, 24, 0.8371876866550735),
-        (16, 26, 0.20046818297135116),
+        (1, 24, 0.8387790647375544),
+        (16, 26, 0.20187022543278274),
     ])
     def test_frozen_values(self, l, seed, expected):
         # pins the first hop's draw order and arithmetic shared with waveform_chain
@@ -333,16 +346,18 @@ class TestStationarity:
 
 
 class TestWaveformFrozen:
-    # values recorded with the time-domain chain; they pin the draw order of
-    # the whole waveform Monte Carlo
+    # values recorded with the per-subcarrier noise draw; they pin the draw
+    # order of the whole waveform Monte Carlo
     CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
                         n_taps=4)
+    CFG16 = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
+                          n_taps=4)
 
     @pytest.mark.parametrize("protocol,expected", [
         ("fg", [(0.020833333333333332, 0.0, 0.042885448545177715),
-                (0.234375, 0.15399597996329195, 0.31475402003670805)]),
+                (0.21875, 0.12408355074199949, 0.3134164492580005)]),
         ("vg", [(0.010416666666666666, 0.0020817505618831427, 0.01875158277145019),
-                (0.16666666666666666, 0.05831275730448082, 0.2750205760288525)]),
+                (0.171875, 0.09149597996329195, 0.25225402003670805)]),
     ])
     def test_waveform_outage(self, protocol, expected):
         stats = waveform_outage(protocol, [1.0, 10.0], build_budget(self.CFG), 3, 20, Rng(41))
@@ -350,10 +365,10 @@ class TestWaveformFrozen:
 
     def test_measure_sndr(self):
         expected = [
-            92.71865434567178, 94.95559221464369, 33.48364723252935, 2.802070776395918,
-            18.98856368237596, 3.206376539267704, 23.796214085192627, 59.198667880958354,
-            67.66252090670106, 30.286834892219506, 3.84737380531036, 33.14262311832031,
-            32.382584379278235, 12.208873071185176, 10.999536288540773, 42.67679962460879,
+            86.79596991394187, 75.20303869452735, 33.53309351403941, 2.8911439963318593,
+            17.086684914506286, 3.5301569088277485, 24.870671886941484, 56.60452026672793,
+            57.96193052758291, 30.603818269054994, 4.827250846733492, 21.028773741296426,
+            26.148888126941817, 12.900101601201632, 10.560668673880711, 47.696242844571316,
         ]
         cfg = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
                             n_taps=4)
@@ -365,6 +380,19 @@ class TestWaveformFrozen:
     def test_waveform_outage_rejects_bad_counts(self, n_draws, n_blocks):
         with pytest.raises(DomainError):
             waveform_outage("vg", [1.0], build_budget(self.CFG), n_draws, n_blocks, Rng(44))
+
+    def test_waveform_outage_single_draw_has_full_interval(self):
+        # one draw has no draw-level spread to measure
+        stats = waveform_outage("vg", [1.0, 10.0], build_budget(self.CFG16), 1, 1, Rng(2))
+        for s in stats:
+            assert 0.0 <= s.p_hat <= 1.0
+            assert (s.ci_low, s.ci_high) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_measure_sndr_rejects_bad_batch(self, batch):
+        ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(42))
+        with pytest.raises(DomainError):
+            measure_sndr(ch, build_budget(self.CFG16), "vg", 100, Rng(43), batch=batch)
 
 
 class TestDeterminism:
