@@ -46,18 +46,15 @@ from .simulator import (
     estimate_bussgang,
     fg_stationarity_check,
     gen_channel,
-    gen_qpsk_block,
     mc_outage,
     mc_outage_sweep,
     measure_sndr,
     model_sndr,
-    run_waveform_trial,
     waveform_outage,
 )
 from .special_math import (
     QuadratureResult,
     bessel_k1,
-    erfc,
     integrate_semi_infinite,
     unitary_dft,
     unitary_idft,

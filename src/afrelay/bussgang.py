@@ -10,6 +10,8 @@ splits into a scaled replica plus uncorrelated distortion (Bussgang), with
     eta   = p_avg - zeta^2 * sigma_sq
 
 zeta depends on the clip ratio r alone; eta scales linearly with sigma_sq.
+erfc is the standard library's. sel_params accepts only a finite sigma_sq,
+so r is never NaN, and r = inf (no clipping) returns before erfc is reached.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special_math import erfc
 
 # Below this clip ratio the limiter passes essentially nothing and eta is a
 # difference of vanishing terms; treat as a zero clip.
@@ -31,14 +32,12 @@ _TINY_CLIP_RATIO = 1e-12
 class SelParams:
     """One node's limiter characterization.
 
-    sigma_sq is the mean input power, p_max the clip power, clip_ratio their
-    quotient, zeta the Bussgang linear gain, eta the distortion power and
-    p_avg the average transmit power.
+    sigma_sq is the mean input power, p_max the clip power, zeta the Bussgang
+    linear gain, eta the distortion power and p_avg the average transmit power.
     """
 
     sigma_sq: float
     p_max: float
-    clip_ratio: float
     zeta: float
     eta: float
     p_avg: float
@@ -69,7 +68,7 @@ def _zeta_eta_unit(r: float) -> tuple[float, float, float]:
     if r < _TINY_CLIP_RATIO:
         return 0.0, 0.0, 0.0
     p_bar = -math.expm1(-r)
-    t = math.sqrt(math.pi * r / 4.0) * erfc(math.sqrt(r))
+    t = math.sqrt(math.pi * r / 4.0) * math.erfc(math.sqrt(r))
     zeta = p_bar + t
     # eta = p_bar - zeta^2 expanded so no leading digits cancel at large r
     eta = p_bar * math.exp(-r) - 2.0 * p_bar * t - t * t
@@ -82,20 +81,13 @@ def sel_params(sigma_sq: float, p_max: float) -> SelParams:
     p_max = inf is the linear limit (zeta = 1, eta = 0); p_max = 0 passes
     nothing.
     """
-    if not (sigma_sq > 0.0):
-        raise DomainError(f"input power must be positive, got {sigma_sq!r}")
+    if not (0.0 < sigma_sq < math.inf):
+        raise DomainError(f"input power must be positive and finite, got {sigma_sq!r}")
     if not (p_max >= 0.0):
         raise DomainError(f"clip power must be non-negative, got {p_max!r}")
-    r = p_max / sigma_sq
-    zeta, eta_unit, p_bar = _zeta_eta_unit(r)
-    return SelParams(
-        sigma_sq=sigma_sq,
-        p_max=p_max,
-        clip_ratio=r,
-        zeta=zeta,
-        eta=eta_unit * sigma_sq,
-        p_avg=p_bar * sigma_sq,
-    )
+    zeta, eta_unit, p_bar = _zeta_eta_unit(p_max / sigma_sq)
+    return SelParams(sigma_sq=sigma_sq, p_max=p_max, zeta=zeta, eta=eta_unit * sigma_sq,
+                     p_avg=p_bar * sigma_sq)
 
 
 def sigma_for_target_power(p_target: float, clip_ratio: float) -> float:

@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -80,7 +80,10 @@ class RunConfig:
     @property
     def p_s(self) -> float:
         base = self.n0 if self.n0 > 0.0 else 1.0
-        return base * 10.0 ** (self.snr_db / 10.0)
+        try:
+            return base * 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"snr_db is too large, got {self.snr_db!r}") from None
 
     def network(self, p_s: float | None = None) -> NetworkConfig:
         return NetworkConfig(
@@ -183,7 +186,7 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
     if rc.format == "json":
         payload = {
             "meta": meta,
-            "rows": [dict(zip(header, [None if v is None else v for v in r])) for r in rows],
+            "rows": [dict(zip(header, r)) for r in rows],
         }
         _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
@@ -221,7 +224,7 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     if rc.format == "json":
         payload = {
             "summary": summary,
-            "rows": [dict(zip(header, [None if v is None else v for v in r])) for r in rows],
+            "rows": [dict(zip(header, r)) for r in rows],
         }
         _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
@@ -334,12 +337,8 @@ def cmd_validate(rc: RunConfig) -> int:
 
 # -- argument handling ---------------------------------------------------------
 
-_FIELD_TYPES = {
-    "mu1": float, "mu2": float, "n0": float, "snr_db": float, "p_ratio": float,
-    "clip_s": float, "clip_r": float, "n_subcarriers": int, "n_taps": int,
-    "protocol": str, "gamma_db": str, "ps_db": str, "trials": int, "blocks": int,
-    "seed": int, "workers": int, "out": str, "format": str,
-}
+# annotations are strings here (postponed evaluation); "str | None" casts to str
+_FIELD_TYPES = {f.name: {"float": float, "int": int}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def _float_or_inf(s: str) -> float:
@@ -386,10 +385,15 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         for key, value in data.items():
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
+            if value is None:  # like an omitted flag: keep the default
+                continue
             caster = _FIELD_TYPES[key]
             if caster is float and isinstance(value, str):
-                value = _float_or_inf(value)
-            setattr(rc, key, caster(value) if value is not None else None)
+                caster = _float_or_inf
+            try:
+                setattr(rc, key, caster(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad value for config key {key!r}: {value!r}") from None
     for key in _FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:

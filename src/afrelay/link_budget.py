@@ -53,10 +53,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "p_s", "p_ratio"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not (self.n0 >= 0.0):
-            raise DomainError(f"n0 must be non-negative, got {self.n0!r}")
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        if not (0.0 <= self.n0 < math.inf):
+            raise DomainError(f"n0 must be non-negative and finite, got {self.n0!r}")
         for name in ("clip_ratio_s", "clip_ratio_r"):
             if not (getattr(self, name) > 0.0):
                 raise DomainError(f"{name} must be positive or inf, got {getattr(self, name)!r}")
@@ -90,10 +91,6 @@ class LinkBudget:
     @property
     def p_s(self) -> float:
         return self.config.p_s
-
-    @property
-    def p_r(self) -> float:
-        return self.config.p_ratio * self.config.p_s
 
     @property
     def n0(self) -> float:

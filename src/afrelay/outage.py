@@ -42,7 +42,6 @@ SURE_OUTAGE = _SureOutage()
 class OutagePoint:
     gamma_th: float
     p_outage: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class DiversityFit:
     """Fitted high-power slope of log outage versus log source power."""
 
     slope: float
-    power_grid: tuple
     r_squared: float
 
 
@@ -78,7 +76,7 @@ def outage_vg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
     p = _outage_vg_value(gamma_th, budget)
-    return OutagePoint(gamma_th=gamma_th, p_outage=p, method="exact_vg")
+    return OutagePoint(gamma_th=gamma_th, p_outage=p)
 
 
 def _outage_vg_value(gamma_th: float, budget: LinkBudget) -> float:
@@ -131,7 +129,7 @@ def outage_fg(gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> Outage
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     p = _outage_fg_value(gamma_th, budget, tol)
-    return OutagePoint(gamma_th=gamma_th, p_outage=p, method="quadrature_fg")
+    return OutagePoint(gamma_th=gamma_th, p_outage=p)
 
 
 def _outage_fg_value(gamma_th: float, budget: LinkBudget, tol: float) -> float:
@@ -165,9 +163,9 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
     if gamma_th == 0.0:
-        return OutagePoint(0.0, 0.0, "quadrature_vg")
+        return OutagePoint(0.0, 0.0)
     if budget.n0 == 0.0:
-        return OutagePoint(gamma_th, outage_floor("vg", gamma_th, budget), "quadrature_vg")
+        return OutagePoint(gamma_th, outage_floor("vg", gamma_th, budget))
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
     srz = r.sigma_sq * r.zeta**2
@@ -175,7 +173,7 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
     # conditional coefficient of |h2|^2: W(x) = srz (x s_slope - g N0)/(P_S x + N0) - g eta_R
     d_inf = srz * s_slope - gamma_th * r.eta * cfg.p_s
     if d_inf <= 0.0:
-        return OutagePoint(gamma_th, 1.0, "quadrature_vg")
+        return OutagePoint(gamma_th, 1.0)
     x0 = gamma_th * cfg.n0 * (srz + r.eta) / d_inf
     mu1, mu2 = cfg.mu1, cfg.mu2
     g_n0 = gamma_th * cfg.n0
@@ -188,7 +186,7 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 
     res = integrate_semi_infinite(knee, tol=tol, max_evals=400_000)
     p = -math.expm1(-x0 / mu1) + res.value
-    return OutagePoint(gamma_th, _clamp01(p), "quadrature_vg")
+    return OutagePoint(gamma_th, _clamp01(p))
 
 
 def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
@@ -278,12 +276,14 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
     out = []
     for p_s in p_s_grid:
         floor, term = _expansion_terms(protocol, gamma_th, p_s, ref)
-        out.append(OutagePoint(gamma_th, _clamp01(floor + term), "asymptotic"))
+        out.append(OutagePoint(gamma_th, _clamp01(floor + term)))
     return out
 
 
 def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> float:
     protocol = normalize_protocol(protocol)
+    if gamma_th < 0.0:
+        raise DomainError("gamma_th must be non-negative")
     if protocol == "vg":
         return _outage_vg_value(gamma_th, budget)
     return _outage_fg_value(gamma_th, budget, tol)
@@ -321,7 +321,7 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
     ss_tot = float(np.sum((vals - np.mean(vals)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     # 0.0 - b rather than -b: a flat fit reads 0.0, not -0.0
-    return DiversityFit(slope=0.0 - float(slope_b), power_grid=tuple(np.exp(ps)), r_squared=r2)
+    return DiversityFit(slope=0.0 - float(slope_b), r_squared=r2)
 
 
 def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) -> float:

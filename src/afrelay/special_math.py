@@ -1,8 +1,7 @@
 """Numerical kernels used throughout the package.
 
 The first-order modified Bessel function of the second kind and adaptive
-quadrature on the half line are written here; the complementary error
-function is math.erfc behind a domain check, and the unitary DFT pair is
+quadrature on the half line are written here; the unitary DFT pair is
 numpy's FFT behind a length check. All are pure functions with no shared
 mutable state, so they are safe to call concurrently.
 """
@@ -16,14 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-
-def erfc(x: float) -> float:
-    """Complementary error function (math.erfc) of a finite argument."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erfc requires a finite argument, got {x!r}")
-    return math.erfc(x)
 
 
 # -- modified Bessel K1 ------------------------------------------------------

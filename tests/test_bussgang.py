@@ -128,6 +128,11 @@ class TestSelParams:
         with pytest.raises(DomainError):
             sel_params(1.0, -1.0)
 
+    @pytest.mark.parametrize("sigma_sq", [math.inf, math.nan])
+    def test_nonfinite_input_power_rejected(self, sigma_sq):
+        with pytest.raises(DomainError):
+            sel_params(sigma_sq, 1.0)
+
 
 class TestSigmaForTargetPower:
     def test_no_clipping(self):

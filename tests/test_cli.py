@@ -1,12 +1,14 @@
 """CLI contract tests: schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from afrelay.cli import _circular_gaussian, _parse_grid, main
+from afrelay.cli import RunConfig, _build_run_config, _circular_gaussian, _parse_grid, main
 from afrelay.errors import ConfigError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.simulator import Rng, generator, mc_outage_sweep
@@ -256,6 +258,43 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))
         assert main(["outage-sweep", "--config", str(cfg)]) == 2
+
+    def test_every_field_lands_in_run_config(self, tmp_path):
+        values = {
+            "mu1": 2.0, "mu2": 3.0, "n0": 0.5, "snr_db": 40.0, "p_ratio": 2.0,
+            "clip_s": 5.0, "clip_r": 8.0, "n_subcarriers": 64, "n_taps": 4,
+            "protocol": "fg", "gamma_db": "0:5:30", "ps_db": "30:5:90", "trials": 1000,
+            "blocks": 300, "seed": 9, "workers": 2, "out": "x.csv", "format": "json",
+        }
+        default = asdict(RunConfig())
+        assert sorted(values) == sorted(f.name for f in fields(RunConfig))
+        assert all(values[k] != default[k] for k in values)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        rc = asdict(_build_run_config(argparse.Namespace(config=str(cfg))))
+        assert rc == values
+        assert all(type(rc[k]) is type(v) for k, v in values.items())
+
+    @pytest.mark.parametrize("data,key", [({"trials": "abc"}, "trials"), ({"seed": [1]}, "seed")],
+                             ids=["trials-str", "seed-list"])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, data, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["outage-sweep", "--config", str(cfg)]) == 2
+        assert f"{key!r}" in capsys.readouterr().err
+
+    def test_null_keeps_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": None, "out": None}))
+        assert _build_run_config(argparse.Namespace(config=str(cfg))) == RunConfig()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["outage-sweep", "--snr-db", "1e6", "--gamma-db", "10", "--trials", "0"], "snr_db"),
+        (["thresholds", "--n0", "1e300", "--snr-db", "300"], "p_s"),
+    ], ids=["snr_db-overflow", "p_s-inf"])
+    def test_overflowing_power_exits_2(self, capsys, argv, name):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
 
     def test_bad_grid_spec(self):
         assert main(["outage-sweep", "--gamma-db", "5:-1:0"]) == 2

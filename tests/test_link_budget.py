@@ -32,6 +32,14 @@ def linear_budget(p_s=1.0, p_ratio=1.0, n0=1.0, mu1=1.0, mu2=1.0):
     )
 
 
+class TestNetworkConfig:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "n0", "p_s", "p_ratio"])
+    def test_nonfinite_power_or_gain_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            NetworkConfig(**{field: value})
+
+
 class TestBuildBudget:
     def test_linear_network(self):
         b = linear_budget()
@@ -116,7 +124,7 @@ class TestSndr:
         for _ in range(200):
             x, y = rng.exponential(1.0, 2)
             l1 = b.p_s * x / b.n0
-            l2 = b.p_r * y / b.n0
+            l2 = b.config.p_ratio * b.p_s * y / b.n0
             expected = l1 * l2 / (l1 + l2 + 1.0)
             assert sndr("vg", x, y, b) == pytest.approx(expected, rel=1e-10)
 

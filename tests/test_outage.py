@@ -10,6 +10,7 @@ from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, sn
 from afrelay.outage import (
     SURE_OUTAGE,
     diversity_fit,
+    exact_outage,
     gamma_map_source_distortion,
     outage_asymptotic,
     outage_fg,
@@ -163,6 +164,13 @@ class TestOutageFg:
         assert all(y >= x - 1e-10 for x, y in zip(vals, vals[1:]))
         for g, v in zip(gammas, vals):
             assert v >= outage_fg_floor(g, b) - 1e-9
+
+
+class TestExactOutage:
+    @pytest.mark.parametrize("protocol", ["fg", "vg"])
+    def test_negative_gamma_rejected(self, protocol):
+        with pytest.raises(DomainError):
+            exact_outage(protocol, -1.0, build_budget(GOLDEN_CFG))
 
 
 class TestFgFloor:

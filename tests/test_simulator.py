@@ -13,16 +13,17 @@ from afrelay.outage import outage_vg
 from afrelay.simulator import (
     ChannelRealization,
     Rng,
+    _cgauss,
+    _qpsk,
+    _t975,
     estimate_bussgang,
     fg_stationarity_check,
     gen_channel,
-    gen_qpsk_block,
     generator,
     mc_outage,
     mc_outage_sweep,
     measure_sndr,
     model_sndr,
-    run_waveform_trial,
     substream,
     waveform_chain,
     waveform_outage,
@@ -34,11 +35,12 @@ CLIPPED_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64
 
 
 def flat_unit_channel(n):
-    taps = np.array([math.sqrt(n)], dtype=complex)
-    pad = np.zeros(n, dtype=complex)
-    pad[0] = taps[0]
-    freq = np.fft.fft(pad, norm="ortho")
-    return ChannelRealization(taps, taps, freq, freq)
+    ones = np.ones(n, dtype=complex)
+    return ChannelRealization(ones, ones)
+
+
+def qpsk(n, sigma_sq, rng):
+    return _qpsk(generator(rng), (n,), sigma_sq)
 
 
 class TestChannels:
@@ -59,18 +61,14 @@ class TestChannels:
         ch = gen_channel(1, 64, 1.0, 1.0, rng=Rng(3))
         assert np.max(np.abs(ch.freq_h1 - ch.freq_h1[0])) < 1e-12
 
-    def test_freq_is_dft_of_taps(self):
-        ch = gen_channel(4, 32, 1.0, 1.0, rng=Rng(4))
-        pad = np.zeros(32, dtype=complex)
-        pad[:4] = ch.taps_h1
-        assert np.allclose(ch.freq_h1, np.fft.fft(pad, norm="ortho"))
-
     @pytest.mark.parametrize("l,n", [(1, 8), (4, 32), (64, 64)])
     def test_freq_is_per_hop_dft_bitwise(self, l, n):
+        # redraw the taps from the same stream: CN(0, n mu / l), hop 1 first
         ch = gen_channel(l, n, 2.0, 0.5, rng=Rng(4, l))
-        for taps, freq in ((ch.taps_h1, ch.freq_h1), (ch.taps_h2, ch.freq_h2)):
+        gen = generator(Rng(4, l))
+        for mu, freq in ((2.0, ch.freq_h1), (0.5, ch.freq_h2)):
             pad = np.zeros(n, dtype=complex)
-            pad[:l] = taps
+            pad[:l] = _cgauss(gen, l, n * mu / l)
             assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
 
     def test_domain(self):
@@ -82,12 +80,12 @@ class TestChannels:
 
 class TestQpsk:
     def test_constant_modulus(self):
-        x = gen_qpsk_block(512, 3.0, Rng(6))
+        x = qpsk(512, 3.0, Rng(6))
         assert np.max(np.abs(np.abs(x) ** 2 - 3.0)) < 1e-12
 
     def test_symbol_frequencies_uniform(self):
         n = 1 << 20
-        x = gen_qpsk_block(n, 2.0, Rng(7))
+        x = qpsk(n, 2.0, Rng(7))
         counts = np.array([
             np.sum((x.real > 0) & (x.imag > 0)),
             np.sum((x.real > 0) & (x.imag < 0)),
@@ -100,7 +98,7 @@ class TestQpsk:
 
     def test_mean_near_zero(self):
         n = 1 << 16
-        x = gen_qpsk_block(n, 1.0, Rng(8))
+        x = qpsk(n, 1.0, Rng(8))
         assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
 
 
@@ -110,12 +108,15 @@ def reference_chain(x_freq, channel, budget, protocol, gen):
     Cyclic prefix of 2l + 1 samples, per-sample limiter, linear convolution
     with the taps scaled to the physical impulse response, receive window,
     DFT, then CN(0, n0) noise per subcarrier; the relay gain is applied to
-    the first hop's output. Draws the noise in the same order as the
+    the first hop's output. The taps are the first l samples of each
+    response's unitary inverse DFT. Draws the noise in the same order as the
     simulator, so only the channel path is checked independently; the noise
     has a statistical test of its own.
     """
     n = x_freq.shape[-1]
-    cp = 2 * channel.taps_h1.shape[0] + 1
+    l = budget.config.n_taps
+    cp = 2 * l + 1
+    taps1, taps2 = (np.fft.ifft(f, norm="ortho")[:l] for f in (channel.freq_h1, channel.freq_h2))
 
     def hop(block, taps, p_max):
         sent = sel_apply(block[..., np.arange(-cp, n) % n], p_max)
@@ -126,10 +127,10 @@ def reference_chain(x_freq, channel, budget, protocol, gen):
             y = y + s * (gen.standard_normal(y.shape) + 1j * gen.standard_normal(y.shape))
         return y
 
-    relay_in = hop(np.fft.ifft(x_freq, norm="ortho"), channel.taps_h1, budget.sel_s.p_max)
+    relay_in = hop(np.fft.ifft(x_freq, norm="ortho"), taps1, budget.sel_s.p_max)
     gains = gain_fg(budget) if protocol == "fg" else gain_vg(budget, np.abs(channel.freq_h1) ** 2)
     relay_block = np.fft.ifft(gains * relay_in, norm="ortho")
-    return hop(relay_block, channel.taps_h2, budget.sel_r.p_max)
+    return hop(relay_block, taps2, budget.sel_r.p_max)
 
 
 class TestWaveformChain:
@@ -138,7 +139,7 @@ class TestWaveformChain:
         cfg = NetworkConfig(n0=0.0, n_subcarriers=n, n_taps=1)
         b = build_budget(cfg)
         ch = flat_unit_channel(n)
-        x = gen_qpsk_block(n, b.sel_s.sigma_sq, Rng(9)).reshape(1, n)
+        x = qpsk(n, b.sel_s.sigma_sq, Rng(9)).reshape(1, n)
         g = gain_fg(b)
         y = waveform_chain(x, ch, b, "fg", generator(Rng(9, 1)))
         assert np.max(np.abs(y - g * x)) < 1e-9
@@ -148,7 +149,7 @@ class TestWaveformChain:
         cfg = NetworkConfig(n0=0.0, n_subcarriers=n, n_taps=1)
         b = build_budget(cfg)
         ch = flat_unit_channel(n)
-        x = gen_qpsk_block(n, 1.0, Rng(10)).reshape(1, n)
+        x = qpsk(n, 1.0, Rng(10)).reshape(1, n)
         y = waveform_chain(x, ch, b, "vg", generator(Rng(10, 1)))
         g = math.sqrt(b.sel_r.sigma_sq / (cfg.p_s * 1.0 + 0.0))
         assert float(np.sum(np.abs(y) ** 2)) == pytest.approx(
@@ -197,22 +198,16 @@ class TestWaveformChain:
         adjacent = abs(np.mean(y[:, 1:] * np.conj(y[:, :-1]))) / power
         assert adjacent < 0.02
 
-    def test_run_waveform_trial_shapes(self):
-        b = build_budget(CLIPPED_CFG)
-        ch = gen_channel(4, 64, 1.0, 1.0, rng=Rng(13))
-        x, y = run_waveform_trial("vg", ch, b, Rng(13, 1))
-        assert x.shape == (64,) and y.shape == (64,)
-
 
 class TestEstimateBussgang:
     def test_identity(self):
-        x = gen_qpsk_block(256, 1.0, Rng(14))
+        x = qpsk(256, 1.0, Rng(14))
         z, e, c = estimate_bussgang(x, x)
         assert z == pytest.approx(1.0, abs=1e-12)
         assert e == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_scaling(self):
-        x = gen_qpsk_block(256, 1.0, Rng(15))
+        x = qpsk(256, 1.0, Rng(15))
         z, e, _ = estimate_bussgang(x, 0.5 * x)
         assert z == pytest.approx(0.5, abs=1e-12)
         assert e == pytest.approx(0.0, abs=1e-12)
@@ -346,18 +341,18 @@ class TestStationarity:
 
 
 class TestWaveformFrozen:
-    # values recorded with the per-subcarrier noise draw; they pin the draw
-    # order of the whole waveform Monte Carlo
+    # values recorded with the per-subcarrier noise draw and the Student-t
+    # interval; they pin the draw order of the whole waveform Monte Carlo
     CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
                         n_taps=4)
     CFG16 = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
                           n_taps=4)
 
     @pytest.mark.parametrize("protocol,expected", [
-        ("fg", [(0.020833333333333332, 0.0, 0.042885448545177715),
-                (0.21875, 0.12408355074199949, 0.3134164492580005)]),
-        ("vg", [(0.010416666666666666, 0.0020817505618831427, 0.01875158277145019),
-                (0.171875, 0.09149597996329195, 0.25225402003670805)]),
+        ("fg", [(0.020833333333333332, 0.0, 0.08012369323328272),
+                (0.21875, 0.0, 0.473274692667235)]),
+        ("vg", [(0.010416666666666666, 0.0, 0.03282631630077846),
+                (0.171875, 0.0, 0.38798583474758763)]),
     ])
     def test_waveform_outage(self, protocol, expected):
         stats = waveform_outage(protocol, [1.0, 10.0], build_budget(self.CFG), 3, 20, Rng(41))
@@ -393,6 +388,27 @@ class TestWaveformFrozen:
         ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(42))
         with pytest.raises(DomainError):
             measure_sndr(ch, build_budget(self.CFG16), "vg", 100, Rng(43), batch=batch)
+
+
+class TestWaveformInterval:
+    def test_t975_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        df = np.arange(1, 10_001)
+        ours = np.array([_t975(int(k)) for k in df])
+        assert np.max(np.abs(ours / stats.t.ppf(0.975, df) - 1.0)) <= 2e-3
+
+    def test_coverage_at_three_draws(self):
+        # a normal interval on the biased draw variance covers ~0.72 here
+        cfg = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
+                            n_taps=4)
+        b = build_budget(cfg)
+        truth = waveform_outage("vg", [10.0], b, 4000, 20, Rng(77, 1))[0].p_hat
+        repeats = 300
+        hits = 0
+        for i in range(repeats):
+            s = waveform_outage("vg", [10.0], b, 3, 20, Rng(77, 2 + i))[0]
+            hits += s.ci_low <= truth <= s.ci_high
+        assert hits / repeats >= 0.88
 
 
 class TestDeterminism:
