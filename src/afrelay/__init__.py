@@ -25,7 +25,6 @@ from .link_budget import (
     sndr,
 )
 from .outage import (
-    SURE_OUTAGE,
     DiversityFit,
     OutagePoint,
     diversity_fit,

@@ -31,7 +31,7 @@ import numpy as np
 from .bussgang import sel_apply, sel_params
 from .epsilon_critical import report as phase_report, threshold
 from .errors import ConfigError, DomainError, RegimeError
-from .link_budget import NetworkConfig, build_budget, normalize_protocol
+from .link_budget import PROTOCOLS, NetworkConfig, build_budget
 from .outage import (
     diversity_fit,
     exact_outage,
@@ -148,30 +148,29 @@ def _rows_to_csv(header, rows, preamble=(), trailer=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mc_sweep(protocol, gammas, budget, trials, rc: RunConfig) -> list[SimStats]:
+def _mc_sweep(gammas, budget, trials, rc: RunConfig) -> list[SimStats]:
     if rc.workers == 1:
-        return mc_outage_sweep(protocol, gammas, budget, trials, Rng(rc.seed))
+        return mc_outage_sweep(rc.protocol, gammas, budget, trials, Rng(rc.seed))
     with Pool(rc.workers) as pool:
-        return mc_outage_sweep(protocol, gammas, budget, trials, Rng(rc.seed), map_fn=pool.map)
+        return mc_outage_sweep(rc.protocol, gammas, budget, trials, Rng(rc.seed), map_fn=pool.map)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_outage_sweep(rc: RunConfig) -> int:
-    protocol = normalize_protocol(rc.protocol)
     budget = build_budget(rc.network())
     gammas_db = _parse_grid(rc.gamma_db, "gamma_db")
     gammas = _db_to_lin(gammas_db)
-    th = threshold(protocol, budget)
+    th = threshold(rc.protocol, budget)
     th_db = 10.0 * math.log10(th) if th < math.inf else math.inf
-    mc = _mc_sweep(protocol, gammas, budget, rc.trials, rc) if rc.trials else []
+    mc = _mc_sweep(gammas, budget, rc.trials, rc) if rc.trials else []
     rows = []
     for i, (g_db, g) in enumerate(zip(gammas_db, gammas)):
-        p_an = exact_outage(protocol, float(g), budget, tol=1e-10)
-        floor = outage_floor(protocol, float(g), budget)
+        p_an = exact_outage(rc.protocol, float(g), budget, tol=1e-10)
+        floor = outage_floor(rc.protocol, float(g), budget)
         try:
-            p_sg = small_gamma_expansion(protocol, float(g), budget)
+            p_sg = small_gamma_expansion(rc.protocol, float(g), budget)
         except (DomainError, RegimeError):
             p_sg = None
         if mc:
@@ -182,7 +181,7 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
         rows.append((float(g_db), p_an, floor, p_sg) + row_mc + (rc.seed,))
     header = ["gamma_th_db", "po_analytic", "po_floor", "po_small_gamma",
               "po_mc", "ci_low", "ci_high", "n_trials", "seed"]
-    meta = {"threshold_db": None if math.isinf(th_db) else th_db, "protocol": protocol}
+    meta = {"threshold_db": None if math.isinf(th_db) else th_db, "protocol": rc.protocol}
     if rc.format == "json":
         payload = {
             "meta": meta,
@@ -190,13 +189,12 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
         }
         _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
-        preamble = [f"# threshold_db={_fmt(th_db)} protocol={protocol}"]
+        preamble = [f"# threshold_db={_fmt(th_db)} protocol={rc.protocol}"]
         _write_text(rc.out, _rows_to_csv(header, rows, preamble=preamble))
     return 0
 
 
 def cmd_power_sweep(rc: RunConfig) -> int:
-    protocol = normalize_protocol(rc.protocol)
     ps_db = _parse_grid(rc.ps_db, "ps_db")
     if ps_db[-1] - ps_db[0] < 30.0 or ps_db.size < 3:
         raise ConfigError("power grid must span at least three decades (30 dB)")
@@ -206,16 +204,16 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     gamma = float(_db_to_lin(gamma_db)[0])
     base = rc.n0 if rc.n0 > 0.0 else 1.0
     ps_grid = base * _db_to_lin(ps_db)
-    asym = outage_asymptotic(protocol, gamma, ps_grid, rc.network())
+    asym = outage_asymptotic(rc.protocol, gamma, ps_grid, rc.network())
     rows = []
     for p_db, p_s, a in zip(ps_db, ps_grid, asym):
         budget = build_budget(rc.network(p_s=float(p_s)))
-        p_ex = exact_outage(protocol, gamma, budget, tol=1e-12)
+        p_ex = exact_outage(rc.protocol, gamma, budget, tol=1e-12)
         ratio = p_ex / a.p_outage if a.p_outage > 0.0 else None
         rows.append((float(p_db), p_ex, a.p_outage, ratio))
-    fit = diversity_fit(protocol, gamma, rc.network(), ps_grid)
+    fit = diversity_fit(rc.protocol, gamma, rc.network(), ps_grid)
     summary = {
-        "protocol": protocol,
+        "protocol": rc.protocol,
         "gamma_th_db": float(gamma_db[0]),
         "slope": fit.slope,
         "r_squared": fit.r_squared,
@@ -293,33 +291,32 @@ def cmd_validate(rc: RunConfig) -> int:
     # for the model plus two sigma of the block-limited estimator noise
     blocks = max(rc.blocks, 100)
     ch = gen_channel(rc.n_taps, rc.n_subcarriers, rc.mu1, rc.mu2, rng=Rng(rc.seed, 21))
-    proto = normalize_protocol(rc.protocol)
-    lam_hat = measure_sndr(ch, budget, proto, blocks, Rng(rc.seed, 22))
-    dev = np.abs(lam_hat / model_sndr(ch, budget, proto) - 1.0)
+    lam_hat = measure_sndr(ch, budget, rc.protocol, blocks, Rng(rc.seed, 22))
+    dev = np.abs(lam_hat / model_sndr(ch, budget, rc.protocol) - 1.0)
     p95 = float(np.percentile(dev, 95))
     tol = 0.10 + 2.0 * math.sqrt(2.0 / blocks)
-    if rc.n_taps < 16 and proto == "fg":
+    if rc.n_taps < 16 and rc.protocol == "fg":
         notes.append(
-            f"sndr-model[{proto}]: {rc.n_taps} tap(s) < 16, fixed-gain model deviation "
+            f"sndr-model[{rc.protocol}]: {rc.n_taps} tap(s) < 16, fixed-gain model deviation "
             f"expected (p95 {p95:.3f}); informational only"
         )
     else:
         ok = p95 <= tol
-        lines.append(f"sndr-model[{proto}]: p95 per-subcarrier deviation {p95:.4f} "
+        lines.append(f"sndr-model[{rc.protocol}]: p95 per-subcarrier deviation {p95:.4f} "
                      f"(tol {tol:.4f} at {blocks} blocks) -> {'ok' if ok else 'FAIL'}")
         if not ok:
-            failures.append(f"sndr-model[{proto}]")
+            failures.append(f"sndr-model[{rc.protocol}]")
 
     # closed form vs channel-level Monte Carlo
     trials = max(int(rc.trials), 10_000)
     gammas = [0.1, 1.0, 10.0]
-    mc = _mc_sweep(proto, gammas, budget, trials, rc)
+    mc = _mc_sweep(gammas, budget, trials, rc)
     for g, s in zip(gammas, mc):
-        p_an = exact_outage(proto, g, budget, tol=1e-10)
+        p_an = exact_outage(rc.protocol, g, budget, tol=1e-10)
         sigma = math.sqrt(max(p_an * (1.0 - p_an), 1e-12) / trials)
         ok = abs(s.p_hat - p_an) <= 3.0 * sigma
         lines.append(
-            f"outage-mc[{proto}, gamma={g:g}]: mc {s.p_hat:.5f} vs analytic {p_an:.5f} "
+            f"outage-mc[{rc.protocol}, gamma={g:g}]: mc {s.p_hat:.5f} vs analytic {p_an:.5f} "
             f"(3sigma {3*sigma:.2e}) -> {'ok' if ok else 'FAIL'}"
         )
         if not ok:
@@ -337,39 +334,51 @@ def cmd_validate(rc: RunConfig) -> int:
 
 # -- argument handling ---------------------------------------------------------
 
-# annotations are strings here (postponed evaluation); "str | None" casts to str
-_FIELD_TYPES = {f.name: {"float": float, "int": int}.get(f.type, str) for f in fields(RunConfig)}
+def _to_int(value) -> int:
+    """An integer, or an integral number such as 1e5; never a fraction."""
+    if isinstance(value, int) or str(value).lstrip("-").isdigit():
+        return int(value)  # exact at any size, unlike float
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
 
 
-def _float_or_inf(s: str) -> float:
-    return math.inf if str(s).lower() in ("inf", "infinity") else float(s)
+# One cast per RunConfig field for flag strings and config values alike; float()
+# reads inf in any case. Annotations are strings here; "str | None" casts to str.
+_CASTS = {f.name: {"float": float, "int": _to_int}.get(f.type, str) for f in fields(RunConfig)}
+_CHOICES = {"protocol": PROTOCOLS, "format": ("csv", "json")}
+
+
+_FLAGS = {"n_subcarriers": "--n", "n_taps": "--taps"}  # the rest are --field-name
+_HELP = {
+    "snr_db": "source power over noise power, dB",
+    "clip_s": "source clip ratio p_max/sigma^2 (inf = linear)",
+    "gamma_db": "threshold grid start:step:stop in dB, or one value",
+    "ps_db": "source power grid start:step:stop in dB",
+    "trials": "Monte Carlo trials (0 disables MC columns)",
+    "out": "output path (default stdout)",
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON file with any of the long options")
-    p.add_argument("--mu1", type=float, default=None)
-    p.add_argument("--mu2", type=float, default=None)
-    p.add_argument("--n0", type=float, default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None,
-                   help="source power over noise power, dB")
-    p.add_argument("--p-ratio", dest="p_ratio", type=float, default=None)
-    p.add_argument("--clip-s", dest="clip_s", type=_float_or_inf, default=None,
-                   help="source clip ratio p_max/sigma^2 (inf = linear)")
-    p.add_argument("--clip-r", dest="clip_r", type=_float_or_inf, default=None)
-    p.add_argument("--n", dest="n_subcarriers", type=int, default=None)
-    p.add_argument("--taps", dest="n_taps", type=int, default=None)
-    p.add_argument("--protocol", choices=("fg", "vg"), default=None)
-    p.add_argument("--gamma-db", dest="gamma_db", default=None,
-                   help="threshold grid start:step:stop in dB, or one value")
-    p.add_argument("--ps-db", dest="ps_db", default=None,
-                   help="source power grid start:step:stop in dB")
-    p.add_argument("--trials", type=lambda s: int(float(s)), default=None,
-                   help="Monte Carlo trials (0 disables MC columns)")
-    p.add_argument("--blocks", type=lambda s: int(float(s)), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    for name in _CASTS:
+        flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+        choices = _CHOICES.get(name)
+        p.add_argument(flag, dest=name, help=" or ".join(choices) if choices else _HELP.get(name))
+
+
+def _set_field(rc: RunConfig, key: str, value) -> None:
+    try:
+        if isinstance(value, bool):  # JSON true is no number, protocol or path
+            raise TypeError(key)
+        typed = _CASTS[key](value)
+        if key in _CHOICES and typed not in _CHOICES[key]:
+            raise ValueError(key)
+        setattr(rc, key, typed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -383,21 +392,14 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a flat JSON object")
         for key, value in data.items():
-            if key not in _FIELD_TYPES:
+            if key not in _CASTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if value is None:  # like an omitted flag: keep the default
-                continue
-            caster = _FIELD_TYPES[key]
-            if caster is float and isinstance(value, str):
-                caster = _float_or_inf
-            try:
-                setattr(rc, key, caster(value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for config key {key!r}: {value!r}") from None
-    for key in _FIELD_TYPES:
+            if value is not None:  # null is like an omitted flag: keep the default
+                _set_field(rc, key, value)
+    for key in _CASTS:
         value = getattr(args, key, None)
         if value is not None:
-            setattr(rc, key, value)
+            _set_field(rc, key, value)
     if rc.trials < 0 or rc.workers < 1:
         raise ConfigError("trials must be >= 0 and workers >= 1")
     return rc

@@ -42,12 +42,10 @@ def threshold(protocol: str, budget: LinkBudget) -> float:
     """Critical threshold; +inf when the protocol has no phase transition."""
     protocol = normalize_protocol(protocol)
     b = budget
-    num_s = b.tilde_sigma_s_sq * b.sel_s.zeta**2
     if protocol == "fg":
-        return num_s / b.tilde_eta_s if b.tilde_eta_s > 0.0 else math.inf
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    den = b.tilde_eta_r + srz * b.tilde_eta_s
-    return num_s * srz / den if den > 0.0 else math.inf
+        return b.tilde_signal_s / b.tilde_eta_s if b.tilde_eta_s > 0.0 else math.inf
+    den = b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
+    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
 
 
 def threshold_gap(budget: LinkBudget) -> float:
@@ -55,9 +53,8 @@ def threshold_gap(budget: LinkBudget) -> float:
     b = budget
     if b.tilde_eta_s <= 0.0:
         raise DomainError("threshold gap is undefined for a distortion-free source")
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    num_s = b.tilde_sigma_s_sq * b.sel_s.zeta**2
-    return num_s * b.tilde_eta_r / (b.tilde_eta_s * (b.tilde_eta_r + srz * b.tilde_eta_s))
+    den = b.tilde_eta_s * (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s)
+    return b.tilde_signal_s * b.tilde_eta_r / den
 
 
 def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -> float:
@@ -78,10 +75,9 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
     """
     protocol = normalize_protocol(protocol)
     b = budget
-    if max(b.tilde_eta_s, b.tilde_eta_r) <= 0.0:
-        raise DomainError("ordinate is undefined for a linear network")
-    if protocol == "fg" and b.tilde_eta_s <= 0.0:
-        raise DomainError("fixed-gain ordinate requires source distortion")
+    th = threshold(protocol, b)
+    if th == math.inf:  # a linear network, or fixed gain with a linear source
+        raise DomainError(f"{protocol} has no phase transition, so no ordinate")
     if not (b.n0 > 0.0):
         raise DomainError("ordinate requires positive noise power")
     p_s = b.p_s
@@ -90,7 +86,7 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
         if not (0.0 < eps < math.inf):
             raise DomainError(f"eps_star must be positive and finite, got {eps!r}")
         p_s *= b.eps_star / eps
-    gamma = BELOW_THRESHOLD * threshold(protocol, b)
+    gamma = BELOW_THRESHOLD * th
     floor, term = _expansion_terms(protocol, gamma, p_s, b)
     if not (0.0 <= term < 1.0):
         raise RegimeError("eps_star too large for the ordinate expansion")
@@ -111,9 +107,8 @@ def fg_advantage_factor(gamma_th: float, budget: LinkBudget) -> float:
         raise DomainError(
             f"gamma_th must lie strictly between the thresholds ({th_vg:g}, {th_fg:g})"
         )
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    s_slope = b.tilde_sigma_s_sq * b.sel_s.zeta**2 - gamma_th * b.tilde_eta_s
-    return -math.expm1(-b.tilde_eta_r * th_vg / (s_slope * srz))
+    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
+    return -math.expm1(-b.tilde_eta_r * th_vg / (s_slope * b.tilde_signal_r))
 
 
 def report(budget: LinkBudget, include_exact_outage: bool = False) -> dict:

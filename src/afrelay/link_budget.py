@@ -71,8 +71,10 @@ class LinkBudget:
 
     sigma1_bar/sigma2_bar are the average per-hop SNRs, eps_s/eps_r the
     noise-to-distortion ratios per node (inf for a linear node), eps_star
-    their minimum. The gamma-dependent critical second-hop SNR is exposed as
-    the method sigma_r_bar.
+    their minimum. Per node, tilde_signal = sigma_sq * zeta^2 / p_s and
+    tilde_eta = eta / p_s are its signal and distortion powers over p_s, both
+    scale invariant. The gamma-dependent critical second-hop SNR is exposed
+    as the method sigma_r_bar.
     """
 
     config: NetworkConfig
@@ -83,8 +85,8 @@ class LinkBudget:
     eps_s: float
     eps_r: float
     eps_star: float
-    tilde_sigma_s_sq: float
-    tilde_sigma_r_sq: float
+    tilde_signal_s: float
+    tilde_signal_r: float
     tilde_eta_s: float
     tilde_eta_r: float
 
@@ -110,10 +112,15 @@ def build_budget(cfg: NetworkConfig) -> LinkBudget:
     hits the configured target (p_s at the source, p_ratio*p_s at the relay).
     """
     p_r = cfg.p_ratio * cfg.p_s
-    sigma_s_sq = sigma_for_target_power(cfg.p_s, cfg.clip_ratio_s)
-    sigma_r_sq = sigma_for_target_power(p_r, cfg.clip_ratio_r)
-    sel_s = sel_params(sigma_s_sq, cfg.clip_ratio_s * sigma_s_sq)
-    sel_r = sel_params(sigma_r_sq, cfg.clip_ratio_r * sigma_r_sq)
+    sels = []
+    for node, p_target, ratio in (("source", cfg.p_s, cfg.clip_ratio_s),
+                                  ("relay", p_r, cfg.clip_ratio_r)):
+        sigma_sq = sigma_for_target_power(p_target, ratio)
+        # an overflowing clip power would silently make a clipping node linear
+        if ratio < math.inf and ratio * sigma_sq == math.inf:
+            raise DomainError(f"{node} clip power overflows at clip ratio {ratio!r}")
+        sels.append(sel_params(sigma_sq, ratio * sigma_sq))
+    sel_s, sel_r = sels
     eps_s = cfg.n0 / sel_s.eta if sel_s.eta > 0.0 else math.inf
     eps_r = cfg.n0 / sel_r.eta if sel_r.eta > 0.0 else math.inf
     return LinkBudget(
@@ -125,8 +132,8 @@ def build_budget(cfg: NetworkConfig) -> LinkBudget:
         eps_s=eps_s,
         eps_r=eps_r,
         eps_star=min(eps_s, eps_r),
-        tilde_sigma_s_sq=sigma_s_sq / cfg.p_s,
-        tilde_sigma_r_sq=sigma_r_sq / cfg.p_s,
+        tilde_signal_s=sel_s.sigma_sq / cfg.p_s * sel_s.zeta**2,
+        tilde_signal_r=sel_r.sigma_sq / cfg.p_s * sel_r.zeta**2,
         tilde_eta_s=sel_s.eta / cfg.p_s,
         tilde_eta_r=sel_r.eta / cfg.p_s,
     )
@@ -194,20 +201,18 @@ def normalized_sndr_coeffs(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     eta_max = max(b.tilde_eta_s, b.tilde_eta_r)
     if eta_max <= 0.0:
         raise DomainError("normalized SNDR requires distortion at one node")
-    sr2zr2 = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    num_core = b.tilde_sigma_s_sq * b.sel_s.zeta**2 * sr2zr2
     mu1 = b.config.mu1
     p_ratio = b.config.p_ratio
     if protocol == "fg":
-        a = b.tilde_eta_r / eta_max + sr2zr2 * x * b.tilde_eta_s / (eta_max * mu1)
+        a = b.tilde_eta_r / eta_max + b.tilde_signal_r * x * b.tilde_eta_s / (eta_max * mu1)
         lcoef = 1.0 / y + p_ratio / mu1
         q = eta_max / (mu1 * y)
-        scale = num_core * x / (mu1 * eta_max)
+        scale = b.tilde_signal_s * b.tilde_signal_r * x / (mu1 * eta_max)
     else:
-        a = (b.tilde_eta_r + sr2zr2 * b.tilde_eta_s) / eta_max
+        a = (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s) / eta_max
         lcoef = 1.0 / y + p_ratio / x
         q = eta_max / (x * y)
-        scale = num_core / eta_max
+        scale = b.tilde_signal_s * b.tilde_signal_r / eta_max
     return a, lcoef, q, scale
 
 
@@ -221,14 +226,13 @@ def asymptotic_sndr(protocol: str, h1_gain, budget: LinkBudget):
     b = budget
     if max(b.tilde_eta_s, b.tilde_eta_r) <= 0.0:
         raise DomainError("asymptotic SNDR is infinite for a linear network")
-    sr2zr2 = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    num_core = b.tilde_sigma_s_sq * b.sel_s.zeta**2 * sr2zr2
+    num_core = b.tilde_signal_s * b.tilde_signal_r
     if protocol == "vg":
-        return num_core / (b.tilde_eta_r + sr2zr2 * b.tilde_eta_s)
+        return num_core / (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s)
     x = np.asarray(h1_gain, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("h1_gain must be non-negative")
     mu1 = b.config.mu1
-    den = (b.tilde_eta_r + sr2zr2 * b.tilde_eta_s * x / mu1) * mu1
+    den = (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s * x / mu1) * mu1
     out = np.divide(num_core * x, den, out=np.zeros_like(num_core * x + den), where=den > 0.0)
     return float(out) if out.ndim == 0 else out

@@ -26,18 +26,6 @@ from .link_budget import LinkBudget, NetworkConfig, asymptotic_sndr, build_budge
 from .special_math import integrate_semi_infinite, one_minus_x_k1
 
 
-class _SureOutage:
-    """Sentinel for threshold maps that leave no feasible operating point."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "SURE_OUTAGE"
-
-
-SURE_OUTAGE = _SureOutage()
-
-
 @dataclass(frozen=True)
 class OutagePoint:
     gamma_th: float
@@ -55,16 +43,20 @@ class DiversityFit:
 def gamma_map_source_distortion(gamma_th: float, budget: LinkBudget):
     """Effective threshold seen by a relay-distortion-only analysis.
 
-    Returns SURE_OUTAGE when gamma_th >= sigma_S^2 zeta_S^2 / eta_S, the
-    point past which no second hop can help.
+    Returns inf when gamma_th >= sigma_S^2 zeta_S^2 / eta_S, the point past
+    which no second hop can help: an infinite threshold means certain outage.
+    A finite map that overflows the float range raises DomainError instead.
     """
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
     s = budget.sel_s
     den = s.sigma_sq * s.zeta**2 - gamma_th * s.eta
     if den <= 0.0:
-        return SURE_OUTAGE
-    return gamma_th * budget.p_s / den
+        return math.inf
+    g = gamma_th * budget.p_s / den
+    if g == math.inf:
+        raise DomainError(f"effective threshold overflows at gamma_th={gamma_th!r}")
+    return g
 
 
 def _clamp01(p: float) -> float:
@@ -81,7 +73,7 @@ def outage_vg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
 
 def _outage_vg_value(gamma_th: float, budget: LinkBudget) -> float:
     g = gamma_map_source_distortion(gamma_th, budget)
-    if g is SURE_OUTAGE:
+    if g == math.inf:
         return 1.0
     if g == 0.0:
         return 0.0
@@ -194,13 +186,12 @@ def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
     b = budget
-    s_slope = b.tilde_sigma_s_sq * b.sel_s.zeta**2 - gamma_th * b.tilde_eta_s
+    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
     if s_slope <= 0.0:
         return 1.0
     if b.tilde_eta_r == 0.0:
         return 0.0
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    return -math.expm1(-b.tilde_eta_r * gamma_th / (s_slope * srz))
+    return -math.expm1(-b.tilde_eta_r * gamma_th / (s_slope * b.tilde_signal_r))
 
 
 def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
@@ -220,47 +211,30 @@ def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     return 0.0 if gamma_th < asymptotic_sndr("vg", 1.0, budget) else 1.0
 
 
-def _fg_log_coeff(gamma_th: float, budget: LinkBudget) -> float:
-    """Coefficient c of the fixed-gain correction c log(p)/p.
-
-    c = 1/g_fg. The exponential enters as exp(-expo), so when relay distortion
-    dominates the term decays smoothly to 0 instead of overflowing g_fg.
-    """
-    b = budget
-    s_slope = b.tilde_sigma_s_sq * b.sel_s.zeta**2 - gamma_th * b.tilde_eta_s
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    expo = b.tilde_eta_r * gamma_th / (srz * s_slope)
-    return b.n0 * gamma_th / (srz * b.config.mu2 * s_slope) * math.exp(-expo)
-
-
-def _g_vg(gamma_th: float, budget: LinkBudget) -> float:
-    """First-order constant of the variable-gain high-power expansion."""
-    b = budget
-    s_slope = b.tilde_sigma_s_sq * b.sel_s.zeta**2 - gamma_th * b.tilde_eta_s
-    srz = b.tilde_sigma_r_sq * b.sel_r.zeta**2
-    g_eff = gamma_th / s_slope
-    mu1, mu2 = b.config.mu1, b.config.mu2
-    return (srz - g_eff * b.tilde_eta_r) * mu1 * mu2 / (
-        b.n0 * g_eff * (mu1 + b.config.p_ratio * mu2)
-    )
-
-
 def _expansion_terms(protocol: str, gamma_th: float, p_s: float, budget: LinkBudget):
     """Floor and first-order term of the high-power expansion at source power p_s.
 
-    Only the budget's scale-invariant (tilde) fields and its mu1, mu2, n0 and
-    p_ratio are read, so any budget of the configuration will do. Variable
-    gain past its threshold has no expansion constant and returns (1, 0).
+    Fixed gain: outage_fg_floor plus log(p)/(g_fg p), with exp(-expo) kept as
+    a factor so the term decays to 0, not overflows, when relay distortion
+    dominates. Variable gain: 1/(g_vg p), or (1, 0) past its threshold. Only
+    the tilde fields and mu1, mu2, n0 and p_ratio are read, so any budget of
+    the configuration will do.
     """
     b = budget
-    s_slope = b.tilde_sigma_s_sq * b.sel_s.zeta**2 - gamma_th * b.tilde_eta_s
+    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
     if s_slope <= 0.0:
         raise DomainError("gamma_th is at or past the source sure-outage point")
+    mu1, mu2 = b.config.mu1, b.config.mu2
     if protocol == "fg":
-        return outage_fg_floor(gamma_th, b), _fg_log_coeff(gamma_th, b) * math.log(p_s) / p_s
-    if b.tilde_sigma_r_sq * b.sel_r.zeta**2 - (gamma_th / s_slope) * b.tilde_eta_r <= 0.0:
+        expo = b.tilde_eta_r * gamma_th / (b.tilde_signal_r * s_slope)
+        c = b.n0 * gamma_th / (b.tilde_signal_r * mu2 * s_slope) * math.exp(-expo)
+        return outage_fg_floor(gamma_th, b), c * math.log(p_s) / p_s
+    g_eff = gamma_th / s_slope
+    margin = b.tilde_signal_r - g_eff * b.tilde_eta_r
+    if margin <= 0.0:
         return 1.0, 0.0
-    return 0.0, 1.0 / (_g_vg(gamma_th, b) * p_s)
+    g_vg = margin * mu1 * mu2 / (b.n0 * g_eff * (mu1 + b.config.p_ratio * mu2))
+    return 0.0, 1.0 / (g_vg * p_s)
 
 
 def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConfig):
@@ -327,8 +301,8 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
 def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """First-order outage expansion about gamma_th = 0.
 
-    Valid while Z*gamma (times 1 + sigma1_bar for fixed gain) stays well below
-    one; outside that region a RegimeError is raised.
+    Valid while 0 < Z*gamma (times 1 + sigma1_bar for fixed gain) stays well
+    below one; outside that region a RegimeError is raised.
     """
     protocol = normalize_protocol(protocol)
     if not (gamma_th > 0.0):
@@ -344,12 +318,12 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     zg = z_const * gamma_th
     s1, s2 = b.sigma1_bar, b.sigma2_bar
     if protocol == "vg":
-        if zg >= 1.0:
-            raise RegimeError("expansion region exceeded: Z*gamma >= 1")
+        if not (0.0 < zg < 1.0):
+            raise RegimeError("expansion region exceeded: Z*gamma outside (0, 1)")
         return zg * (1.0 - 2.0 * euler_c + s1 + s2 - math.log(zg))
     arg = zg * (1.0 + s1)
-    if arg >= 1.0:
-        raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) >= 1")
+    if not (0.0 < arg < 1.0):
+        raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) outside (0, 1)")
     mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
     return zg * (
         s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c - math.log(arg))

@@ -8,6 +8,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from afrelay import cli
 from afrelay.cli import RunConfig, _build_run_config, _circular_gaussian, _parse_grid, main
 from afrelay.errors import ConfigError
 from afrelay.link_budget import NetworkConfig, build_budget
@@ -109,6 +110,17 @@ class TestOutageSweep:
         stats = mc_outage_sweep("vg", gammas, build_budget(cfg), 70_000, Rng(7))
         assert [(r["po_mc"], r["ci_low"], r["ci_high"], r["n_trials"]) for r in rows] == [
             (s.p_hat, s.ci_low, s.ci_high, s.n_trials) for s in stats]
+
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("argv", [["--clip-s", "5", "--snr-db", "1600"], ["--snr-db", "2000"]],
+                             ids=["clipped-1600dB", "linear-2000dB"])
+    def test_small_gamma_underflow_leaves_cell_empty(self, tmp_path, protocol, argv):
+        # Z underflows to 0 at these powers; the expansion is out of regime
+        out = tmp_path / "hi.csv"
+        assert main(["outage-sweep", "--protocol", protocol, *argv, "--gamma-db", "30",
+                     "--trials", "0", "--out", str(out)]) == 0
+        assert read_lines(out)[2].split(",")[3] == ""
 
 
 class TestPowerSweep:
@@ -291,10 +303,59 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv,name", [
         (["outage-sweep", "--snr-db", "1e6", "--gamma-db", "10", "--trials", "0"], "snr_db"),
         (["thresholds", "--n0", "1e300", "--snr-db", "300"], "p_s"),
-    ], ids=["snr_db-overflow", "p_s-inf"])
+        (["thresholds", "--clip-s", "5", "--clip-r", "8", "--snr-db", "3079"], "source"),
+    ], ids=["snr_db-overflow", "p_s-inf", "clip-power-overflow"])
     def test_overflowing_power_exits_2(self, capsys, argv, name):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    @staticmethod
+    def _thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value):
+        """Exit code and the RunConfig main built, from a flag or a config file."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_thresholds", lambda rc: seen.append(rc) or 0)
+        if source == "flag":
+            argv = flag
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv = ["--config", str(cfg)]
+        return main(["thresholds", *argv]), seen
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,flag,value", [
+        ("format", ["--format", "xml"], "xml"),
+        ("protocol", ["--protocol", "FG"], "FG"),
+        ("trials", ["--trials", "2.7"], 1.9),
+        ("trials", ["--trials", "true"], True),
+        ("seed", ["--seed", "1.5"], True),
+        ("workers", ["--workers", "true"], True),
+        ("snr_db", ["--snr-db", "true"], True),
+    ], ids=["format-xml", "protocol-FG", "trials-fraction", "trials-bool", "seed-fraction-bool",
+            "workers-bool", "snr_db-bool"])
+    def test_rejected_value_exits_2(self, monkeypatch, tmp_path, capsys, source, key, flag, value):
+        code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)
+        assert code == 2 and seen == []
+        assert f"{key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,flag,value,expected", [
+        ("trials", ["--trials", "1e5"], "1e5", 100_000),
+        ("trials", ["--trials", "100000"], 1e5, 100_000),
+        ("seed", ["--seed", "12345678901234567891"], 12345678901234567891, 12345678901234567891),
+        ("clip_s", ["--clip-s", "Infinity"], "Infinity", math.inf),
+        ("clip_r", ["--clip-r", "INF"], "INF", math.inf),
+        ("snr_db", ["--snr-db", "40"], 40, 40.0),
+        ("protocol", ["--protocol", "fg"], "fg", "fg"),
+        ("format", ["--format", "json"], "json", "json"),
+    ], ids=["trials-1e5-str", "trials-1e5-num", "seed-big", "clip_s-Infinity", "clip_r-INF",
+            "snr_db-int", "protocol", "format"])
+    def test_accepted_value_same_from_flag_and_file(self, monkeypatch, tmp_path, source, key,
+                                                    flag, value, expected):
+        code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)
+        assert code == 0
+        got = getattr(seen[0], key)
+        assert got == expected and type(got) is type(expected)
 
     def test_bad_grid_spec(self):
         assert main(["outage-sweep", "--gamma-db", "5:-1:0"]) == 2

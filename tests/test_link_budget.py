@@ -47,6 +47,13 @@ class TestBuildBudget:
         assert b.tilde_eta_s == 0.0 and b.tilde_eta_r == 0.0
         assert b.sel_s.zeta == 1.0 and b.sel_r.zeta == 1.0
 
+    def test_overflowing_clip_power_rejected(self):
+        # clip_ratio * sigma_sq = inf would make the clipping source linear
+        with pytest.raises(DomainError, match="^source clip power overflows"):
+            build_budget(NetworkConfig(p_s=7.9e307, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        b = build_budget(NetworkConfig(p_s=7.9e300, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        assert b.eps_star == pytest.approx(2.4e-298, rel=0.02)
+
     def test_clipped_reference_values(self):
         b = build_budget(FIG2_CFG)
         assert b.sel_s.sigma_sq == pytest.approx(1.0067836549, rel=1e-9)
@@ -235,7 +242,7 @@ class TestAsymptoticSndr:
     def test_fg_source_only_clipping_h1_independent(self):
         cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=math.inf)
         b = build_budget(cfg)
-        ref = b.tilde_sigma_s_sq * b.sel_s.zeta**2 / b.tilde_eta_s
+        ref = b.tilde_signal_s / b.tilde_eta_s
         for h in (0.1, 1.0, 10.0):
             assert asymptotic_sndr("fg", h, b) == pytest.approx(ref, rel=1e-12)
 

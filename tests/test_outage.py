@@ -8,7 +8,6 @@ import pytest
 from afrelay.errors import DomainError, RegimeError
 from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, sndr
 from afrelay.outage import (
-    SURE_OUTAGE,
     diversity_fit,
     exact_outage,
     gamma_map_source_distortion,
@@ -52,12 +51,21 @@ class TestGammaMap:
     def test_boundary_is_sure_outage(self):
         b = build_budget(FIG2_CFG)
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
-        assert gamma_map_source_distortion(g_crit, b) is SURE_OUTAGE
-        assert gamma_map_source_distortion(g_crit * 1.01, b) is SURE_OUTAGE
-        assert gamma_map_source_distortion(g_crit * 0.99, b) is not SURE_OUTAGE
+        assert gamma_map_source_distortion(g_crit, b) == math.inf
+        assert gamma_map_source_distortion(g_crit * 1.01, b) == math.inf
+        assert gamma_map_source_distortion(g_crit * 0.99, b) < math.inf
 
     def test_zero(self):
         assert gamma_map_source_distortion(0.0, build_budget(FIG2_CFG)) == 0.0
+
+    def test_overflow_is_not_sure_outage(self):
+        # gamma * p_s overflows below the source sure-outage point: an error,
+        # not an infinite threshold
+        b = build_budget(NetworkConfig(p_s=3e307, clip_ratio_s=5.0))
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_map_source_distortion(10.0, b)
+        with pytest.raises(DomainError, match="overflows"):
+            exact_outage("vg", 10.0, b)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
