@@ -51,13 +51,11 @@ def sel_apply(sample, p_max):
     """
     if not (p_max >= 0.0):
         raise DomainError(f"clip power must be non-negative, got {p_max!r}")
-    sample = np.asarray(sample, dtype=complex)
-    mag = np.abs(sample)
+    out = np.array(sample, dtype=complex)
+    mag = np.abs(out)
     limit = math.sqrt(p_max) if math.isfinite(p_max) else math.inf
-    scale = np.ones_like(mag)
     over = mag > limit
-    np.divide(limit, mag, out=scale, where=over)
-    out = sample * scale
+    out[over] *= limit / mag[over]
     return complex(out) if out.ndim == 0 else out
 
 

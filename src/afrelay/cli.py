@@ -30,7 +30,7 @@ import numpy as np
 
 from .bussgang import sel_apply, sel_params
 from .epsilon_critical import report as phase_report, threshold
-from .errors import ConfigError, DomainError, RegimeError
+from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .link_budget import PROTOCOLS, NetworkConfig, build_budget
 from .outage import (
     diversity_fit,
@@ -51,8 +51,8 @@ from .simulator import (
     model_sndr,
 )
 
-# Grids beyond this are input errors; every published figure uses <= 121
-# points, and the Monte Carlo comparison holds points x 65 536 bytes.
+# Grids beyond this are input errors: every published figure uses <= 121
+# points, and each point costs one exact-outage evaluation (a quadrature for fg).
 _MAX_GRID_POINTS = 4096
 
 
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     try:
         rc = _build_run_config(args)
         return args.func(rc)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, RegimeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,7 @@ import pytest
 
 from afrelay import cli
 from afrelay.cli import RunConfig, _build_run_config, _circular_gaussian, _parse_grid, main
-from afrelay.errors import ConfigError
+from afrelay.errors import ConfigError, ConvergenceError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.simulator import Rng, generator, mc_outage_sweep
 
@@ -308,6 +308,17 @@ class TestConfigHandling:
     def test_overflowing_power_exits_2(self, capsys, argv, name):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime"),
+                                     ConvergenceError("quadrature ran out of budget")],
+                             ids=["regime", "convergence"])
+    def test_regime_and_convergence_errors_exit_2(self, monkeypatch, capsys, exc):
+        def raise_exc(rc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_thresholds", raise_exc)
+        assert main(["thresholds"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {exc}\n"
 
     @staticmethod
     def _thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value):

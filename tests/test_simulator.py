@@ -14,6 +14,7 @@ from afrelay.simulator import (
     ChannelRealization,
     Rng,
     _cgauss,
+    _chunk_counts,
     _qpsk,
     _t975,
     estimate_bussgang,
@@ -283,6 +284,27 @@ class TestMcOutage:
         sweep = mc_outage_sweep("vg", [1.0], b, 30_000, Rng(23))
         single = mc_outage("vg", 1.0, b, 30_000, Rng(23))
         assert sweep[0] == single
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
+    def test_nan_or_negative_gamma_rejected(self, bad):
+        b = build_budget(CLIPPED_CFG)
+        with pytest.raises(DomainError):
+            mc_outage_sweep("vg", [1.0, bad], b, 1000, Rng(24))
+        with pytest.raises(DomainError):
+            mc_outage("vg", bad, b, 1000, Rng(24))
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_chunk_counts_match_broadcast_count(self, protocol):
+        # unsorted, duplicated, tied to drawn SNDRs, 0 and +inf
+        b = build_budget(CLIPPED_CFG)
+        rng, m = Rng(25, 3), 5000
+        gen = generator(rng)
+        lam = sndr(protocol, gen.exponential(b.config.mu1, m), gen.exponential(b.config.mu2, m), b)
+        gammas = np.array([4.0, lam[17], 0.5, math.inf, lam[17], 0.0, lam[4000], 2.0, 0.5,
+                           lam.max(), lam.min()])
+        got = _chunk_counts((protocol, gammas, b, rng, m))
+        np.testing.assert_array_equal(got, np.count_nonzero(lam[None, :] <= gammas[:, None], axis=1))
+        assert got[3] == m and got[5] == 0 and got[-1] >= 1
 
     def test_wilson_properties(self):
         lo, hi = wilson_interval(0, 100)
