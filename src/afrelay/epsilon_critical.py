@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 from .link_budget import LinkBudget, normalize_protocol
-from .outage import _expansion_terms, exact_outage
+from .outage import _expansion_terms, exact_outage, threshold
 
 # "Just below" the critical threshold, where ordinate and report's
 # exact_outage_below are both taken.
@@ -36,16 +36,6 @@ class PhaseTransitionReport:
 
 def _to_db(x: float) -> float:
     return 10.0 * math.log10(x) if 0.0 < x < math.inf else math.inf
-
-
-def threshold(protocol: str, budget: LinkBudget) -> float:
-    """Critical threshold; +inf when the protocol has no phase transition."""
-    protocol = normalize_protocol(protocol)
-    b = budget
-    if protocol == "fg":
-        return b.tilde_signal_s / b.tilde_eta_s if b.tilde_eta_s > 0.0 else math.inf
-    den = b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
-    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
 
 
 def threshold_gap(budget: LinkBudget) -> float:

@@ -148,8 +148,8 @@ def gain_fg(budget: LinkBudget) -> float:
 def gain_vg(budget: LinkBudget, h1_gain):
     """Variable relay amplification for instantaneous first-hop gain |h1|^2."""
     h1_gain = np.asarray(h1_gain, dtype=float)
-    if np.any(h1_gain < 0.0):
-        raise DomainError("h1_gain must be non-negative")
+    if not np.all(h1_gain >= 0.0):
+        raise DomainError("h1_gain must be non-negative, not NaN")
     cfg = budget.config
     out = np.sqrt(budget.sel_r.sigma_sq / (cfg.p_s * h1_gain + cfg.n0))
     return float(out) if out.ndim == 0 else out
@@ -165,23 +165,35 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     protocol = normalize_protocol(protocol)
     x = np.asarray(h1_gain, dtype=float)
     y = np.asarray(h2_gain, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise DomainError("channel gains must be non-negative")
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
+        raise DomainError("channel gains must be non-negative, not NaN")
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
     n0 = cfg.n0
-    if protocol == "fg":
-        inv_g2 = (cfg.p_s * cfg.mu1 + n0) / r.sigma_sq
-    else:
-        inv_g2 = (cfg.p_s * x + n0) / r.sigma_sq
     zr2 = r.zeta**2
+    # den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built in place
+    # in the order of that expression, so the rounding is the same
+    den = s.eta * x
+    den += n0
+    den = y * den
+    den *= zr2
+    relay = y * r.eta
+    relay += n0
+    if protocol == "fg":
+        relay *= (cfg.p_s * cfg.mu1 + n0) / r.sigma_sq
+    else:
+        inv_g2 = cfg.p_s * x
+        inv_g2 += n0
+        inv_g2 /= r.sigma_sq
+        relay = relay * inv_g2
+    den += relay
     num = s.sigma_sq * s.zeta**2 * zr2 * x * y
-    den = y * (n0 + s.eta * x) * zr2 + (y * r.eta + n0) * inv_g2
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(num / den)
     # den = 0 means a noiseless, distortion-free path: infinite SNDR when any
     # signal gets through, 0 for the all-zero degenerate case.
-    out = np.where(den > 0.0, out, np.where(num > 0.0, np.inf, 0.0))
+    if not np.all(den > 0.0):
+        out = np.where(den > 0.0, out, np.where(num > 0.0, np.inf, 0.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -59,6 +59,16 @@ def gamma_map_source_distortion(gamma_th: float, budget: LinkBudget):
     return g
 
 
+def threshold(protocol: str, budget: LinkBudget) -> float:
+    """Critical threshold; +inf when the protocol has no phase transition."""
+    protocol = normalize_protocol(protocol)
+    b = budget
+    if protocol == "fg":
+        return b.tilde_signal_s / b.tilde_eta_s if b.tilde_eta_s > 0.0 else math.inf
+    den = b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
+    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
+
+
 def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
@@ -302,7 +312,9 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     """First-order outage expansion about gamma_th = 0.
 
     Valid while 0 < Z*gamma (times 1 + sigma1_bar for fixed gain) stays well
-    below one; outside that region a RegimeError is raised.
+    below one and gamma_th is below the protocol's critical threshold.
+    Outside that region, or where the first-order value leaves [0, 1), a
+    RegimeError is raised; the value is never clamped.
     """
     protocol = normalize_protocol(protocol)
     if not (gamma_th > 0.0):
@@ -310,6 +322,8 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     b = budget
     if b.n0 == 0.0:
         raise DomainError("small-gamma expansion requires positive noise power")
+    if not (gamma_th < threshold(protocol, b)):
+        raise RegimeError("expansion region exceeded: gamma at or past the critical threshold")
     euler_c = float(np.euler_gamma)
     z_const = 1.0 / (
         (b.sel_s.sigma_sq * b.sel_s.zeta**2 * b.config.mu1 / b.n0)
@@ -320,11 +334,15 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     if protocol == "vg":
         if not (0.0 < zg < 1.0):
             raise RegimeError("expansion region exceeded: Z*gamma outside (0, 1)")
-        return zg * (1.0 - 2.0 * euler_c + s1 + s2 - math.log(zg))
-    arg = zg * (1.0 + s1)
-    if not (0.0 < arg < 1.0):
-        raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) outside (0, 1)")
-    mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
-    return zg * (
-        s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c - math.log(arg))
-    )
+        p = zg * (1.0 - 2.0 * euler_c + s1 + s2 - math.log(zg))
+    else:
+        arg = zg * (1.0 + s1)
+        if not (0.0 < arg < 1.0):
+            raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) outside (0, 1)")
+        mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
+        p = zg * (
+            s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c - math.log(arg))
+        )
+    if not (0.0 <= p < 1.0):
+        raise RegimeError(f"expansion region exceeded: first-order term {p!r} outside [0, 1)")
+    return p

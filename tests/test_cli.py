@@ -122,6 +122,19 @@ class TestOutageSweep:
                      "--trials", "0", "--out", str(out)]) == 0
         assert read_lines(out)[2].split(",")[3] == ""
 
+    @pytest.mark.parametrize("protocol, argv, gamma_db", [
+        ("vg", ["--clip-s", "5", "--clip-r", "8", "--snr-db", "30"], "28:2:40"),
+        ("fg", ["--clip-s", "5", "--snr-db", "200"], "40"),
+    ], ids=["vg-term-past-one", "fg-past-threshold"])
+    def test_small_gamma_outside_region_leaves_cell_empty(self, tmp_path, protocol, argv, gamma_db):
+        # the first-order term read 1.27 ... 20.06 (vg) and 3.8e-15 against an
+        # exact 1 (fg) here; every row is outside the expansion's region
+        out = tmp_path / "sg.csv"
+        assert main(["outage-sweep", "--protocol", protocol, *argv, "--gamma-db", gamma_db,
+                     "--trials", "0", "--out", str(out)]) == 0
+        rows = read_lines(out)[2:]
+        assert rows and all(row.split(",")[3] == "" for row in rows)
+
 
 class TestPowerSweep:
     def test_vg_summary_slope(self, tmp_path):

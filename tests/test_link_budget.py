@@ -117,6 +117,11 @@ class TestGains:
         with pytest.raises(DomainError):
             gain_vg(linear_budget(), -1.0)
 
+    @pytest.mark.parametrize("h1", [math.nan, np.array([1.0, math.nan, 2.0])], ids=["scalar", "array"])
+    def test_vg_rejects_nan(self, h1):
+        with pytest.raises(DomainError):
+            gain_vg(build_budget(FIG2_CFG), h1)
+
 
 class TestSndr:
     def test_zero_first_hop(self):
@@ -171,6 +176,42 @@ class TestSndr:
         lam = sndr("vg", draws[:, 0], draws[:, 1], b)
         assert np.max(np.abs(lam / limit - 1.0)) < 1e-4
 
+    @pytest.mark.parametrize("cfg", [
+        FIG2_CFG,
+        FIG3_CFG,
+        NetworkConfig(p_s=1e4, p_ratio=0.7, mu1=1.3, mu2=2.5, clip_ratio_s=5.0, clip_ratio_r=8.0),
+        NetworkConfig(n0=0.0, clip_ratio_s=5.0),
+        NetworkConfig(n0=0.0, clip_ratio_r=3.0),
+        NetworkConfig(n0=0.0),
+    ], ids=["fig2", "fig3", "mixed", "noiseless-source-clip", "noiseless-relay-clip", "noiseless-linear"])
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_same_bits_as_one_expression(self, cfg, protocol):
+        # sndr builds its denominator in place; the reference is the plain
+        # expression, evaluated in the same order
+        b = build_budget(cfg)
+        s, r, n0 = b.sel_s, b.sel_r, b.config.n0
+        corners = np.array([0.0, 1e-300, 0.5, 1.0, 7.0, 1e300, math.inf])
+        x, y = np.meshgrid(corners, corners)
+        draws = np.random.default_rng(11).exponential(1.0, (2, 500))
+        for h1, h2 in ((x, y), (draws[0], draws[1]), (corners, 0.8), (0.8, corners)):
+            h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
+            if protocol == "fg":
+                inv_g2 = (b.config.p_s * b.config.mu1 + n0) / r.sigma_sq
+            else:
+                inv_g2 = (b.config.p_s * h1 + n0) / r.sigma_sq
+            zr2 = r.zeta**2
+            with np.errstate(all="ignore"):
+                num = s.sigma_sq * s.zeta**2 * zr2 * h1 * h2
+                den = h2 * (n0 + s.eta * h1) * zr2 + (h2 * r.eta + n0) * inv_g2
+                ref = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
+                got = sndr(protocol, h1, h2, b)
+            np.testing.assert_array_equal(got, ref)
+            for i in range(0, ref.size, 7):
+                with np.errstate(all="ignore"):
+                    one = sndr(protocol, np.broadcast_to(h1, ref.shape).flat[i],
+                               np.broadcast_to(h2, ref.shape).flat[i], b)
+                assert one == ref.flat[i] or (math.isnan(one) and math.isnan(ref.flat[i]))
+
     def test_degenerate_zero_case(self):
         b = linear_budget(n0=0.0)
         assert sndr("vg", 0.0, 0.0, b) == 0.0
@@ -178,6 +219,17 @@ class TestSndr:
     def test_bad_protocol(self):
         with pytest.raises(DomainError):
             sndr("xx", 1.0, 1.0, linear_budget())
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("h1, h2", [
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (np.array([0.5, math.nan]), np.array([1.0, 2.0])),
+        (np.array([0.5, 1.0]), np.array([math.nan, 2.0])),
+    ], ids=["scalar-h1", "scalar-h2", "array-h1", "array-h2"])
+    def test_nan_gain_rejected(self, protocol, h1, h2):
+        with pytest.raises(DomainError):
+            sndr(protocol, h1, h2, build_budget(FIG2_CFG))
 
 
 class TestNormalizedSndr:

@@ -18,6 +18,7 @@ from afrelay.outage import (
     outage_vg,
     outage_vg_quadrature,
     small_gamma_expansion,
+    threshold,
 )
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
@@ -316,3 +317,22 @@ class TestSmallGamma:
         b = build_budget(FIG2_CFG)
         with pytest.raises(RegimeError):
             small_gamma_expansion("fg", 1e6, b)
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("factor", [1.0, 1.05, 10.0])
+    def test_at_or_past_threshold_raises(self, protocol, factor):
+        # at 200 dB Z*gamma is ~1e-17, so only the threshold guard can fire;
+        # the first-order term there is tiny while the exact outage is 1
+        b = build_budget(scaled_cfg(FIG2_CFG, 1e20))
+        gamma = factor * threshold(protocol, b)
+        assert exact_outage(protocol, gamma * 1.001, b) == 1.0
+        with pytest.raises(RegimeError):
+            small_gamma_expansion(protocol, gamma, b)
+        assert 0.0 <= small_gamma_expansion(protocol, 0.9 * threshold(protocol, b), b) < 1.0
+
+    @pytest.mark.parametrize("gamma_db", [28.0, 30.0, 32.0])
+    def test_first_order_term_past_one_raises(self, gamma_db):
+        # vg at 30 dB: Z*gamma < 1 but the first-order term exceeds 1
+        b = build_budget(scaled_cfg(FIG2_CFG, 1e3))
+        with pytest.raises(RegimeError):
+            small_gamma_expansion("vg", 10.0 ** (gamma_db / 10.0), b)

@@ -1,0 +1,85 @@
+"""Property tests of the analytic outage over random networks.
+
+Outage is a probability, it grows with the threshold, it is 1 past the
+critical threshold, the closed-form variable-gain outage agrees with its
+quadrature route, and the small-gamma expansion only returns probabilities.
+Examples are derandomized so a tier-1 run is reproducible.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afrelay.errors import RegimeError
+from afrelay.link_budget import NetworkConfig, build_budget
+from afrelay.outage import (
+    exact_outage,
+    outage_vg,
+    outage_vg_quadrature,
+    small_gamma_expansion,
+    threshold,
+)
+
+# fixed-gain quadrature carries an absolute error of up to tol = 1e-10 per
+# value, so two neighbouring values may step down by twice that
+MONOTONE_SLACK = 2e-10
+
+
+def network(clip_s, clip_r, snr_db, mu1, mu2):
+    return build_budget(NetworkConfig(p_s=10.0 ** (snr_db / 10.0), mu1=mu1, mu2=mu2,
+                                      clip_ratio_s=clip_s, clip_ratio_r=clip_r))
+
+
+clip_ratios = st.one_of(st.just(math.inf), st.floats(1.5, 12.0))
+budgets = st.builds(network, clip_ratios, clip_ratios, st.floats(0.0, 90.0),
+                    st.floats(0.3, 3.0), st.floats(0.3, 3.0))
+protocols = st.sampled_from(["vg", "fg"])
+# thresholds in dB, spanning the distortion-limited cliff (~20-45 dB here)
+gamma_dbs = st.floats(-20.0, 60.0)
+
+
+def settled(max_examples):
+    return settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+
+
+@settled(150)
+@given(budget=budgets, protocol=protocols, g1=gamma_dbs, g2=gamma_dbs)
+def test_outage_is_a_monotone_probability(budget, protocol, g1, g2):
+    lo, hi = sorted((10.0 ** (g1 / 10.0), 10.0 ** (g2 / 10.0)))
+    p_lo = exact_outage(protocol, lo, budget)
+    p_hi = exact_outage(protocol, hi, budget)
+    assert 0.0 <= p_lo <= 1.0 and 0.0 <= p_hi <= 1.0
+    assert p_lo <= p_hi + MONOTONE_SLACK
+
+
+@settled(150)
+@given(budget=budgets, protocol=protocols, factor=st.floats(1.0 + 1e-9, 1e3))
+def test_outage_is_one_past_threshold(budget, protocol, factor):
+    th = threshold(protocol, budget)
+    if th == math.inf:
+        return
+    assert exact_outage(protocol, factor * th, budget) == 1.0
+
+
+@settled(100)
+@given(budget=budgets, g_db=gamma_dbs)
+def test_vg_closed_form_matches_quadrature(budget, g_db):
+    gamma = 10.0 ** (g_db / 10.0)
+    p_cf = outage_vg(gamma, budget).p_outage
+    p_q = outage_vg_quadrature(gamma, budget, tol=1e-9).p_outage
+    assert abs(p_q - p_cf) < 1e-6
+
+
+@settled(300)
+@given(budget=budgets, protocol=protocols, g_db=st.floats(-60.0, 60.0))
+def test_small_gamma_expansion_returns_probabilities(budget, protocol, g_db):
+    try:
+        p = small_gamma_expansion(protocol, 10.0 ** (g_db / 10.0), budget)
+    except RegimeError:
+        return
+    assert 0.0 <= p < 1.0

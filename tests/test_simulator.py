@@ -1,6 +1,7 @@
 """Simulator tests: chain identities, moment checks, determinism."""
 
 import math
+from dataclasses import replace
 from multiprocessing.pool import ThreadPool
 
 import numpy as np
@@ -13,6 +14,7 @@ from afrelay.outage import outage_vg
 from afrelay.simulator import (
     ChannelRealization,
     Rng,
+    _SLICE,
     _cgauss,
     _chunk_counts,
     _qpsk,
@@ -305,6 +307,20 @@ class TestMcOutage:
         got = _chunk_counts((protocol, gammas, b, rng, m))
         np.testing.assert_array_equal(got, np.count_nonzero(lam[None, :] <= gammas[:, None], axis=1))
         assert got[3] == m and got[5] == 0 and got[-1] >= 1
+
+    @pytest.mark.parametrize("m", [3 * _SLICE + 517, 1 << 16], ids=["ragged", "full"])
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_sliced_chunk_matches_unsliced_draw_order(self, protocol, m):
+        # the chunk draws its second-hop gains slice by slice; the counts must
+        # be those of one whole exponential call per hop
+        b = build_budget(replace(CLIPPED_CFG, p_s=1e4, mu2=2.5))
+        rng = Rng(26, 5)
+        gen = generator(rng)
+        lam = sndr(protocol, gen.exponential(b.config.mu1, m), gen.exponential(b.config.mu2, m), b)
+        gammas = np.concatenate([10.0 ** np.arange(-1.0, 4.01, 0.25),
+                                 lam[[0, _SLICE - 1, _SLICE, 2 * _SLICE, m - 1]]])
+        got = _chunk_counts((protocol, gammas, b, rng, m))
+        np.testing.assert_array_equal(got, np.count_nonzero(lam[None, :] <= gammas[:, None], axis=1))
 
     def test_wilson_properties(self):
         lo, hi = wilson_interval(0, 100)
