@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -405,25 +406,34 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return rc
 
 
-def main(argv=None) -> int:
+# subcommand -> handler name, looked up at call time so the handlers can be
+# replaced on the module
+_COMMANDS = {
+    "outage-sweep": "cmd_outage_sweep",
+    "power-sweep": "cmd_power_sweep",
+    "thresholds": "cmd_thresholds",
+    "validate": "cmd_validate",
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="afrelay",
         description="Distortion-limited amplify-and-forward relay analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("outage-sweep", cmd_outage_sweep),
-        ("power-sweep", cmd_power_sweep),
-        ("thresholds", cmd_thresholds),
-        ("validate", cmd_validate),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
+    for name in _COMMANDS:
+        _add_common(sub.add_parser(name))
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         rc = _build_run_config(args)
-        return args.func(rc)
+        return globals()[_COMMANDS[args.command]](rc)
     except (ConfigError, DomainError, RegimeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

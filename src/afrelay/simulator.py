@@ -123,8 +123,10 @@ def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng = Rng(0)) -> Ch
     if n & (n - 1):
         raise DomainError(f"n must be a power of two, got {n}")
     gen = generator(rng)
-    taps = [_cgauss(gen, l, n * mu / l) for mu in (mu1, mu2)]
-    freqs = unitary_dft(np.pad(np.stack(taps), ((0, 0), (0, n - l))))
+    taps = np.zeros((2, n), dtype=complex)
+    for row, mu in zip(taps, (mu1, mu2)):
+        row[:l] = _cgauss(gen, l, n * mu / l)
+    freqs = unitary_dft(taps)
     return ChannelRealization(freqs[0], freqs[1])
 
 
@@ -133,21 +135,32 @@ _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 def _qpsk(gen, shape, sigma_sq):
     idx = gen.integers(0, 4, shape)
-    return math.sqrt(sigma_sq / 2.0) * _QPSK_POINTS[idx]
+    return (math.sqrt(sigma_sq / 2.0) * _QPSK_POINTS)[idx]
+
+
+def _faded(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float) -> np.ndarray:
+    """One hop without its noise, frequency domain in and out.
+
+    A cyclic prefix longer than the channel in front of a memoryless limiter
+    makes the receive window's convolution circular, so the limiter clips
+    each time-domain sample and the channel is a per-subcarrier multiply by
+    freq_h.
+    """
+    y = unitary_dft(sel_apply(unitary_idft(x_freq), p_max))
+    y *= freq_h
+    return y
 
 
 def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
          gen: np.random.Generator) -> np.ndarray:
-    """One hop, frequency domain in and out: limiter per sample, the rest per subcarrier.
+    """One hop with its noise.
 
-    A cyclic prefix longer than the channel in front of a memoryless limiter
-    makes the receive window's convolution circular, so the channel is a
-    per-subcarrier multiply by freq_h. The unitary DFT of the window's white
-    CN(0, n0) noise is again white CN(0, n0), so the noise is drawn per
-    subcarrier.
+    The unitary DFT of the window's white CN(0, n0) noise is again white
+    CN(0, n0), so the noise is drawn per subcarrier.
     """
-    return (unitary_dft(sel_apply(unitary_idft(x_freq), p_max)) * freq_h
-            + _cgauss(gen, x_freq.shape, n0))
+    y = _faded(x_freq, freq_h, p_max)
+    y += _cgauss(gen, y.shape, n0)
+    return y
 
 
 def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
@@ -155,6 +168,17 @@ def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str)
     if protocol == "fg":
         return gain_fg(budget)
     return gain_vg(budget, np.abs(channel.freq_h1) ** 2)
+
+
+def _noiseless_last_hop(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,
+                        protocol: str, gen: np.random.Generator) -> np.ndarray:
+    """The two-hop chain up to, not including, the destination's noise.
+
+    Draws only the first hop's noise from gen.
+    """
+    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    relay_in *= _relay_gains(budget, channel, protocol)
+    return _faded(relay_in, channel.freq_h2, budget.sel_r.p_max)
 
 
 def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,
@@ -166,11 +190,9 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     subcarrier. The relay applies its gain per subcarrier (a scalar for fixed
     gain) between the hops, the standard idealized per-subcarrier model.
     """
-    protocol = normalize_protocol(protocol)
-    n0 = budget.config.n0
-    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, n0, gen)
-    gains = _relay_gains(budget, channel, protocol)
-    return _hop(gains * relay_in, channel.freq_h2, budget.sel_r.p_max, n0, gen)
+    y = _noiseless_last_hop(x_freq, channel, budget, normalize_protocol(protocol), gen)
+    y += _cgauss(gen, y.shape, budget.config.n0)
+    return y
 
 
 def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, float]:
@@ -296,6 +318,25 @@ def mc_outage_sweep(protocol: str, gammas, budget: LinkBudget, n_trials: int,
     return out
 
 
+def _residual_energy(energy: np.ndarray, n_blocks: int, n0: float,
+                     gen: np.random.Generator) -> np.ndarray:
+    """R = sum_b |e_b + w_b|^2 per subcarrier, w_b ~ CN(0, n0) iid, drawn in closed form.
+
+    Given the noiseless energy E = sum_b |e_b|^2 over n_blocks blocks, R is
+    exactly (n0/2) chi'^2(2 n_blocks, 2 E / n0), a noncentral chi-square, so
+    one draw per subcarrier replaces 2 n_blocks normals. At n0 = 0, R is E
+    and nothing is drawn.
+    """
+    if n0 == 0.0:
+        return energy
+    with np.errstate(over="ignore"):
+        nonc = 2.0 * energy / n0
+    # where that overflows, the noise lies far below the last digit of E
+    exact = np.isinf(nonc)
+    nonc[exact] = 0.0
+    return np.where(exact, energy, 0.5 * n0 * gen.noncentral_chisquare(2 * n_blocks, nonc))
+
+
 def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
                 n_blocks: int, rng: Rng) -> np.ndarray:
     """Per-subcarrier SNDR with the signal coefficient taken from the model.
@@ -304,6 +345,12 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     any model error in the coefficient itself) lands in the residual, so this
     split is conservative. The residual-power estimate carries an exact
     Gamma(n_blocks) kernel, which waveform_outage undoes on the analytic side.
+
+    Only the residual energy R = sum_b |y_b - c x_b|^2 of each subcarrier is
+    needed, and the destination's CN(0, n0) noise enters after the last DFT.
+    So the chain stops before that noise, at the noiseless residual e_b, and
+    R = sum_b |e_b + w_b|^2 = (n0/2) chi'^2(2 n_blocks, 2 sum_b |e_b|^2 / n0)
+    is drawn in closed form by _residual_energy.
     """
     n = channel.freq_h1.shape[0]
     gen = generator(rng)
@@ -311,8 +358,11 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     gains = _relay_gains(budget, channel, protocol)
     c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
     x = _qpsk(gen, (n_blocks, n), sigma_sq)
-    y = waveform_chain(x, channel, budget, protocol, gen)
-    resid = np.sum(np.abs(y - c * x) ** 2, axis=0)
+    e = _noiseless_last_hop(x, channel, budget, protocol, gen)
+    e -= c * x
+    energy = np.abs(e)
+    energy *= energy
+    resid = _residual_energy(np.sum(energy, axis=0), n_blocks, budget.config.n0, gen)
     resid = np.maximum(resid, 1e-300)
     return np.abs(c) ** 2 * sigma_sq * n_blocks / resid
 

@@ -7,6 +7,7 @@ from multiprocessing.pool import ThreadPool
 import numpy as np
 import pytest
 
+from afrelay import simulator
 from afrelay.bussgang import sel_apply
 from afrelay.errors import DomainError
 from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr
@@ -14,10 +15,14 @@ from afrelay.outage import outage_vg
 from afrelay.simulator import (
     ChannelRealization,
     Rng,
+    _QPSK_POINTS,
     _SLICE,
     _cgauss,
     _chunk_counts,
+    _noiseless_last_hop,
+    _pilot_sndr,
     _qpsk,
+    _residual_energy,
     _t975,
     estimate_bussgang,
     fg_stationarity_check,
@@ -74,6 +79,17 @@ class TestChannels:
             pad[:l] = _cgauss(gen, l, n * mu / l)
             assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
 
+    @pytest.mark.parametrize("l,n,seed", [(1, 8, 0), (3, 16, 1), (16, 256, 2), (32, 32, 3),
+                                          (64, 64, 4)])
+    def test_bits_match_stacked_padded_taps(self, l, n, seed):
+        # the former build: stack both hops' taps, zero-pad them to n, one DFT
+        ch = gen_channel(l, n, 2.0, 0.5, rng=Rng(seed))
+        gen = generator(Rng(seed))
+        taps = [_cgauss(gen, l, n * mu / l) for mu in (2.0, 0.5)]
+        freqs = np.fft.fft(np.pad(np.stack(taps), ((0, 0), (0, n - l))), norm="ortho")
+        assert ch.freq_h1.tobytes() == freqs[0].tobytes()
+        assert ch.freq_h2.tobytes() == freqs[1].tobytes()
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gen_channel(65, 64, 1.0, 1.0, rng=Rng(5))
@@ -103,6 +119,12 @@ class TestQpsk:
         n = 1 << 16
         x = qpsk(n, 1.0, Rng(8))
         assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
+
+    @pytest.mark.parametrize("sigma_sq", [0.0, 0.5, 3.0, 1e6])
+    def test_same_bytes_as_scaling_the_indexed_points(self, sigma_sq):
+        x = _qpsk(generator(Rng(10)), (96, 64), sigma_sq)
+        idx = generator(Rng(10)).integers(0, 4, (96, 64))
+        assert x.tobytes() == (math.sqrt(sigma_sq / 2.0) * _QPSK_POINTS[idx]).tobytes()
 
 
 def reference_chain(x_freq, channel, budget, protocol, gen):
@@ -378,9 +400,93 @@ class TestStationarity:
         assert cvs[0] > cvs[1] > cvs[2] > cvs[3]
 
 
+def explicit_pilot_sndr(channel, budget, protocol, n_blocks, rng):
+    """_pilot_sndr with the destination's noise drawn sample by sample.
+
+    Runs the full chain, noise included, and sums |y_b - c x_b|^2 over the
+    blocks: the reference for the closed-form residual draw.
+    """
+    gen = generator(rng)
+    sigma_sq = budget.sel_s.sigma_sq
+    gains = gain_fg(budget) if protocol == "fg" else gain_vg(budget, np.abs(channel.freq_h1) ** 2)
+    c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
+    x = _qpsk(gen, (n_blocks, channel.freq_h1.shape[0]), sigma_sq)
+    y = waveform_chain(x, channel, budget, protocol, gen)
+    resid = np.sum(np.abs(y - c * x) ** 2, axis=0)
+    resid = np.maximum(resid, 1e-300)
+    return np.abs(c) ** 2 * sigma_sq * n_blocks / resid
+
+
+class TestResidualClosedForm:
+    """The destination's noise drawn in closed form, against the explicit draw."""
+
+    N0 = 1.0
+    BLOCKS = 24
+    DRAWS = 3000
+
+    def _fixed_residual(self):
+        # fixed symbols through a fixed clipped channel; the first hop's noise
+        # is drawn once, so e is fixed too
+        cfg = replace(CLIPPED_CFG, p_s=100.0, n0=self.N0, n_subcarriers=16)
+        budget = build_budget(cfg)
+        ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(60))
+        gen = generator(Rng(61))
+        x = _qpsk(gen, (self.BLOCKS, 16), budget.sel_s.sigma_sq)
+        c = (budget.sel_s.zeta * budget.sel_r.zeta * gain_vg(budget, np.abs(ch.freq_h1) ** 2)
+             * ch.freq_h1 * ch.freq_h2)
+        return _noiseless_last_hop(x, ch, budget, "vg", gen) - c * x
+
+    def _assert_exact_moments(self, r, energy):
+        # R = (n0/2) chi'^2(k, lam) has cumulants (n0/2)^j 2^(j-1) (j-1)! (k + j lam)
+        n0, b = self.N0, self.BLOCKS
+        mean = energy + b * n0
+        var = b * n0 * n0 + 2.0 * n0 * energy
+        k4 = (n0 / 2.0) ** 4 * 48.0 * (2 * b + 8.0 * energy / n0)
+        n = r.shape[0]
+        assert np.all(np.abs(r.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / n))
+        assert np.all(np.abs(r.var(axis=0, ddof=1) - var) <= 5.0 * np.sqrt((k4 + 2 * var**2) / n))
+
+    def test_explicit_noise_has_exact_moments(self):
+        e = self._fixed_residual()
+        gen = generator(Rng(62))
+        r = np.array([np.sum(np.abs(e + _cgauss(gen, e.shape, self.N0)) ** 2, axis=0)
+                      for _ in range(self.DRAWS)])
+        self._assert_exact_moments(r, np.sum(np.abs(e) ** 2, axis=0))
+
+    def test_closed_form_has_exact_moments(self):
+        energy = np.sum(np.abs(self._fixed_residual()) ** 2, axis=0)
+        r = _residual_energy(np.tile(energy, self.DRAWS), self.BLOCKS, self.N0,
+                             generator(Rng(63)))
+        self._assert_exact_moments(r.reshape(self.DRAWS, -1), energy)
+
+    def test_no_noise_draws_nothing(self):
+        energy = np.array([0.0, 1.5, 7.0])
+        gen = generator(Rng(64))
+        assert _residual_energy(energy, 24, 0.0, gen) is energy
+        assert gen.standard_normal() == generator(Rng(64)).standard_normal()
+
+    def test_noise_below_float_range_leaves_energy(self):
+        # 2 E / n0 overflows: the noise is far below E's last digit
+        energy = np.array([1.0, 50.0])
+        r = _residual_energy(energy, 24, 5e-324, generator(Rng(65)))
+        assert np.array_equal(r, energy)
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_noiseless_matches_explicit_path_bitwise(self, monkeypatch, protocol):
+        budget = build_budget(replace(CLIPPED_CFG, p_s=100.0, n0=0.0, n_subcarriers=16))
+        ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(66))
+        ours = _pilot_sndr(ch, budget, protocol, 20, Rng(67))
+        assert ours.tobytes() == explicit_pilot_sndr(ch, budget, protocol, 20, Rng(67)).tobytes()
+        gammas = np.quantile(ours, [0.1, 0.5, 0.9])
+        stats = waveform_outage(protocol, gammas, budget, 4, 20, Rng(68))
+        monkeypatch.setattr(simulator, "_pilot_sndr", explicit_pilot_sndr)
+        assert stats == waveform_outage(protocol, gammas, budget, 4, 20, Rng(68))
+
+
 class TestWaveformFrozen:
-    # values recorded with the per-subcarrier noise draw and the Student-t
-    # interval; they pin the draw order of the whole waveform Monte Carlo
+    # values recorded with the per-subcarrier noise draw, the Student-t
+    # interval and the destination's noise in closed form; they pin the draw
+    # order of the whole waveform Monte Carlo
     CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
                         n_taps=4)
     CFG16 = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=16,
@@ -388,9 +494,9 @@ class TestWaveformFrozen:
 
     @pytest.mark.parametrize("protocol,expected", [
         ("fg", [(0.020833333333333332, 0.0, 0.08012369323328272),
-                (0.21875, 0.0, 0.473274692667235)]),
+                (0.18229166666666666, 0.0, 0.4097247708149758)]),
         ("vg", [(0.010416666666666666, 0.0, 0.03282631630077846),
-                (0.171875, 0.0, 0.38798583474758763)]),
+                (0.1875, 0.0, 0.45920256222269246)]),
     ])
     def test_waveform_outage(self, protocol, expected):
         stats = waveform_outage(protocol, [1.0, 10.0], build_budget(self.CFG), 3, 20, Rng(41))
