@@ -168,7 +168,7 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
     mc = _mc_sweep(gammas, budget, rc.trials, rc) if rc.trials else []
     rows = []
     for i, (g_db, g) in enumerate(zip(gammas_db, gammas)):
-        p_an = exact_outage(rc.protocol, float(g), budget, tol=1e-10)
+        p_an = exact_outage(rc.protocol, float(g), budget)
         floor = outage_floor(rc.protocol, float(g), budget)
         try:
             p_sg = small_gamma_expansion(rc.protocol, float(g), budget)
@@ -209,7 +209,7 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     rows = []
     for p_db, p_s, a in zip(ps_db, ps_grid, asym):
         budget = build_budget(rc.network(p_s=float(p_s)))
-        p_ex = exact_outage(rc.protocol, gamma, budget, tol=1e-12)
+        p_ex = exact_outage(rc.protocol, gamma, budget)
         ratio = p_ex / a.p_outage if a.p_outage > 0.0 else None
         rows.append((float(p_db), p_ex, a.p_outage, ratio))
     fit = diversity_fit(rc.protocol, gamma, rc.network(), ps_grid)
@@ -313,7 +313,7 @@ def cmd_validate(rc: RunConfig) -> int:
     gammas = [0.1, 1.0, 10.0]
     mc = _mc_sweep(gammas, budget, trials, rc)
     for g, s in zip(gammas, mc):
-        p_an = exact_outage(rc.protocol, g, budget, tol=1e-10)
+        p_an = exact_outage(rc.protocol, g, budget)
         sigma = math.sqrt(max(p_an * (1.0 - p_an), 1e-12) / trials)
         ok = abs(s.p_hat - p_an) <= 3.0 * sigma
         lines.append(

@@ -1,11 +1,10 @@
 """Outage probabilities for both forwarding protocols.
 
-Variable gain has an exact closed form built on K1. Fixed gain is computed
-semi-analytically: conditioned on the first-hop gain the outage event in the
-second hop is an exponential CDF with a closed-form threshold, and the
-remaining one-dimensional integral is done with the adaptive quadrature. The
-same conditional construction adapted to variable gain doubles as an
-independent oracle for the closed form.
+Both protocols have exact closed forms built on K1. Conditioned on the
+first-hop gain, second-hop outage is an exponential CDF; for fixed gain the
+integral over the first-hop gain is int_0^inf e^{-au-b/u} du =
+2 sqrt(b/a) K1(2 sqrt(ab)) (Gradshteyn & Ryzhik 3.471.9). The same route for
+variable gain, integrated by adaptive quadrature, is an independent oracle.
 
 Source distortion enters through an effective threshold map: a network whose
 source also clips behaves like a relay-distortion-only network at
@@ -99,11 +98,12 @@ def _outage_vg_value(gamma_th: float, budget: LinkBudget) -> float:
     s1, s2 = budget.sigma1_bar, budget.sigma2_bar
     big_r = g / (s1 * s_r) * (1.0 + s2 * g / s_r)
     big_q = g / s_r * (1.0 + s2 / s1)
-    z = 2.0 * math.sqrt(big_r)
-    # 1 - e^{-Q} z K1(z), summed as two positive pieces so tiny outage
-    # probabilities keep full relative precision
-    p = -math.expm1(-big_q) + math.exp(-big_q) * one_minus_x_k1(z)
-    return _clamp01(p)
+    return _clamp01(_k1_tail(big_q, 2.0 * math.sqrt(big_r)))
+
+
+def _k1_tail(q: float, z: float) -> float:
+    """1 - e^{-q} z K1(z) as two positive pieces: tiny outages keep full precision."""
+    return -math.expm1(-q) + math.exp(-q) * one_minus_x_k1(z)
 
 
 def _fg_constants(gamma_th: float, budget: LinkBudget):
@@ -119,22 +119,21 @@ def _fg_constants(gamma_th: float, budget: LinkBudget):
     return a, b, c
 
 
-def outage_fg(gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> OutagePoint:
-    """Fixed-gain outage probability by conditional-CDF quadrature.
+def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
+    """Exact fixed-gain outage probability.
 
-    Absolute error is bounded by `tol` (quadrature budget errors propagate as
-    ConvergenceError). gamma values at or past the source sure-outage point
-    return exactly 1.
+    P = 1 - e^{-x0/mu1} z K1(z) with z = 2 sqrt(kappa/mu1): x0 is the
+    first-hop gain at or below which outage is sure, and kappa/u is the
+    second-hop outage threshold over mu2 at first-hop excess gain u. gamma
+    values at or past the source sure-outage point return exactly 1.
     """
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
-    p = _outage_fg_value(gamma_th, budget, tol)
+    p = _outage_fg_value(gamma_th, budget)
     return OutagePoint(gamma_th=gamma_th, p_outage=p)
 
 
-def _outage_fg_value(gamma_th: float, budget: LinkBudget, tol: float) -> float:
+def _outage_fg_value(gamma_th: float, budget: LinkBudget) -> float:
     if gamma_th == 0.0:
         return 0.0
     if budget.n0 == 0.0:
@@ -146,21 +145,14 @@ def _outage_fg_value(gamma_th: float, budget: LinkBudget, tol: float) -> float:
     mu1, mu2 = budget.config.mu1, budget.config.mu2
     x0 = gamma_th * b / slope
     kappa = gamma_th * budget.n0 / (slope * mu2)
-
-    def knee(u):
-        u = np.maximum(u, 1e-320)
-        return np.exp(-u / mu1) / mu1 * -np.expm1(-kappa / u)
-
-    res = integrate_semi_infinite(knee, tol=tol, max_evals=400_000)
-    p = -math.expm1(-x0 / mu1) + math.exp(-x0 / mu1) * res.value
-    return _clamp01(p)
+    return _clamp01(_k1_tail(x0 / mu1, 2.0 * math.sqrt(kappa / mu1)))
 
 
 def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> OutagePoint:
-    """Variable-gain outage via the same conditional-CDF route as fixed gain.
+    """Variable-gain outage by conditional-CDF quadrature.
 
     Independent of the closed form (no Bessel evaluation); used to cross
-    check it.
+    check it. Raises ConvergenceError if the quadrature budget runs out.
     """
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
@@ -264,13 +256,13 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
     return out
 
 
-def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> float:
+def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     protocol = normalize_protocol(protocol)
     if gamma_th < 0.0:
         raise DomainError("gamma_th must be non-negative")
     if protocol == "vg":
         return _outage_vg_value(gamma_th, budget)
-    return _outage_fg_value(gamma_th, budget, tol)
+    return _outage_fg_value(gamma_th, budget)
 
 
 def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) -> DiversityFit:
@@ -289,7 +281,7 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
     ps, vals = [], []
     for p_s in top:
         budget = build_budget(replace(cfg, p_s=p_s))
-        p = exact_outage(protocol, gamma_th, budget, tol=1e-12)
+        p = exact_outage(protocol, gamma_th, budget)
         if p < 1e-300:
             warnings.warn(f"outage underflow at p_s={p_s:g}; point dropped from diversity fit")
             continue
@@ -313,8 +305,9 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
 
     Valid while 0 < Z*gamma (times 1 + sigma1_bar for fixed gain) stays well
     below one and gamma_th is below the protocol's critical threshold.
-    Outside that region, or where the first-order value leaves [0, 1), a
-    RegimeError is raised; the value is never clamped.
+    Outside that region, past the fixed-gain term's turning point (beyond
+    which it would fall as gamma grows), or where the first-order value
+    leaves [0, 1), a RegimeError is raised; the value is never clamped.
     """
     protocol = normalize_protocol(protocol)
     if not (gamma_th > 0.0):
@@ -340,9 +333,11 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
         if not (0.0 < arg < 1.0):
             raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) outside (0, 1)")
         mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
-        p = zg * (
-            s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c - math.log(arg))
-        )
+        lead = s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c)
+        # p = zg (lead - (1 + s1) ln arg) falls with gamma once (1 + s1)(ln arg + 1) >= lead
+        if (1.0 + s1) * (math.log(arg) + 1.0) >= lead:
+            raise RegimeError("expansion region exceeded: first-order term past its turning point")
+        p = zg * (lead - (1.0 + s1) * math.log(arg))
     if not (0.0 <= p < 1.0):
         raise RegimeError(f"expansion region exceeded: first-order term {p!r} outside [0, 1)")
     return p

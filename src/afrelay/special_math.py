@@ -93,6 +93,8 @@ def one_minus_x_k1(x: float) -> float:
         return 0.0
     if not (x > 0.0):
         raise DomainError(f"one_minus_x_k1 requires x >= 0, got {x!r}")
+    if x == math.inf:
+        return 1.0  # x K1(x) -> 0, where the product below is inf * 0
     if x >= 1.0:
         return 1.0 - x * bessel_k1(x)
     i1, s = _k1_series_parts(x)

@@ -220,12 +220,12 @@ def test_acceptance_6_asymptotic_constants():
     ratio_vg = p_exact / p_asym
     assert 0.9 <= ratio_vg <= 1.1
 
-    # fixed gain, source-only clipping: expansion within 10% of quadrature
+    # fixed gain, source-only clipping: expansion within 10% of the exact outage
     cfg_so = NetworkConfig(clip_ratio_s=5.0)
     b_so = build_budget(NetworkConfig(clip_ratio_s=5.0, p_s=1e8))
-    p_q = outage_fg(gamma, b_so, tol=1e-13).p_outage
+    p_ex = outage_fg(gamma, b_so).p_outage
     p_a = outage_asymptotic("fg", gamma, [1e8], cfg_so)[0].p_outage
-    ratio_fg = p_q / p_a
+    ratio_fg = p_ex / p_a
     assert 0.9 <= ratio_fg <= 1.1
     elapsed = time.time() - t0
     report(6, "asymptotic constants", True,
@@ -242,7 +242,7 @@ def test_acceptance_7_small_gamma_expansions():
     )
     gamma = 1e-6 / z
     r_vg = small_gamma_expansion("vg", gamma, b) / outage_vg(gamma, b).p_outage
-    r_fg = small_gamma_expansion("fg", gamma, b) / outage_fg(gamma, b, tol=1e-13).p_outage
+    r_fg = small_gamma_expansion("fg", gamma, b) / outage_fg(gamma, b).p_outage
     ok = 0.95 <= r_vg <= 1.05 and 0.9 <= r_fg <= 1.1
     elapsed = time.time() - t0
     report(7, "small-gamma expansions", ok,

@@ -75,7 +75,7 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633882,
         'ordinate fg': None,
-        'exact_outage fg low': 0.9741380710202693,
+        'exact_outage fg low': 0.9741380710202681,
         'exact_outage fg below': 0.9999999999998906,
         'outage_asymptotic fg low': 1.0,
         'normalized_sndr_coeffs fg': (0.7341159854801227, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
@@ -102,8 +102,8 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.507700707699125,
-        'exact_outage fg low': 0.03308272261601586,
-        'exact_outage fg below': 0.33004570507601266,
+        'exact_outage fg low': 0.033082722616012604,
+        'exact_outage fg below': 0.3300457050760815,
         'outage_asymptotic fg low': 0.034232052684233495,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.007011935535678666,
@@ -115,7 +115,7 @@ PINNED = {
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
         'gamma_map low': 1786.2616260935638,
-        'exact_outage fg mid': 0.8770901604932241,
+        'exact_outage fg mid': 0.8770901604932242,
         'outage_asymptotic fg mid': 0.8931821303717248,
         'outage_fg_floor mid': 0.8692056603302031,
         'outage_fg_floor past': 1.0,
@@ -129,8 +129,8 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.47714609667324837,
-        'exact_outage fg low': 0.031443418420186206,
-        'exact_outage fg below': 0.3198158194445267,
+        'exact_outage fg low': 0.03144341845503797,
+        'exact_outage fg below': 0.3198158197032729,
         'outage_asymptotic fg low': 0.03144341846653003,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.011935535678667e-11,
@@ -142,7 +142,7 @@ PINNED = {
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
         'gamma_map low': 1786.261626093564,
-        'exact_outage fg mid': 0.8692056606838543,
+        'exact_outage fg mid': 0.8692056606833913,
         'outage_asymptotic fg mid': 0.8692056608439845,
         'outage_fg_floor mid': 0.8692056603302031,
         'outage_fg_floor past': 1.0,
@@ -176,8 +176,8 @@ PINNED = {
         'threshold_gap': None,
         'fg_advantage_factor mid': None,
         'ordinate fg': None,
-        'exact_outage fg low': 0.3940539588523002,
-        'exact_outage fg below': 0.6139222174675791,
+        'exact_outage fg low': 0.394053958852299,
+        'exact_outage fg below': 0.6139222174675777,
         'outage_asymptotic fg low': 0.39440207428835916,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.00725111700345442,
@@ -196,8 +196,8 @@ PINNED = {
         'threshold_gap': None,
         'fg_advantage_factor mid': None,
         'ordinate fg': None,
-        'exact_outage fg low': 0.3934693402918528,
-        'exact_outage fg below': 0.6132589765509339,
+        'exact_outage fg low': 0.3934693403038728,
+        'exact_outage fg below': 0.613258976565046,
         'outage_asymptotic fg low': 0.39346934030735375,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454422e-11,
@@ -216,7 +216,7 @@ PINNED = {
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
         'ordinate fg': None,
-        'exact_outage fg low': 0.9781064279847976,
+        'exact_outage fg low': 0.9781064279847975,
         'exact_outage fg below': 1.0,
         'outage_asymptotic fg low': 1.0,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
@@ -243,8 +243,8 @@ PINNED = {
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
         'ordinate fg': 0.05843709871898431,
-        'exact_outage fg low': 0.0017954148616106144,
-        'exact_outage fg below': 0.02340775105061828,
+        'exact_outage fg low': 0.0017954148616065573,
+        'exact_outage fg below': 0.023407751050620044,
         'outage_asymptotic fg low': 0.003075636774683384,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.00725111700345442,
@@ -270,8 +270,8 @@ PINNED = {
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
         'ordinate fg': 1.2522235439782353e-09,
-        'exact_outage fg low': 1.479302190480949e-11,
-        'exact_outage fg below': 2.8106741558881684e-10,
+        'exact_outage fg low': 5.3105721791772884e-11,
+        'exact_outage fg below': 9.022563562918871e-10,
         'outage_asymptotic fg low': 6.590650231464394e-11,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454421e-11,
@@ -324,8 +324,8 @@ PINNED = {
         'threshold_gap': 54066.62791101807,
         'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
-        'exact_outage fg low': 0.3889430371982817,
-        'exact_outage fg below': 0.6132962214281252,
+        'exact_outage fg low': 0.38894303719828044,
+        'exact_outage fg below': 0.6132962214281238,
         'outage_asymptotic fg low': 0.38928722623845563,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.0070119355356786815,
@@ -351,8 +351,8 @@ PINNED = {
         'threshold_gap': 54066.62791101807,
         'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
-        'exact_outage fg low': 0.38836241171171065,
-        'exact_outage fg below': 0.6126329184001974,
+        'exact_outage fg low': 0.38836241172363833,
+        'exact_outage fg below': 0.6126329184143096,
         'outage_asymptotic fg low': 0.38836241172708,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.01193553567868e-11,

@@ -135,10 +135,7 @@ class TestOrdinateMatchesExact:
 
     Source-only fixed gain is left out of the 1% band: near the threshold its
     first-order expansion converges only like 1/log p_s (ordinate/exact is 1.9
-    at 90 dB, 1.4 at 150 dB and 1.3 at 200 dB against a converged quadrature),
-    and the fixed-gain quadrature's absolute tolerance of 1e-10 leaves exact
-    values below about 1e-9 unreliable (at 150 dB it gives a third of the
-    converged value).
+    at 90 dB, 1.4 at 150 dB and 1.3 at 200 dB).
     """
 
     CASES = [

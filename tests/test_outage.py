@@ -1,13 +1,16 @@
 """Outage analytics vs Monte Carlo and cross-route oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from afrelay.errors import DomainError, RegimeError
+from afrelay import cli
+from afrelay.errors import ConvergenceError, DomainError, RegimeError
 from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, sndr
 from afrelay.outage import (
+    _fg_constants,
     diversity_fit,
     exact_outage,
     gamma_map_source_distortion,
@@ -20,6 +23,7 @@ from afrelay.outage import (
     small_gamma_expansion,
     threshold,
 )
+from afrelay.special_math import integrate_semi_infinite
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
 GOLDEN_CFG = NetworkConfig(p_s=10.0, p_ratio=1.0, clip_ratio_s=math.inf, clip_ratio_r=5.0)
@@ -34,6 +38,38 @@ def mc_outage_channel(protocol, gamma_th, budget, n, key):
     y = rng.exponential(budget.config.mu2, n)
     lam = sndr(protocol, x, y, budget)
     return float(np.mean(lam <= gamma_th))
+
+
+def fg_outage_quadrature(gamma_th, budget, tol=1e-18, rel=1e-11):
+    """Fixed-gain outage by conditional-CDF quadrature, independent of K1.
+
+    Conditioned on the first-hop gain x0 + u, the second hop is in outage with
+    probability 1 - e^{-kappa/u}; the integral over u is done adaptively. The
+    absolute tolerance tightens to `rel` times the value, so small
+    probabilities converge as well as large ones.
+    """
+    if gamma_th == 0.0:
+        return 0.0
+    if budget.n0 == 0.0:
+        return outage_floor("fg", gamma_th, budget)
+    a, b, c = _fg_constants(gamma_th, budget)
+    slope = a - gamma_th * c
+    if slope <= 0.0:
+        return 1.0
+    mu1, mu2 = budget.config.mu1, budget.config.mu2
+    x0 = gamma_th * b / slope
+    kappa = gamma_th * budget.n0 / (slope * mu2)
+
+    def knee(u):
+        u = np.maximum(u, 1e-320)
+        return np.exp(-u / mu1) / mu1 * -np.expm1(-kappa / u)
+
+    while True:
+        res = integrate_semi_infinite(knee, tol=tol, max_evals=2_000_000)
+        p = -math.expm1(-x0 / mu1) + math.exp(-x0 / mu1) * res.value
+        if p == 0.0 or res.abs_error <= rel * p:
+            return p
+        tol = rel * p
 
 
 def scaled_cfg(cfg, p_s):
@@ -135,6 +171,11 @@ class TestOutageVgQuadrature:
         g_branch = b.sel_r.sigma_sq * b.sel_r.zeta**2 / b.sel_r.eta
         assert outage_vg_quadrature(g_branch * 1.01, b).p_outage == 1.0
 
+    def test_quadrature_budget_exhaustion(self):
+        b = build_budget(FIG2_CFG)
+        with pytest.raises(ConvergenceError):
+            outage_vg_quadrature(0.3, b, tol=1e-300)
+
 
 class TestOutageFg:
     def test_zero_threshold(self):
@@ -143,6 +184,8 @@ class TestOutageFg:
     def test_source_sure_outage(self):
         b = build_budget(FIG2_CFG)
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
+        a, _, c = _fg_constants(g_crit, b)
+        assert a - g_crit * c <= 0.0
         assert outage_fg(g_crit, b).p_outage == 1.0
 
     def test_against_channel_mc(self):
@@ -153,26 +196,78 @@ class TestOutageFg:
             (scaled_cfg(FIG2_CFG, 100.0), 5.0, 203),
         ]:
             b = build_budget(cfg)
-            p_an = outage_fg(gamma, b, tol=1e-10).p_outage
+            p_an = outage_fg(gamma, b).p_outage
             p_mc = mc_outage_channel("fg", gamma, b, n, key)
             sigma = math.sqrt(max(p_an * (1.0 - p_an), 1e-12) / n)
             assert abs(p_mc - p_an) <= 3.0 * sigma
 
-    def test_quadrature_budget_exhaustion(self):
-        from afrelay.errors import ConvergenceError
-
-        b = build_budget(FIG2_CFG)
-        with pytest.raises(ConvergenceError):
-            outage_fg(0.3, b, tol=1e-300)
-
     def test_monotone_bounded_and_floor(self):
         b = build_budget(scaled_cfg(FIG2_CFG, 1000.0))
         gammas = np.logspace(-2, math.log10(1800.0), 60)
-        vals = [outage_fg(g, b, tol=1e-11).p_outage for g in gammas]
+        vals = [outage_fg(g, b).p_outage for g in gammas]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(y >= x - 1e-10 for x, y in zip(vals, vals[1:]))
         for g, v in zip(gammas, vals):
             assert v >= outage_fg_floor(g, b) - 1e-9
+
+
+class TestOutageFgClosedForm:
+    """The K1 closed form against the conditional-CDF quadrature oracle."""
+
+    @pytest.mark.parametrize("clip_s,clip_r",
+                             [(5.0, 8.0), (math.inf, 5.0), (5.0, math.inf), (8.0, 5.0)])
+    def test_matches_quadrature(self, clip_s, clip_r):
+        for snr_db in range(0, 151, 15):
+            b = build_budget(NetworkConfig(p_s=10.0 ** (snr_db / 10.0),
+                                           clip_ratio_s=clip_s, clip_ratio_r=clip_r))
+            th = threshold("fg", b)
+            top = 0.95 * (th if th < math.inf else threshold("vg", b))
+            for gamma in np.geomspace(1e-3, top, 7):
+                p = outage_fg(float(gamma), b).p_outage
+                assert p == pytest.approx(fg_outage_quadrature(float(gamma), b), rel=1e-9)
+
+    def test_thresholds_json_at_high_power(self, tmp_path):
+        # an absolute quadrature tolerance of 1e-10 gives 2.81e-10 here, a third of the value
+        out = tmp_path / "th.json"
+        assert cli.main(["thresholds", "--clip-s", "5", "--snr-db", "150", "--out", str(out)]) == 0
+        fg = json.loads(out.read_text())["fg"]
+        b = build_budget(NetworkConfig(p_s=1e15, clip_ratio_s=5.0))
+        assert fg["gamma_crit"] == threshold("fg", b)
+        expected = fg_outage_quadrature(0.95 * threshold("fg", b), b)
+        assert fg["exact_outage_below"] == pytest.approx(expected, rel=1e-9)
+        assert expected == pytest.approx(9.0226e-10, rel=1e-4)
+
+    def test_noiseless_is_floor(self):
+        b = build_budget(NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        for gamma in (0.1, 10.0, 100.0):
+            assert outage_fg(gamma, b).p_outage == outage_fg_floor(gamma, b)
+
+    def test_small_z(self):
+        # kappa << mu1: z = 2 sqrt(kappa/mu1) ~ 2e-6, where z K1(z) -> 1 cancels;
+        # a large mu1 also makes x0/mu1 small, so the z term dominates
+        b = build_budget(NetworkConfig(p_s=1e3, mu1=1e12, mu2=1e9, clip_ratio_s=5.0))
+        gamma = 1.0
+        a, b_fg, c = _fg_constants(gamma, b)
+        slope = a - gamma * c
+        q = gamma * b_fg / slope / b.config.mu1
+        k = gamma * b.n0 / (slope * b.config.mu2) / b.config.mu1
+        assert 1e-14 < k < 1e-10 and q < 1e-3 * k
+        p = outage_fg(gamma, b).p_outage
+        series = q + k * (1.0 - 2.0 * float(np.euler_gamma) - math.log(k))
+        assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9)
+        assert p == pytest.approx(series, rel=1e-6)
+
+    def test_large_z(self):
+        # kappa >> mu1: z K1(z) underflows and the outage is sure, with no NaN
+        b = build_budget(NetworkConfig(p_s=1.0, mu1=1e-6, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        for gamma in (1.0, 10.0, 100.0):
+            p = outage_fg(gamma, b).p_outage
+            assert p == 1.0
+            assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9)
+        # at -3000 dB SNR kappa overflows to inf; inf * K1(inf) is NaN, which
+        # _clamp01 would publish as 0
+        b = build_budget(NetworkConfig(n0=1e300, p_s=1.0, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        assert outage_fg(1.0, b).p_outage == 1.0
 
 
 class TestExactOutage:
@@ -304,7 +399,7 @@ class TestSmallGamma:
         )
         gamma = 1e-6 / z
         approx = small_gamma_expansion("fg", gamma, b)
-        exact = outage_fg(gamma, b, tol=1e-12).p_outage
+        exact = outage_fg(gamma, b).p_outage
         assert approx / exact == pytest.approx(1.0, abs=0.05)
 
     def test_monotone_in_gamma(self):
@@ -312,6 +407,14 @@ class TestSmallGamma:
         gammas = np.logspace(-4, -1, 30)
         vals = [small_gamma_expansion("vg", float(g), b) for g in gammas]
         assert all(y > x for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("gamma_db", [29.5, 29.75])
+    def test_fg_past_turning_point_raises(self, gamma_db):
+        # Fig-2 clip 5/8 at 30 dB: the first-order term peaks near 29.4 dB and
+        # then falls (0.8712, 0.8684 here) while the exact outage is 0.97
+        b = build_budget(scaled_cfg(FIG2_CFG, 1e3))
+        with pytest.raises(RegimeError):
+            small_gamma_expansion("fg", 10.0 ** (gamma_db / 10.0), b)
 
     def test_regime_guard(self):
         b = build_budget(FIG2_CFG)

@@ -126,6 +126,11 @@ class TestBesselK1:
         for x in [1e-6, 1e-3, 0.05, 0.4, 0.9, 1.5, 3.0]:
             assert one_minus_x_k1(x) == pytest.approx(1.0 - x * bessel_k1(x), rel=2e-7, abs=1e-15)
 
+    def test_one_minus_x_k1_large_x(self):
+        # x K1(x) underflows long before x = inf, where the product is inf * 0
+        for x in [40.0, 700.0, 1e300, math.inf]:
+            assert one_minus_x_k1(x) == 1.0
+
     def test_one_minus_x_k1_small_x_precision(self):
         # At x = 1e-6 the deficit is ~7.5e-12; the direct difference would
         # carry only a few good digits.
