@@ -45,7 +45,6 @@ from .simulator import (
     estimate_bussgang,
     fg_stationarity_check,
     gen_channel,
-    mc_outage,
     mc_outage_sweep,
     measure_sndr,
     model_sndr,

@@ -53,7 +53,7 @@ from .simulator import (
 )
 
 # Grids beyond this are input errors: every published figure uses <= 121
-# points, and each point costs one exact-outage evaluation (a quadrature for fg).
+# points, and each point costs one exact-outage evaluation.
 _MAX_GRID_POINTS = 4096
 
 
@@ -102,15 +102,15 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         parts = [float(p) for p in str(spec).split(":")]
     except ValueError:
         raise ConfigError(f"{name} must be start:step:stop or a single number, got {spec!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ConfigError(f"{name} needs finite values, got {spec!r}")
     if len(parts) == 1:
         return np.array(parts)
     if len(parts) != 3:
         raise ConfigError(f"{name} must be start:step:stop, got {spec!r}")
     start, step, stop = parts
-    if step <= 0.0 or not all(map(math.isfinite, parts)):
-        raise ConfigError(f"{name} needs finite bounds and step > 0, got {spec!r}")
-    if stop < start:
-        raise ConfigError(f"{name} has stop < start: {spec!r}")
+    if step <= 0.0 or stop < start:
+        raise ConfigError(f"{name} needs step > 0 and stop >= start, got {spec!r}")
     steps = (stop - start) / step
     if steps > _MAX_GRID_POINTS - 1:
         raise ConfigError(f"{name} has more than {_MAX_GRID_POINTS} points: {spec!r}")

@@ -32,6 +32,14 @@ def normalize_protocol(protocol: str) -> str:
     return p
 
 
+def check_threshold(gamma_th):
+    """gamma_th (a number or an array) if every value is >= 0; NaN fails that test too."""
+    ok = gamma_th >= 0.0
+    if not (ok is True or np.all(ok)):
+        raise DomainError("gamma_th must be non-negative, not NaN")
+    return gamma_th
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static network parameters.

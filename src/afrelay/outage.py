@@ -10,6 +10,10 @@ Source distortion enters through an effective threshold map: a network whose
 source also clips behaves like a relay-distortion-only network at
 gamma * p_s / (sigma_S^2 zeta_S^2 - gamma eta_S), and once that denominator
 is exhausted outage is sure at any power.
+
+Every function here takes a linear protection threshold gamma_th >= 0. A
+negative or NaN threshold raises DomainError (link_budget.check_threshold),
+which the command line turns into exit code 2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .link_budget import LinkBudget, NetworkConfig, asymptotic_sndr, build_budget, normalize_protocol
+from .link_budget import (LinkBudget, NetworkConfig, asymptotic_sndr, build_budget,
+                          check_threshold, normalize_protocol)
 from .special_math import integrate_semi_infinite, one_minus_x_k1
 
 
@@ -46,8 +51,7 @@ def gamma_map_source_distortion(gamma_th: float, budget: LinkBudget):
     which no second hop can help: an infinite threshold means certain outage.
     A finite map that overflows the float range raises DomainError instead.
     """
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
+    check_threshold(gamma_th)
     s = budget.sel_s
     den = s.sigma_sq * s.zeta**2 - gamma_th * s.eta
     if den <= 0.0:
@@ -74,10 +78,7 @@ def _clamp01(p: float) -> float:
 
 def outage_vg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     """Exact variable-gain outage probability."""
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
-    p = _outage_vg_value(gamma_th, budget)
-    return OutagePoint(gamma_th=gamma_th, p_outage=p)
+    return OutagePoint(gamma_th, exact_outage("vg", gamma_th, budget))
 
 
 def _outage_vg_value(gamma_th: float, budget: LinkBudget) -> float:
@@ -127,10 +128,7 @@ def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     second-hop outage threshold over mu2 at first-hop excess gain u. gamma
     values at or past the source sure-outage point return exactly 1.
     """
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
-    p = _outage_fg_value(gamma_th, budget)
-    return OutagePoint(gamma_th=gamma_th, p_outage=p)
+    return OutagePoint(gamma_th, exact_outage("fg", gamma_th, budget))
 
 
 def _outage_fg_value(gamma_th: float, budget: LinkBudget) -> float:
@@ -154,8 +152,7 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
     Independent of the closed form (no Bessel evaluation); used to cross
     check it. Raises ConvergenceError if the quadrature budget runs out.
     """
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
+    check_threshold(gamma_th)
     if gamma_th == 0.0:
         return OutagePoint(0.0, 0.0)
     if budget.n0 == 0.0:
@@ -185,8 +182,7 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 
 def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
     """High-power floor of the fixed-gain outage (CDF of its SNDR limit)."""
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
+    check_threshold(gamma_th)
     b = budget
     s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
     if s_slope <= 0.0:
@@ -206,8 +202,7 @@ def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     protocol = normalize_protocol(protocol)
     if protocol == "fg":
         return outage_fg_floor(gamma_th, budget)
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
+    check_threshold(gamma_th)
     if max(budget.tilde_eta_s, budget.tilde_eta_r) == 0.0:
         return 0.0
     return 0.0 if gamma_th < asymptotic_sndr("vg", 1.0, budget) else 1.0
@@ -246,8 +241,7 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
     decays like 1/p. Values are clamped to [0, 1].
     """
     protocol = normalize_protocol(protocol)
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
+    check_threshold(gamma_th)
     ref = build_budget(replace(cfg, p_s=1.0))
     out = []
     for p_s in p_s_grid:
@@ -257,12 +251,11 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
 
 
 def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
+    """Exact outage probability of either protocol."""
     protocol = normalize_protocol(protocol)
-    if gamma_th < 0.0:
-        raise DomainError("gamma_th must be non-negative")
-    if protocol == "vg":
-        return _outage_vg_value(gamma_th, budget)
-    return _outage_fg_value(gamma_th, budget)
+    check_threshold(gamma_th)
+    value = _outage_vg_value if protocol == "vg" else _outage_fg_value
+    return value(gamma_th, budget)
 
 
 def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) -> DiversityFit:
@@ -305,9 +298,9 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
 
     Valid while 0 < Z*gamma (times 1 + sigma1_bar for fixed gain) stays well
     below one and gamma_th is below the protocol's critical threshold.
-    Outside that region, past the fixed-gain term's turning point (beyond
-    which it would fall as gamma grows), or where the first-order value
-    leaves [0, 1), a RegimeError is raised; the value is never clamped.
+    Outside that region, past the term's turning point (beyond which it
+    would fall as gamma grows), or where the first-order value leaves
+    [0, 1), a RegimeError is raised; the value is never clamped.
     """
     protocol = normalize_protocol(protocol)
     if not (gamma_th > 0.0):
@@ -324,20 +317,20 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     )
     zg = z_const * gamma_th
     s1, s2 = b.sigma1_bar, b.sigma2_bar
+    # p = zg (lead - k ln arg), with (k, arg) = (1, zg) for vg, (1 + s1, zg (1 + s1)) for fg
     if protocol == "vg":
-        if not (0.0 < zg < 1.0):
-            raise RegimeError("expansion region exceeded: Z*gamma outside (0, 1)")
-        p = zg * (1.0 - 2.0 * euler_c + s1 + s2 - math.log(zg))
+        k, arg = 1.0, zg
+        lead = 1.0 - 2.0 * euler_c + s1 + s2
     else:
-        arg = zg * (1.0 + s1)
-        if not (0.0 < arg < 1.0):
-            raise RegimeError("expansion region exceeded: Z*gamma*(1+sigma1_bar) outside (0, 1)")
+        k, arg = 1.0 + s1, zg * (1.0 + s1)
         mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
         lead = s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c)
-        # p = zg (lead - (1 + s1) ln arg) falls with gamma once (1 + s1)(ln arg + 1) >= lead
-        if (1.0 + s1) * (math.log(arg) + 1.0) >= lead:
-            raise RegimeError("expansion region exceeded: first-order term past its turning point")
-        p = zg * (lead - (1.0 + s1) * math.log(arg))
+    if not (0.0 < arg < 1.0):
+        raise RegimeError("expansion region exceeded: Z*gamma (scaled for fg) outside (0, 1)")
+    # p falls with gamma once k (ln arg + 1) >= lead
+    if k * (math.log(arg) + 1.0) >= lead:
+        raise RegimeError("expansion region exceeded: first-order term past its turning point")
+    p = zg * (lead - k * math.log(arg))
     if not (0.0 <= p < 1.0):
         raise RegimeError(f"expansion region exceeded: first-order term {p!r} outside [0, 1)")
     return p

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bussgang import sel_apply
 from .errors import DomainError
-from .link_budget import LinkBudget, gain_fg, gain_vg, normalize_protocol, sndr
+from .link_budget import LinkBudget, check_threshold, gain_fg, gain_vg, normalize_protocol, sndr
 from .special_math import unitary_dft, unitary_idft
 
 _CHUNK = 1 << 16
@@ -259,15 +259,24 @@ def model_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str) -
     return sndr(protocol, np.abs(channel.freq_h1) ** 2, np.abs(channel.freq_h2) ** 2, budget)
 
 
+def _outage_counts(lam: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Number of SNDRs lam <= gamma for every gamma; sorts lam in place.
+
+    The count is the right insertion point of gamma in the sorted SNDRs, for
+    any gamma order, ties and duplicates included; NaN SNDRs sort last and
+    are never counted.
+    """
+    lam.sort()
+    return np.searchsorted(lam, gammas, side="right")
+
+
 def _chunk_counts(chunk) -> np.ndarray:
     """Outage counts per gamma over one chunk of independently seeded draws.
 
     All m first-hop gains are drawn first, then the second-hop gains _SLICE
     at a time; the stream continues, so the draws are those of two whole
     exponential calls. Each slice's SNDRs overwrite its first-hop gains, so
-    no temporary outgrows a slice. The count of lam <= gamma is the right
-    insertion point of gamma in the sorted SNDRs, for any gamma order, ties
-    and duplicates included; NaN SNDRs sort last and are never counted.
+    no temporary outgrows a slice.
     """
     protocol, gammas, budget, rng, m = chunk
     gen = generator(rng)
@@ -275,19 +284,7 @@ def _chunk_counts(chunk) -> np.ndarray:
     for s in range(0, m, _SLICE):
         x = lam[s:s + _SLICE]
         x[:] = sndr(protocol, x, gen.exponential(budget.config.mu2, x.size), budget)
-    lam.sort()
-    return np.searchsorted(lam, gammas, side="right")
-
-
-def mc_outage(protocol: str, gamma_th: float, budget: LinkBudget, n_trials: int,
-              rng: Rng) -> SimStats:
-    """Channel-level outage estimate with a Wilson 95% interval.
-
-    Deterministic given (seed, stream partitioning); reusing the same rng
-    across gamma values couples the draws, so estimates are monotone in
-    gamma_th.
-    """
-    return mc_outage_sweep(protocol, [gamma_th], budget, n_trials, rng)[0]
+    return _outage_counts(lam, gammas)
 
 
 def mc_outage_sweep(protocol: str, gammas, budget: LinkBudget, n_trials: int,
@@ -304,9 +301,7 @@ def mc_outage_sweep(protocol: str, gammas, budget: LinkBudget, n_trials: int,
     protocol = normalize_protocol(protocol)
     if n_trials < 1:
         raise DomainError("n_trials must be at least 1")
-    gammas = np.asarray(gammas, dtype=float)
-    if not np.all(gammas >= 0.0):
-        raise DomainError("gamma thresholds must be non-negative, not NaN")
+    gammas = check_threshold(np.asarray(gammas, dtype=float))
     chunks = [(protocol, gammas, budget, substream(rng, i), min(_CHUNK, n_trials - start))
               for i, start in enumerate(range(0, n_trials, _CHUNK))]
     counts = sum(map_fn(_chunk_counts, chunks))
@@ -395,7 +390,7 @@ def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
     protocol = normalize_protocol(protocol)
     if n_draws < 1 or n_blocks < 1:
         raise DomainError(f"need n_draws >= 1 and n_blocks >= 1, got {n_draws} and {n_blocks}")
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = check_threshold(np.asarray(gammas, dtype=float))
     cfg = budget.config
     n = cfg.n_subcarriers
     sums = np.zeros(gammas.shape)
@@ -405,11 +400,11 @@ def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
         draw_rng = substream(rng, d)
         ch = gen_channel(cfg.n_taps, n, cfg.mu1, cfg.mu2, rng=substream(draw_rng, 0))
         lam = _pilot_sndr(ch, budget, protocol, n_blocks, substream(draw_rng, 1))
-        hits = lam[None, :] <= gammas[:, None]
-        frac = np.mean(hits, axis=1)
+        counts = _outage_counts(lam, gammas)
+        frac = counts / n
         sums += frac
         sq_sums += frac * frac
-        total += np.count_nonzero(hits, axis=1)
+        total += counts
     mean = sums / n_draws
     var = np.maximum(sq_sums - n_draws * mean**2, 0.0) / max(n_draws - 1, 1)
     half = _t975(n_draws - 1) * np.sqrt(var / n_draws) if n_draws > 1 else np.inf

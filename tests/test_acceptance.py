@@ -28,8 +28,8 @@ from afrelay.simulator import (
     estimator_consistent_outage,
     gen_channel,
     generator,
+    mc_outage_sweep,
     measure_sndr,
-    mc_outage,
     model_sndr,
     waveform_outage,
 )
@@ -96,7 +96,7 @@ def test_acceptance_2_vg_closed_form_vs_oracle():
             gamma = 10.0 ** (g_db / 10.0)
             p_cf = outage_vg(gamma, budget).p_outage
             stream += 1
-            s = mc_outage("vg", gamma, budget, n, Rng(820, stream))
+            s = mc_outage_sweep("vg", [gamma], budget, n, Rng(820, stream))[0]
             sigma = math.sqrt(p_cf * (1.0 - p_cf) / n)
             dev = abs(s.p_hat - p_cf)
             worst = max(worst, dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf))

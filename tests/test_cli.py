@@ -384,6 +384,13 @@ class TestConfigHandling:
     def test_bad_grid_spec(self):
         assert main(["outage-sweep", "--gamma-db", "5:-1:0"]) == 2
 
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf"])
+    def test_non_finite_single_value_exits_2(self, capsys, spec):
+        # a single value meets the same finite rule as start:step:stop
+        assert main(["outage-sweep", f"--gamma-db={spec}", "--trials", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma_db ") and "one_minus_x_k1" not in err
+
     @pytest.mark.parametrize("spec", ["0:1e-9:30", "0:1e-320:30", "0:1:4096"])
     def test_oversized_grid_exits_2(self, spec):
         # rejected before any allocation: 0:1e-9:30 would be 3e10 points

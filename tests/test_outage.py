@@ -23,6 +23,7 @@ from afrelay.outage import (
     small_gamma_expansion,
     threshold,
 )
+from afrelay.simulator import Rng, mc_outage_sweep, waveform_outage
 from afrelay.special_math import integrate_semi_infinite
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
@@ -273,8 +274,24 @@ class TestOutageFgClosedForm:
 class TestExactOutage:
     @pytest.mark.parametrize("protocol", ["fg", "vg"])
     def test_negative_gamma_rejected(self, protocol):
-        with pytest.raises(DomainError):
-            exact_outage(protocol, -1.0, build_budget(GOLDEN_CFG))
+        # one threshold rule at every public entry: NaN is refused like -1
+        b = build_budget(GOLDEN_CFG)
+        entries = [
+            lambda g: exact_outage(protocol, g, b),
+            lambda g: outage_vg(g, b),
+            lambda g: outage_fg(g, b),
+            lambda g: outage_vg_quadrature(g, b),
+            lambda g: outage_floor(protocol, g, b),
+            lambda g: outage_fg_floor(g, b),
+            lambda g: outage_asymptotic(protocol, g, [1e3, 1e6], GOLDEN_CFG),
+            lambda g: gamma_map_source_distortion(g, b),
+            lambda g: mc_outage_sweep(protocol, [1.0, g], b, 1000, Rng(5)),
+            lambda g: waveform_outage(protocol, [g, 1.0], b, 2, 4, Rng(5)),
+        ]
+        for bad in (-1.0, math.nan):
+            for entry in entries:
+                with pytest.raises(DomainError):
+                    entry(bad)
 
 
 class TestFgFloor:
@@ -415,6 +432,17 @@ class TestSmallGamma:
         b = build_budget(scaled_cfg(FIG2_CFG, 1e3))
         with pytest.raises(RegimeError):
             small_gamma_expansion("fg", 10.0 ** (gamma_db / 10.0), b)
+
+    def test_vg_past_turning_point_raises(self):
+        # mu1 = mu2 = 0.3 at 0 dB: the first-order term peaks at 0.574 near
+        # -13 dB and falls to 0.451 at -10.5 dB, where the exact outage is 0.855
+        b = build_budget(NetworkConfig(mu1=0.3, mu2=0.3, p_s=1.0))
+        peak = small_gamma_expansion("vg", 10.0 ** -1.3, b)
+        assert peak == pytest.approx(0.574, abs=1e-3)
+        assert exact_outage("vg", 10.0 ** -1.05, b) == pytest.approx(0.855, abs=1e-3)
+        for gamma_db in (-12.5, -10.5):
+            with pytest.raises(RegimeError):
+                small_gamma_expansion("vg", 10.0 ** (gamma_db / 10.0), b)
 
     def test_regime_guard(self):
         b = build_budget(FIG2_CFG)

@@ -3,7 +3,7 @@
 Outage is a probability, it grows with the threshold, it is 1 past the
 critical threshold, the closed-form variable-gain outage agrees with its
 quadrature route, and the small-gamma expansion only returns probabilities
-and, for fixed gain, never falls as the threshold grows.
+and never falls as the threshold grows.
 Examples are derandomized so a tier-1 run is reproducible.
 """
 
@@ -87,12 +87,12 @@ def test_small_gamma_expansion_returns_probabilities(budget, protocol, g_db):
 
 
 @settled(300)
-@given(budget=budgets, g1=st.floats(-60.0, 60.0), g2=st.floats(-60.0, 60.0))
-def test_fg_small_gamma_expansion_does_not_fall(budget, g1, g2):
+@given(budget=budgets, protocol=protocols, g1=st.floats(-60.0, 60.0), g2=st.floats(-60.0, 60.0))
+def test_fg_small_gamma_expansion_does_not_fall(budget, protocol, g1, g2):
     lo, hi = sorted((10.0 ** (g1 / 10.0), 10.0 ** (g2 / 10.0)))
     try:
-        p_lo = small_gamma_expansion("fg", lo, budget)
-        p_hi = small_gamma_expansion("fg", hi, budget)
+        p_lo = small_gamma_expansion(protocol, lo, budget)
+        p_hi = small_gamma_expansion(protocol, hi, budget)
     except RegimeError:
         return
     assert p_lo <= p_hi

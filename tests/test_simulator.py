@@ -28,7 +28,6 @@ from afrelay.simulator import (
     fg_stationarity_check,
     gen_channel,
     generator,
-    mc_outage,
     mc_outage_sweep,
     measure_sndr,
     model_sndr,
@@ -265,12 +264,12 @@ class TestEstimateBussgang:
 class TestMcOutage:
     def test_zero_gamma(self):
         b = build_budget(CLIPPED_CFG)
-        s = mc_outage("vg", 0.0, b, 1000, Rng(18))
+        s = mc_outage_sweep("vg", [0.0], b, 1000, Rng(18))[0]
         assert s.p_hat == 0.0 and s.n_outages == 0
 
     def test_huge_gamma(self):
         b = build_budget(CLIPPED_CFG)
-        s = mc_outage("vg", 1e9, b, 1000, Rng(19))
+        s = mc_outage_sweep("vg", [1e9], b, 1000, Rng(19))[0]
         assert s.p_hat == 1.0
 
     def test_matches_closed_form(self):
@@ -280,13 +279,13 @@ class TestMcOutage:
         b = build_budget(cfg)
         p_cf = outage_vg(1.0, b).p_outage
         n = 200_000
-        s = mc_outage("vg", 1.0, b, n, Rng(20))
+        s = mc_outage_sweep("vg", [1.0], b, n, Rng(20))[0]
         assert abs(s.p_hat - p_cf) <= 3.0 * math.sqrt(p_cf * (1.0 - p_cf) / n)
 
     def test_deterministic(self):
         b = build_budget(CLIPPED_CFG)
-        a = mc_outage("vg", 1.0, b, 70_000, Rng(21, 5))
-        c = mc_outage("vg", 1.0, b, 70_000, Rng(21, 5))
+        a = mc_outage_sweep("vg", [1.0], b, 70_000, Rng(21, 5))[0]
+        c = mc_outage_sweep("vg", [1.0], b, 70_000, Rng(21, 5))[0]
         assert a == c
 
     def test_crn_monotone_in_gamma(self):
@@ -303,19 +302,13 @@ class TestMcOutage:
             pooled = mc_outage_sweep("vg", gammas, b, 150_000, Rng(29), map_fn=pool.map)
         assert pooled == serial
 
-    def test_sweep_consistent_with_single(self):
-        b = build_budget(CLIPPED_CFG)
-        sweep = mc_outage_sweep("vg", [1.0], b, 30_000, Rng(23))
-        single = mc_outage("vg", 1.0, b, 30_000, Rng(23))
-        assert sweep[0] == single
-
     @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
     def test_nan_or_negative_gamma_rejected(self, bad):
         b = build_budget(CLIPPED_CFG)
         with pytest.raises(DomainError):
             mc_outage_sweep("vg", [1.0, bad], b, 1000, Rng(24))
         with pytest.raises(DomainError):
-            mc_outage("vg", bad, b, 1000, Rng(24))
+            mc_outage_sweep("vg", [bad], b, 1000, Rng(24))
 
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     def test_chunk_counts_match_broadcast_count(self, protocol):
@@ -359,7 +352,7 @@ class TestMcOutage:
         p_cf = outage_vg(1.0, b).p_outage
         hits = 0
         for i in range(40):
-            s = mc_outage("vg", 1.0, b, 20_000, Rng(400 + i))
+            s = mc_outage_sweep("vg", [1.0], b, 20_000, Rng(400 + i))[0]
             hits += s.ci_low <= p_cf <= s.ci_high
         assert hits >= 35
 
