@@ -30,7 +30,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .bussgang import sel_apply, sel_params
-from .epsilon_critical import report as phase_report, threshold
+from .epsilon_critical import _to_db, report as phase_report, threshold
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .link_budget import PROTOCOLS, NetworkConfig, build_budget
 from .outage import (
@@ -79,10 +79,14 @@ class RunConfig:
     format: str = "csv"
 
     @property
+    def p_0db(self) -> float:
+        """The power that 0 dB stands for: n0, or 1 in a noiseless network."""
+        return self.n0 if self.n0 > 0.0 else 1.0
+
+    @property
     def p_s(self) -> float:
-        base = self.n0 if self.n0 > 0.0 else 1.0
         try:
-            return base * 10.0 ** (self.snr_db / 10.0)
+            return self.p_0db * 10.0 ** (self.snr_db / 10.0)
         except OverflowError:
             raise ConfigError(f"snr_db is too large, got {self.snr_db!r}") from None
 
@@ -122,30 +126,39 @@ def _db_to_lin(db):
 
 
 def _fmt(x) -> str:
-    if x is None:
+    """One CSV cell: empty for None and NaN, a float to 12 significant digits."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _json(obj, indent=None) -> str:
+    """obj as JSON text. JSON has no inf or NaN: every non-finite float is null."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+    return json.dumps(finite(obj), indent=indent, allow_nan=False)
+
+
+def _write(rc: RunConfig, result) -> None:
+    """The one exit for results: text as it is, anything else as JSON, to --out or stdout."""
+    text = result if isinstance(result, str) else _json(result, indent=2) + "\n"
+    if rc.out is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(rc.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _rows_to_csv(header, rows, preamble=(), trailer=()) -> str:
-    lines = list(preamble)
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.extend(trailer)
+def _table(rc: RunConfig, header, rows, meta_key: str, meta: dict, head=(), tail=()):
+    """rows as a JSON payload {meta_key: meta, "rows": [...]} under --format json,
+    else as CSV text between the comment lines head and tail."""
+    if rc.format == "json":
+        return {meta_key: meta, "rows": [dict(zip(header, r)) for r in rows]}
+    lines = [*head, ",".join(header), *(",".join(_fmt(v) for v in r) for r in rows), *tail]
     return "\n".join(lines) + "\n"
 
 
@@ -163,35 +176,23 @@ def cmd_outage_sweep(rc: RunConfig) -> int:
     budget = build_budget(rc.network())
     gammas_db = _parse_grid(rc.gamma_db, "gamma_db")
     gammas = _db_to_lin(gammas_db)
-    th = threshold(rc.protocol, budget)
-    th_db = 10.0 * math.log10(th) if th < math.inf else math.inf
-    mc = _mc_sweep(gammas, budget, rc.trials, rc) if rc.trials else []
+    th_db = _to_db(threshold(rc.protocol, budget))
+    mc = _mc_sweep(gammas, budget, rc.trials, rc) if rc.trials else [None] * gammas.size
     rows = []
-    for i, (g_db, g) in enumerate(zip(gammas_db, gammas)):
+    for g_db, g, s in zip(gammas_db, gammas, mc):
         p_an = exact_outage(rc.protocol, float(g), budget)
         floor = outage_floor(rc.protocol, float(g), budget)
         try:
             p_sg = small_gamma_expansion(rc.protocol, float(g), budget)
         except (DomainError, RegimeError):
             p_sg = None
-        if mc:
-            s = mc[i]
-            row_mc = (s.p_hat, s.ci_low, s.ci_high, s.n_trials)
-        else:
-            row_mc = (None, None, None, None)
+        row_mc = (s.p_hat, s.ci_low, s.ci_high, s.n_trials) if s else (None,) * 4
         rows.append((float(g_db), p_an, floor, p_sg) + row_mc + (rc.seed,))
     header = ["gamma_th_db", "po_analytic", "po_floor", "po_small_gamma",
               "po_mc", "ci_low", "ci_high", "n_trials", "seed"]
-    meta = {"threshold_db": None if math.isinf(th_db) else th_db, "protocol": rc.protocol}
-    if rc.format == "json":
-        payload = {
-            "meta": meta,
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
-        _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    else:
-        preamble = [f"# threshold_db={_fmt(th_db)} protocol={rc.protocol}"]
-        _write_text(rc.out, _rows_to_csv(header, rows, preamble=preamble))
+    meta = {"threshold_db": th_db, "protocol": rc.protocol}
+    head = [f"# threshold_db={_fmt(th_db)} protocol={rc.protocol}"]
+    _write(rc, _table(rc, header, rows, "meta", meta, head=head))
     return 0
 
 
@@ -203,8 +204,7 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     if gamma_db.size != 1:
         raise ConfigError("power-sweep expects a single gamma_db value")
     gamma = float(_db_to_lin(gamma_db)[0])
-    base = rc.n0 if rc.n0 > 0.0 else 1.0
-    ps_grid = base * _db_to_lin(ps_db)
+    ps_grid = rc.p_0db * _db_to_lin(ps_db)
     asym = outage_asymptotic(rc.protocol, gamma, ps_grid, rc.network())
     rows = []
     for p_db, p_s, a in zip(ps_db, ps_grid, asym):
@@ -220,32 +220,16 @@ def cmd_power_sweep(rc: RunConfig) -> int:
         "r_squared": fit.r_squared,
     }
     header = ["ps_db", "po_exact", "po_asymptotic", "ratio"]
-    if rc.format == "json":
-        payload = {
-            "summary": summary,
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
-        _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    else:
-        trailer = ["# summary " + json.dumps(summary)]
-        _write_text(rc.out, _rows_to_csv(header, rows, trailer=trailer))
+    tail = ["# summary " + _json(summary)]
+    _write(rc, _table(rc, header, rows, "summary", summary, tail=tail))
     return 0
 
 
-def _report_to_jsonable(rep) -> dict:
-    d = asdict(rep)
-    for k, v in d.items():
-        if isinstance(v, float) and math.isinf(v):
-            d[k] = None
-    return d
-
-
 def cmd_thresholds(rc: RunConfig) -> int:
+    """JSON whatever --format says: the report has no table form."""
     budget = build_budget(rc.network())
-    reps = phase_report(budget, include_exact_outage=rc.n0 > 0.0)
-    payload = {p: _report_to_jsonable(r) for p, r in reps.items()}
-    payload["eps_star"] = None if math.isinf(budget.eps_star) else budget.eps_star
-    _write_text(rc.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    reps = phase_report(budget, include_exact_outage=True)
+    _write(rc, {**{p: asdict(r) for p, r in reps.items()}, "eps_star": budget.eps_star})
     return 0
 
 
@@ -327,9 +311,8 @@ def cmd_validate(rc: RunConfig) -> int:
     cv = fg_stationarity_check(rc.n_taps, budget, 200, Rng(rc.seed, 31))
     notes.append(f"stationarity: relay input power CV {cv:.4f} at {rc.n_taps} tap(s)")
 
-    for ln in lines + notes:
-        print(ln)
-    print("validate:", "PASS" if not failures else f"FAIL ({', '.join(failures)})")
+    verdict = "validate: " + ("PASS" if not failures else f"FAIL ({', '.join(failures)})")
+    _write(rc, "\n".join([*lines, *notes, verdict]) + "\n")
     return 0 if not failures else 1
 
 

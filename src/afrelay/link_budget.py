@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bussgang import SelParams, sel_params, sigma_for_target_power
+from .bussgang import _TINY_CLIP_RATIO, SelParams, sel_params, sigma_for_target_power
 from .errors import DomainError
 
 PROTOCOLS = ("fg", "vg")
@@ -46,7 +46,8 @@ class NetworkConfig:
 
     mu1/mu2 are per-hop mean channel gains, n0 the noise power, p_s the source
     average transmit power, p_ratio the relay-to-source power ratio, and the
-    clip ratios are p_max/sigma_sq at each node (inf = no clipping).
+    clip ratios are p_max/sigma_sq at each node (inf = no clipping). A clip
+    ratio below 1e-12 is refused: such a node passes no signal at all.
     """
 
     mu1: float = 1.0
@@ -67,8 +68,9 @@ class NetworkConfig:
         if not (0.0 <= self.n0 < math.inf):
             raise DomainError(f"n0 must be non-negative and finite, got {self.n0!r}")
         for name in ("clip_ratio_s", "clip_ratio_r"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive or inf, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (value >= _TINY_CLIP_RATIO):
+                raise DomainError(f"{name} must be >= {_TINY_CLIP_RATIO:g} or inf, got {value!r}")
         if self.n_subcarriers < 1 or self.n_taps < 1:
             raise DomainError("n_subcarriers and n_taps must be at least 1")
 
@@ -215,8 +217,9 @@ def normalized_sndr_coeffs(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     protocol = normalize_protocol(protocol)
     x = float(h1_gain)
     y = float(h2_gain)
-    if x < 0.0 or y < 0.0:
-        raise DomainError("channel gains must be non-negative")
+    # the coefficients divide by h2_gain, and by h1_gain for variable gain
+    if not (x >= 0.0 and y > 0.0) or (protocol == "vg" and x == 0.0):
+        raise DomainError(f"channel gains must be positive (fg allows h1_gain = 0), got {x!r}, {y!r}")
     b = budget
     eta_max = max(b.tilde_eta_s, b.tilde_eta_r)
     if eta_max <= 0.0:

@@ -213,7 +213,8 @@ def _expansion_terms(protocol: str, gamma_th: float, p_s: float, budget: LinkBud
 
     Fixed gain: outage_fg_floor plus log(p)/(g_fg p), with exp(-expo) kept as
     a factor so the term decays to 0, not overflows, when relay distortion
-    dominates. Variable gain: 1/(g_vg p), or (1, 0) past its threshold. Only
+    dominates. Variable gain: 1/(g_vg p), or (1, 0) past its threshold. Both
+    terms are proportional to n0 * gamma_th, so they are 0 when it is. Only
     the tilde fields and mu1, mu2, n0 and p_ratio are read, so any budget of
     the configuration will do.
     """
@@ -230,6 +231,8 @@ def _expansion_terms(protocol: str, gamma_th: float, p_s: float, budget: LinkBud
     margin = b.tilde_signal_r - g_eff * b.tilde_eta_r
     if margin <= 0.0:
         return 1.0, 0.0
+    if b.n0 * g_eff == 0.0:
+        return 0.0, 0.0
     g_vg = margin * mu1 * mu2 / (b.n0 * g_eff * (mu1 + b.config.p_ratio * mu2))
     return 0.0, 1.0 / (g_vg * p_s)
 

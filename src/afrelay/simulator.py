@@ -89,10 +89,11 @@ def _t975(df: int) -> float:
     return z + sum(gk / df ** (k + 1) for k, gk in enumerate(g))
 
 
-def wilson_interval(k: int, n: int, z: float = _Z975) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% score interval; stays sane at p_hat near 0 or 1."""
     if n <= 0:
         return 0.0, 1.0
+    z = _Z975
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -112,7 +113,7 @@ def _cgauss(gen, shape, var):
     return out
 
 
-def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng = Rng(0)) -> ChannelRealization:
+def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelRealization:
     """Draw one quasi-static channel pair with l taps over n subcarriers.
 
     Each tap is CN(0, n mu / l), so each subcarrier response is exactly

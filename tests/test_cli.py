@@ -1,6 +1,7 @@
 """CLI contract tests: schemas, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 from dataclasses import asdict, fields
@@ -18,6 +19,7 @@ SWEEP_ARGS = [
     "outage-sweep", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
     "--snr-db", "50", "--gamma-db", "0:0.25:30", "--trials", "1e4", "--seed", "7",
 ]
+FIG2 = ["--clip-s", "5", "--clip-r", "8"]
 
 
 def read_lines(path):
@@ -234,6 +236,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "informational" in out
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["pass", "fail"])
+    def test_out_path_gets_the_report(self, monkeypatch, tmp_path, capsys, fail):
+        if fail:  # a closed form the Monte Carlo cannot match
+            monkeypatch.setattr(cli, "exact_outage", lambda protocol, gamma, budget: 0.5)
+        out = tmp_path / "v.txt"
+        args = ["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2",
+                "--blocks", "100", "--trials", "1e4", "--n", "64", "--taps", "16", "--out", str(out)]
+        assert main(args) == (1 if fail else 0)
+        assert capsys.readouterr().out == ""
+        last = read_lines(out)[-1]
+        assert last.startswith("validate: FAIL (outage-mc") if fail else last == "validate: PASS"
+
 
 class TestValidateLimiterSampling:
     def test_relay_eta_seed_2_passes(self, capsys):
@@ -253,6 +267,37 @@ class TestValidateLimiterSampling:
             assert abs(np.mean(power > t) - math.exp(-t)) <= 1.0 / n
         assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
         assert np.var(x.real) / np.var(x.imag) == pytest.approx(1.0, abs=0.03)
+
+
+class TestPinnedOutput:
+    """Every subcommand's stdout, pinned by SHA-256: valid input keeps its bytes."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["outage-sweep", "--protocol", "vg", *FIG2, "--snr-db", "50", "--gamma-db", "0:5:30",
+          "--trials", "1e4", "--seed", "7", "--format", "json"],
+         "cb9e9db4c87793cc6c70ea0bf07efc7b098313571242d1cf4cfa3e755855b5b7"),
+        (["power-sweep", "--protocol", "vg", *FIG2, "--gamma-db", "0", "--ps-db", "40:10:80"],
+         "520469efad152e9372a71b38b956ccfda9ef851ee4a90038d732f6628ad00abc"),
+        (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
+          "--ps-db", "40:10:80", "--format", "json"],
+         "ad6ea0384739b79a28a7ab499cd1dbdb20e6c61e04cc4c4cf63a1445285e8507"),
+        (["thresholds", *FIG2, "--snr-db", "70"],
+         "b2ab6d3e9926c625c46ed048aeaf7fd9eeecf89b83f2738fdcdad0ef7bd60c40"),
+        # thresholds writes JSON whatever --format says
+        (["thresholds", "--snr-db", "30", "--format", "csv"],
+         "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),
+        (["thresholds", "--n0", "0", *FIG2],
+         "f2fc522aa983b28d5d3f861ac6bec68f91803cb1077f1d63af498c2d570913a9"),
+        (["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2", "--blocks", "100",
+          "--trials", "1e4", "--n", "64", "--taps", "16"],
+         "3fad3040153b59ea1bcd754f2bc4e9783234e696cb00aa396af53b5bb0a922ed"),
+    ], ids=["outage-sweep-json", "power-sweep-csv", "power-sweep-json", "thresholds-clipped",
+            "thresholds-linear", "thresholds-n0-0", "validate"])
+    def test_stdout_sha256(self, capsys, argv, digest):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
 class TestConfigHandling:
@@ -321,6 +366,27 @@ class TestConfigHandling:
     def test_overflowing_power_exits_2(self, capsys, argv, name):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["outage-sweep", "--clip-s", "1e-13", "--clip-r", "8"], "clip_ratio_s"),
+        (["outage-sweep", "--protocol", "fg", "--clip-s", "1e-13", "--clip-r", "8"], "clip_ratio_s"),
+        (["outage-sweep", "--clip-r", "1e-13"], "clip_ratio_r"),
+        (["outage-sweep", "--protocol", "fg", "--clip-r", "1e-13"], "clip_ratio_r"),
+        (["thresholds", "--clip-s", "5", "--clip-r", "1e-13"], "clip_ratio_r"),
+        (["power-sweep", "--protocol", "fg", "--clip-s", "5", "--clip-r", "1e-13",
+          "--gamma-db", "0"], "clip_ratio_r"),
+    ], ids=["vg-source", "fg-source", "vg-relay", "fg-relay", "thresholds", "power-sweep-fg"])
+    def test_clip_ratio_that_passes_nothing_exits_2(self, capsys, argv, name):
+        # below 1e-12 a node passes no signal (zeta = eta = 0), which analysis divides by
+        assert main(argv + ["--trials", "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be >= 1e-12 or inf")
+
+    def test_noiseless_vg_power_sweep_exits_2(self, capsys):
+        # a noiseless vg outage below threshold is exactly 0: nothing to fit a slope to
+        with pytest.warns(UserWarning, match="underflow"):
+            code = main(["power-sweep", "--n0", "0", *FIG2, "--gamma-db", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: too few usable points for a diversity fit\n"
 
     @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime"),
                                      ConvergenceError("quadrature ran out of budget")],

@@ -39,6 +39,17 @@ class TestNetworkConfig:
         with pytest.raises(DomainError, match=f"^{field} must be"):
             NetworkConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, 1e-13, -1.0, math.nan])
+    @pytest.mark.parametrize("field", ["clip_ratio_s", "clip_ratio_r"])
+    def test_clip_ratio_that_passes_nothing_rejected(self, field, value):
+        # below 1e-12 the limiter model gives zeta = eta = 0: no signal at all
+        with pytest.raises(DomainError, match=f"^{field} must be >= 1e-12 or inf"):
+            NetworkConfig(**{field: value})
+
+    def test_smallest_clip_ratio_accepted(self):
+        b = build_budget(NetworkConfig(clip_ratio_s=1e-12, clip_ratio_r=1e-12))
+        assert b.sel_s.zeta > 0.0 and b.sel_r.zeta > 0.0
+
 
 class TestBuildBudget:
     def test_linear_network(self):
@@ -274,6 +285,20 @@ class TestNormalizedSndr:
     def test_linear_network_rejected(self):
         with pytest.raises(DomainError):
             normalized_sndr_coeffs("vg", 1.0, 1.0, linear_budget())
+
+    @pytest.mark.parametrize("protocol,h1,h2", [
+        ("fg", 1.0, 0.0), ("vg", 0.0, 1.0), ("vg", 1.0, 0.0), ("fg", math.nan, 1.0),
+        ("vg", 1.0, -1.0),
+    ], ids=["fg-h2-zero", "vg-h1-zero", "vg-h2-zero", "fg-h1-nan", "vg-h2-negative"])
+    def test_gain_it_divides_by_rejected(self, protocol, h1, h2):
+        with pytest.raises(DomainError, match="^channel gains must be positive"):
+            normalized_sndr_coeffs(protocol, h1, h2, build_budget(FIG2_CFG))
+
+    def test_fg_zero_first_hop_gain_has_zero_scale(self):
+        b = build_budget(FIG2_CFG)
+        a, lc, q, scale = normalized_sndr_coeffs("fg", 0.0, 1.0, b)
+        assert scale == 0.0 and a > 0.0
+        assert sndr("fg", 0.0, 1.0, b) == 0.0
 
 
 class TestAsymptoticSndr:

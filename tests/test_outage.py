@@ -361,6 +361,19 @@ class TestAsymptotic:
         pts = outage_asymptotic("fg", gamma, [1e4, 1e6, 1e8], cfg)
         assert [p.p_outage for p in pts] == [floor] * 3
 
+    def test_vg_noiseless_is_a_step(self):
+        # n0 = 0: no first-order term, so 0 below the vg threshold and 1 past it
+        cfg = NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0)
+        th = threshold("vg", build_budget(cfg))
+        assert th < threshold("fg", build_budget(cfg))  # past th is not yet sure outage at the source
+        for gamma, expected in ((0.0, 0.0), (1.0, 0.0), (0.99 * th, 0.0), (1.01 * th, 1.0)):
+            pts = outage_asymptotic("vg", gamma, [1e4, 1e8], cfg)
+            assert [p.p_outage for p in pts] == [expected] * 2
+
+    def test_zero_threshold_is_zero(self):
+        for protocol in ("fg", "vg"):
+            assert outage_asymptotic(protocol, 0.0, [1e4], FIG2_CFG)[0].p_outage == 0.0
+
     def test_precondition(self):
         b = build_budget(FIG2_CFG)
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
