@@ -33,10 +33,10 @@ def normalize_protocol(protocol: str) -> str:
 
 
 def check_threshold(gamma_th):
-    """gamma_th (a number or an array) if every value is >= 0; NaN fails that test too."""
-    ok = gamma_th >= 0.0
+    """gamma_th (a number or an array) if every value is finite and >= 0; NaN is neither."""
+    ok = (gamma_th >= 0.0) & (gamma_th < math.inf)
     if not (ok is True or np.all(ok)):
-        raise DomainError("gamma_th must be non-negative, not NaN")
+        raise DomainError("gamma_th must be finite and non-negative")
     return gamma_th
 
 

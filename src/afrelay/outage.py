@@ -11,15 +11,15 @@ source also clips behaves like a relay-distortion-only network at
 gamma * p_s / (sigma_S^2 zeta_S^2 - gamma eta_S), and once that denominator
 is exhausted outage is sure at any power.
 
-Every function here takes a linear protection threshold gamma_th >= 0. A
-negative or NaN threshold raises DomainError (link_budget.check_threshold),
-which the command line turns into exit code 2.
+Every function here takes a finite linear threshold gamma_th >= 0 and source
+powers 0 < p_s < inf; anything else, inf and NaN included, raises DomainError
+from link_budget.check_threshold or NetworkConfig, which the command line
+turns into exit code 2.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,7 +247,8 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
     check_threshold(gamma_th)
     ref = build_budget(replace(cfg, p_s=1.0))
     out = []
-    for p_s in p_s_grid:
+    for p_s in map(float, p_s_grid):
+        replace(cfg, p_s=p_s)  # holds p_s to NetworkConfig's rule
         floor, term = _expansion_terms(protocol, gamma_th, p_s, ref)
         out.append(OutagePoint(gamma_th, _clamp01(floor + term)))
     return out
@@ -264,27 +265,24 @@ def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
 def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) -> DiversityFit:
     """Least-squares slope of -log outage vs log source power.
 
-    The fit uses the top decade of the grid, where the expansion regime is
-    cleanest. Points that underflow are dropped with a warning.
+    The grid is >= 3 powers spanning 30 dB, less the few ulps that rounding
+    dB values to powers can cost. The fit uses its top decade, where the
+    expansion regime is cleanest; an outage of exactly 0 there raises DomainError.
     """
     protocol = normalize_protocol(protocol)
-    grid = np.asarray(sorted(float(p) for p in p_s_grid))
-    if grid.size < 3 or grid[-1] / grid[0] < 1e3:
-        raise DomainError("power grid must span at least three decades")
-    top = grid[grid >= grid[-1] / 10.0]
-    if top.size < 3:
+    grid = sorted(replace(cfg, p_s=float(p)).p_s for p in p_s_grid)  # NetworkConfig's rule
+    if len(grid) < 3 or grid[-1] / grid[0] < 1e3 * (1.0 - 1e-9):
+        raise DomainError("power grid must span at least three decades (30 dB)")
+    top = [p_s for p_s in grid if p_s >= grid[-1] / 10.0]
+    if len(top) < 3:
         top = grid[-3:]
     ps, vals = [], []
     for p_s in top:
-        budget = build_budget(replace(cfg, p_s=p_s))
-        p = exact_outage(protocol, gamma_th, budget)
-        if p < 1e-300:
-            warnings.warn(f"outage underflow at p_s={p_s:g}; point dropped from diversity fit")
-            continue
+        p = exact_outage(protocol, gamma_th, build_budget(replace(cfg, p_s=p_s)))
+        if p == 0.0:
+            raise DomainError(f"outage is exactly 0 at p_s={p_s!r}: no slope to fit")
         ps.append(math.log(p_s))
         vals.append(math.log(p))
-    if len(ps) < 2:
-        raise DomainError("too few usable points for a diversity fit")
     ps = np.asarray(ps)
     vals = np.asarray(vals)
     slope_b, intercept = np.polyfit(ps, vals, 1)
@@ -306,7 +304,7 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
     [0, 1), a RegimeError is raised; the value is never clamped.
     """
     protocol = normalize_protocol(protocol)
-    if not (gamma_th > 0.0):
+    if check_threshold(gamma_th) == 0.0:
         raise DomainError("gamma_th must be positive")
     b = budget
     if b.n0 == 0.0:

@@ -4,15 +4,18 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from afrelay import cli
-from afrelay.cli import RunConfig, _build_run_config, _circular_gaussian, _parse_grid, main
+from afrelay.cli import (RunConfig, _build_run_config, _circular_gaussian, _db_to_lin,
+                         _parse_grid, main)
 from afrelay.errors import ConfigError, ConvergenceError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
+from afrelay.outage import diversity_fit
 from afrelay.simulator import Rng, generator, mc_outage_sweep
 
 SWEEP_ARGS = [
@@ -193,6 +196,16 @@ class TestPowerSweep:
         ]
         assert main(args) == 2
 
+    def test_nominal_30_db_grids_accepted(self):
+        # S:step:S+30 for S = 20.0 .. 89.9: rounding may leave the linear ratio a few ulps
+        # short of 1e3, and the one span rule still takes the grid the command line builds
+        cfg = NetworkConfig(clip_ratio_r=5.0)
+        for tenths in range(200, 900):
+            for step in ("2.5", "5", "10"):
+                spec = f"{tenths // 10}.{tenths % 10}:{step}:{tenths // 10 + 30}.{tenths % 10}"
+                grid = _db_to_lin(_parse_grid(spec, "ps_db"), "ps_db", spec)
+                diversity_fit("vg", 1.0, cfg, grid)
+
 
 class TestThresholds:
     def test_clipped_config(self, tmp_path):
@@ -291,8 +304,16 @@ class TestPinnedOutput:
         (["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2", "--blocks", "100",
           "--trials", "1e4", "--n", "64", "--taps", "16"],
          "3fad3040153b59ea1bcd754f2bc4e9783234e696cb00aa396af53b5bb0a922ed"),
+        # n0 != 1: 0 dB stands for n0, so these pin the dB-to-power base as well
+        (["outage-sweep", "--n0", "0.3", "--snr-db", "47.5", "--protocol", "fg", *FIG2,
+          "--gamma-db", "0:5:30", "--trials", "1e4", "--seed", "3"],
+         "4e43c44ede7d0ff6d3a0553f8ccda0086e7eb575cc85a402c1f9677946e2ac17"),
+        (["power-sweep", "--n0", "1e-3", "--ps-db=-10:5:40", "--protocol", "vg", *FIG2,
+          "--gamma-db", "0"],
+         "985ec0a1cab10a8ae6c8c1e87744834797f6c332a24dc246d8b2497401255e0d"),
     ], ids=["outage-sweep-json", "power-sweep-csv", "power-sweep-json", "thresholds-clipped",
-            "thresholds-linear", "thresholds-n0-0", "validate"])
+            "thresholds-linear", "thresholds-n0-0", "validate", "outage-sweep-n0-0.3",
+            "power-sweep-n0-1e-3"])
     def test_stdout_sha256(self, capsys, argv, digest):
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -383,10 +404,47 @@ class TestConfigHandling:
 
     def test_noiseless_vg_power_sweep_exits_2(self, capsys):
         # a noiseless vg outage below threshold is exactly 0: nothing to fit a slope to
-        with pytest.warns(UserWarning, match="underflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["power-sweep", "--n0", "0", *FIG2, "--gamma-db", "0"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: too few usable points for a diversity fit\n"
+        assert code == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "error: outage is exactly 0 at p_s=10000000.0: no slope to fit\n")
+
+    @pytest.mark.parametrize("argv,code,start", [
+        (["outage-sweep", "--gamma-db", "4000", "--trials", "0"], 2, "gamma_db is too large"),
+        (["outage-sweep", "--protocol", "fg", "--gamma-db", "4000", "--trials", "0"], 2,
+         "gamma_db is too large"),
+        (["outage-sweep", "--clip-r", "5", "--gamma-db", "1e308", "--trials", "0"], 2,
+         "gamma_db is too large"),
+        (["power-sweep", "--gamma-db", "4000"], 2, "gamma_db is too large"),
+        (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
+          "--ps-db=-4000:10:-3960"], 2, "p_s must be positive and finite"),
+        (["power-sweep", "--clip-r", "5", "--gamma-db", "0", "--ps-db=-4000:10:-3960"], 2,
+         "p_s must be positive and finite"),
+        (["power-sweep", "--ps-db", "3000:50:3100", "--gamma-db", "0"], 2,
+         "ps_db is too large, got '3000:50:3100'"),
+        (["power-sweep", "--protocol", "fg", "--n0", "1e300", "--gamma-db", "0",
+          "--ps-db", "40:10:100"], 2, "p_s must be positive and finite"),
+        (["power-sweep", "--ps-db", "20:9.95:49.9", "--gamma-db", "0"], 2,
+         "power grid must span at least three decades"),
+        (["power-sweep", "--ps-db", "20.1:10:50.1", "--gamma-db", "0"], 0, None),
+        (["power-sweep", "--ps-db", "20.8:10:50.8", "--gamma-db", "0"], 0, None),
+    ], ids=["gamma-overflow-vg", "gamma-overflow-fg", "gamma-overflow-relay-only",
+            "power-sweep-gamma-overflow", "ps-underflow-fg", "ps-underflow-vg", "ps-overflow",
+            "ps-times-n0-overflow", "span-29.85-db", "span-30-db-from-20.1",
+            "span-30-db-from-20.8"])
+    def test_axis_rule_violations_exit_2_in_one_line(self, capsys, argv, code, start):
+        # one error line, no traceback, no numpy or Python warning; 30 dB grids still run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if start is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"error: {start}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime"),
                                      ConvergenceError("quadrature ran out of budget")],

@@ -274,7 +274,7 @@ class TestOutageFgClosedForm:
 class TestExactOutage:
     @pytest.mark.parametrize("protocol", ["fg", "vg"])
     def test_negative_gamma_rejected(self, protocol):
-        # one threshold rule at every public entry: NaN is refused like -1
+        # one threshold rule at every public entry: NaN and inf are refused like -1
         b = build_budget(GOLDEN_CFG)
         entries = [
             lambda g: exact_outage(protocol, g, b),
@@ -287,8 +287,9 @@ class TestExactOutage:
             lambda g: gamma_map_source_distortion(g, b),
             lambda g: mc_outage_sweep(protocol, [1.0, g], b, 1000, Rng(5)),
             lambda g: waveform_outage(protocol, [g, 1.0], b, 2, 4, Rng(5)),
+            lambda g: small_gamma_expansion(protocol, g, b),
         ]
-        for bad in (-1.0, math.nan):
+        for bad in (-1.0, math.nan, math.inf):
             for entry in entries:
                 with pytest.raises(DomainError):
                     entry(bad)
@@ -404,6 +405,24 @@ class TestDiversityFit:
     def test_narrow_grid_rejected(self):
         with pytest.raises(DomainError):
             diversity_fit("vg", 1.0, FIG2_CFG, [1.0, 2.0, 4.0])
+
+    def test_tiny_outages_are_fitted(self):
+        # source-only vg outage near 1e-300 and below is still a positive number with a log
+        grid = 10.0 ** (np.arange(2700.0, 3051.0, 2.5) / 10.0)
+        fit = diversity_fit("vg", 1.0, NetworkConfig(clip_ratio_s=5.0), grid)
+        assert fit.slope == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("protocol", ["vg", "fg"])
+def test_power_outside_network_rule_rejected(protocol, bad):
+    # outage_asymptotic and diversity_fit hold every p_s to NetworkConfig's rule
+    cfg = NetworkConfig(clip_ratio_r=5.0)
+    grid = [1e4, 1e5, 1e6, 1e7, bad]
+    for entry in (lambda: outage_asymptotic(protocol, 1.0, grid, cfg),
+                  lambda: diversity_fit(protocol, 1.0, cfg, grid)):
+        with pytest.raises(DomainError, match="p_s must be positive and finite"):
+            entry()
 
 
 class TestSmallGamma:
