@@ -29,7 +29,6 @@ from .outage import (
     OutagePoint,
     diversity_fit,
     exact_outage,
-    gamma_map_source_distortion,
     outage_asymptotic,
     outage_fg,
     outage_fg_floor,

@@ -85,7 +85,16 @@ class RunConfig:
 
     @property
     def p_s(self) -> float:
-        return self.p_0db * float(_db_to_lin(self.snr_db, "snr_db", self.snr_db))
+        return self.powers([self.snr_db], "snr_db", self.snr_db)[0]
+
+    def powers(self, db, name: str, given) -> list[float]:
+        """Source powers p_0db * 10^(db/10) as Python floats. One that underflows to 0
+        is a ConfigError quoting name's given value; one past the float range is inf,
+        which NetworkConfig names."""
+        powers = [self.p_0db * p for p in _db_to_lin(db, name, given).tolist()]
+        if 0.0 in powers:
+            raise ConfigError(f"{name} is too small, got {given!r}")
+        return powers
 
     def network(self, p_s: float | None = None) -> NetworkConfig:
         return NetworkConfig(
@@ -119,12 +128,13 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
 
 
 def _db_to_lin(db, name: str, given) -> np.ndarray:
-    """10^(db/10) elementwise; past the float range, a ConfigError quoting name's given value."""
-    with np.errstate(over="raise"):
-        try:
-            return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-        except FloatingPointError:
-            raise ConfigError(f"{name} is too large, got {given!r}") from None
+    """10^(db/10) per element by Python's scalar power, so the bits do not rest on
+    numpy's SIMD dispatch; past the float range, a ConfigError quoting name's given value."""
+    db = np.asarray(db, dtype=float)
+    try:
+        return np.array([10.0 ** (d / 10.0) for d in db.ravel().tolist()]).reshape(db.shape)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large, got {given!r}") from None
 
 
 def _fmt(x) -> str:
@@ -204,8 +214,7 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     if gamma_db.size != 1:
         raise ConfigError("power-sweep expects a single gamma_db value")
     gamma = float(_db_to_lin(gamma_db, "gamma_db", rc.gamma_db)[0])
-    # Python floats: a product past the float range is inf, which NetworkConfig names
-    ps_grid = [rc.p_0db * p for p in _db_to_lin(ps_db, "ps_db", rc.ps_db).tolist()]
+    ps_grid = rc.powers(ps_db, "ps_db", rc.ps_db)
     fit = diversity_fit(rc.protocol, gamma, rc.network(), ps_grid)
     asym = outage_asymptotic(rc.protocol, gamma, ps_grid, rc.network())
     rows = []

@@ -83,8 +83,7 @@ class LinkBudget:
     noise-to-distortion ratios per node (inf for a linear node), eps_star
     their minimum. Per node, tilde_signal = sigma_sq * zeta^2 / p_s and
     tilde_eta = eta / p_s are its signal and distortion powers over p_s, both
-    scale invariant. The gamma-dependent critical second-hop SNR is exposed
-    as the method sigma_r_bar.
+    scale invariant.
     """
 
     config: NetworkConfig
@@ -107,12 +106,6 @@ class LinkBudget:
     @property
     def n0(self) -> float:
         return self.config.n0
-
-    def sigma_r_bar(self, gamma_th: float) -> float:
-        """Average critical second-hop SNR; outage is sure once this is <= 0."""
-        if self.eps_r == math.inf:
-            return self.sigma2_bar
-        return self.sigma2_bar - (1.0 + gamma_th) * self.config.mu2 / self.eps_r
 
 
 def build_budget(cfg: NetworkConfig) -> LinkBudget:

@@ -1,15 +1,20 @@
 """Outage probabilities for both forwarding protocols.
 
-Both protocols have exact closed forms built on K1. Conditioned on the
-first-hop gain, second-hop outage is an exponential CDF; for fixed gain the
-integral over the first-hop gain is int_0^inf e^{-au-b/u} du =
-2 sqrt(b/a) K1(2 sqrt(ab)) (Gradshteyn & Ryzhik 3.471.9). The same route for
-variable gain, integrated by adaptive quadrature, is an independent oracle.
+Fixed and variable gain differ only in how the relay sets its gain, and both
+write its inverse squared gain as a line in the first-hop gain x:
+1/g^2 = alpha x + beta, with alpha = 0 and beta = (p_s mu1 + n0)/sigma_R^2
+for fixed gain, alpha = p_s/sigma_R^2 and beta = n0/sigma_R^2 for variable
+gain. So SNDR <= gamma reads y (a x - b) <= gamma n0 (alpha x + beta) for
+second-hop gain y, and one K1 closed form serves both: conditioned on x the
+second hop is an exponential CDF, and the integral over x is
+int_0^inf e^{-u/mu1-kappa/u} du = 2 sqrt(kappa mu1) K1(2 sqrt(kappa/mu1))
+(Gradshteyn & Ryzhik 3.471.9; Hasna & Alouini, IEEE Trans. Wireless Commun.
+3(6), 2004). The same route for variable gain, integrated by adaptive
+quadrature, is an independent oracle.
 
-Source distortion enters through an effective threshold map: a network whose
-source also clips behaves like a relay-distortion-only network at
-gamma * p_s / (sigma_S^2 zeta_S^2 - gamma eta_S), and once that denominator
-is exhausted outage is sure at any power.
+a > 0 holds exactly when gamma is below the protocol's critical threshold,
+so threshold() is the one sure-outage rule: exact_outage and the floors are
+exactly 1 from it on.
 
 Every function here takes a finite linear threshold gamma_th >= 0 and source
 powers 0 < p_s < inf; anything else, inf and NaN included, raises DomainError
@@ -25,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .link_budget import (LinkBudget, NetworkConfig, asymptotic_sndr, build_budget,
-                          check_threshold, normalize_protocol)
+from .link_budget import (LinkBudget, NetworkConfig, build_budget, check_threshold,
+                          normalize_protocol)
 from .special_math import integrate_semi_infinite, one_minus_x_k1
 
 
@@ -42,24 +47,6 @@ class DiversityFit:
 
     slope: float
     r_squared: float
-
-
-def gamma_map_source_distortion(gamma_th: float, budget: LinkBudget):
-    """Effective threshold seen by a relay-distortion-only analysis.
-
-    Returns inf when gamma_th >= sigma_S^2 zeta_S^2 / eta_S, the point past
-    which no second hop can help: an infinite threshold means certain outage.
-    A finite map that overflows the float range raises DomainError instead.
-    """
-    check_threshold(gamma_th)
-    s = budget.sel_s
-    den = s.sigma_sq * s.zeta**2 - gamma_th * s.eta
-    if den <= 0.0:
-        return math.inf
-    g = gamma_th * budget.p_s / den
-    if g == math.inf:
-        raise DomainError(f"effective threshold overflows at gamma_th={gamma_th!r}")
-    return g
 
 
 def threshold(protocol: str, budget: LinkBudget) -> float:
@@ -81,25 +68,9 @@ def outage_vg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     return OutagePoint(gamma_th, exact_outage("vg", gamma_th, budget))
 
 
-def _outage_vg_value(gamma_th: float, budget: LinkBudget) -> float:
-    g = gamma_map_source_distortion(gamma_th, budget)
-    if g == math.inf:
-        return 1.0
-    if g == 0.0:
-        return 0.0
-    r = budget.sel_r
-    if r.sigma_sq * r.zeta**2 <= g * r.eta:
-        return 1.0
-    if budget.n0 == 0.0:
-        # noiseless network: the SNDR equals its distortion limit exactly
-        return outage_floor("vg", gamma_th, budget)
-    s_r = budget.sigma_r_bar(g)
-    if s_r <= 0.0:
-        return 1.0
-    s1, s2 = budget.sigma1_bar, budget.sigma2_bar
-    big_r = g / (s1 * s_r) * (1.0 + s2 * g / s_r)
-    big_q = g / s_r * (1.0 + s2 / s1)
-    return _clamp01(_k1_tail(big_q, 2.0 * math.sqrt(big_r)))
+def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
+    """Exact fixed-gain outage probability."""
+    return OutagePoint(gamma_th, exact_outage("fg", gamma_th, budget))
 
 
 def _k1_tail(q: float, z: float) -> float:
@@ -107,43 +78,31 @@ def _k1_tail(q: float, z: float) -> float:
     return -math.expm1(-q) + math.exp(-q) * one_minus_x_k1(z)
 
 
-def _fg_constants(gamma_th: float, budget: LinkBudget):
-    """Coefficients A, B, C with conditional second-hop threshold
-    y*(x) = gamma N0 / (A x - gamma (B + C x))."""
+def _k1_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
+    """Outage 1 - e^{-q} z K1(z) below the threshold, with noise, for either protocol.
+
+    (alpha, beta) is the one place the protocols differ. Outage is sure for
+    first-hop gains x <= x0 = b/a. Past it, at x = x0 + u, the second hop
+    fails with probability 1 - e^{-c - kappa/u}, where c = gamma n0 alpha/(a mu2);
+    so q = x0/mu1 + c and z = 2 sqrt(kappa/mu1).
+    """
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
-    g2 = r.sigma_sq / (cfg.p_s * cfg.mu1 + cfg.n0)
-    g2zr2 = g2 * r.zeta**2
-    a = g2zr2 * s.sigma_sq * s.zeta**2
-    b = g2zr2 * cfg.n0 + r.eta
-    c = g2zr2 * s.eta
-    return a, b, c
-
-
-def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
-    """Exact fixed-gain outage probability.
-
-    P = 1 - e^{-x0/mu1} z K1(z) with z = 2 sqrt(kappa/mu1): x0 is the
-    first-hop gain at or below which outage is sure, and kappa/u is the
-    second-hop outage threshold over mu2 at first-hop excess gain u. gamma
-    values at or past the source sure-outage point return exactly 1.
-    """
-    return OutagePoint(gamma_th, exact_outage("fg", gamma_th, budget))
-
-
-def _outage_fg_value(gamma_th: float, budget: LinkBudget) -> float:
-    if gamma_th == 0.0:
-        return 0.0
-    if budget.n0 == 0.0:
-        return outage_floor("fg", gamma_th, budget)
-    a, b, c = _fg_constants(gamma_th, budget)
-    slope = a - gamma_th * c
-    if slope <= 0.0:
+    if protocol == "fg":
+        alpha, beta = 0.0, (cfg.p_s * cfg.mu1 + cfg.n0) / r.sigma_sq
+    else:
+        alpha, beta = cfg.p_s / r.sigma_sq, cfg.n0 / r.sigma_sq
+    zr2 = r.zeta**2
+    a = zr2 * (s.sigma_sq * s.zeta**2 - gamma_th * s.eta) - gamma_th * (r.eta * alpha)
+    if a <= 0.0:  # gamma_th is below threshold() by a rounding only
         return 1.0
-    mu1, mu2 = budget.config.mu1, budget.config.mu2
-    x0 = gamma_th * b / slope
-    kappa = gamma_th * budget.n0 / (slope * mu2)
-    return _clamp01(_k1_tail(x0 / mu1, 2.0 * math.sqrt(kappa / mu1)))
+    x0 = gamma_th * (zr2 * cfg.n0 + r.eta * beta) / a
+    g_n0 = gamma_th * cfg.n0 / (a * cfg.mu2)
+    if not (x0 < math.inf and g_n0 < math.inf):  # q or kappa past the float range: sure outage
+        return 1.0
+    q = x0 / cfg.mu1 + g_n0 * alpha
+    kappa = g_n0 * (alpha * x0 + beta)
+    return _clamp01(_k1_tail(q, 2.0 * math.sqrt(kappa / cfg.mu1)))
 
 
 def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> OutagePoint:
@@ -181,11 +140,16 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 
 
 def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
-    """High-power floor of the fixed-gain outage (CDF of its SNDR limit)."""
+    """High-power floor of the fixed-gain outage (CDF of its SNDR limit).
+
+    Exactly 1 from threshold("fg") on.
+    """
     check_threshold(gamma_th)
+    if gamma_th >= threshold("fg", budget):
+        return 1.0
     b = budget
     s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
-    if s_slope <= 0.0:
+    if s_slope <= 0.0:  # gamma_th is below threshold() by a rounding only
         return 1.0
     if b.tilde_eta_r == 0.0:
         return 0.0
@@ -203,9 +167,7 @@ def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     if protocol == "fg":
         return outage_fg_floor(gamma_th, budget)
     check_threshold(gamma_th)
-    if max(budget.tilde_eta_s, budget.tilde_eta_r) == 0.0:
-        return 0.0
-    return 0.0 if gamma_th < asymptotic_sndr("vg", 1.0, budget) else 1.0
+    return 0.0 if gamma_th < threshold("vg", budget) else 1.0
 
 
 def _expansion_terms(protocol: str, gamma_th: float, p_s: float, budget: LinkBudget):
@@ -255,11 +217,15 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
 
 
 def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
-    """Exact outage probability of either protocol."""
+    """Exact outage probability of either protocol; 1 from threshold(protocol) on."""
     protocol = normalize_protocol(protocol)
     check_threshold(gamma_th)
-    value = _outage_vg_value if protocol == "vg" else _outage_fg_value
-    return value(gamma_th, budget)
+    if gamma_th >= threshold(protocol, budget):
+        return 1.0
+    if budget.n0 == 0.0 or gamma_th == 0.0:
+        # a noiseless SNDR is its distortion limit, whose CDF is the floor; at 0 both are 0
+        return outage_floor(protocol, gamma_th, budget)
+    return _k1_outage(protocol, gamma_th, budget)
 
 
 def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) -> DiversityFit:

@@ -16,7 +16,6 @@ from afrelay.errors import DomainError, RegimeError
 from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, normalized_sndr_coeffs
 from afrelay.outage import (
     exact_outage,
-    gamma_map_source_distortion,
     outage_asymptotic,
     outage_fg_floor,
 )
@@ -56,14 +55,11 @@ def analytic_values(clip_s, clip_r, snr_db):
     out["asymptotic_sndr vg"] = asymptotic_sndr("vg", 1.0, b)
     out["asymptotic_sndr fg"] = (asymptotic_sndr("fg", 0.5, b), asymptotic_sndr("fg", 2.0, b))
     out["outage_fg_floor low"] = outage_fg_floor(low, b)
-    out["gamma_map low"] = gamma_map_source_distortion(low, b)
     if th["fg"] < inf:
         out["exact_outage fg mid"] = exact_outage("fg", mid, b)
         out["outage_asymptotic fg mid"] = _or_none(_asymptotic, "fg", mid, b)
         out["outage_fg_floor mid"] = outage_fg_floor(mid, b)
         out["outage_fg_floor past"] = outage_fg_floor(2.0 * th["fg"], b)
-        out["gamma_map mid"] = gamma_map_source_distortion(mid, b)
-        out["gamma_map past"] = gamma_map_source_distortion(2.0 * th["fg"], b)
         out["exact_outage vg past"] = exact_outage("vg", 2.0 * th["fg"], b)
     return out
 
@@ -75,7 +71,7 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633882,
         'ordinate fg': None,
-        'exact_outage fg low': 0.9741380710202681,
+        'exact_outage fg low': 0.9741380710202682,
         'exact_outage fg below': 0.9999999999998906,
         'outage_asymptotic fg low': 1.0,
         'normalized_sndr_coeffs fg': (0.7341159854801227, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
@@ -87,13 +83,10 @@ PINNED = {
         'asymptotic_sndr vg': 1844.246193599655,
         'asymptotic_sndr fg': (1785.3255228454823, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677359,
-        'gamma_map low': 1786.2616260935645,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': 1.0,
         'outage_fg_floor mid': 0.869205660330205,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 113729.93689435696,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (5.0, 8.0, 70.0): {
@@ -102,25 +95,22 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.507700707699125,
-        'exact_outage fg low': 0.033082722616012604,
-        'exact_outage fg below': 0.3300457050760815,
+        'exact_outage fg low': 0.0330827226160126,
+        'exact_outage fg below': 0.3300457050760809,
         'outage_asymptotic fg low': 0.034232052684233495,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.007011935535678666,
-        'exact_outage vg low': 0.0003695614657605521,
+        'exact_outage vg low': 0.00036956146576055206,
         'exact_outage vg below': 0.007123535983946411,
         'outage_asymptotic vg low': 0.00036904923871993085,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
-        'gamma_map low': 1786.2616260935638,
-        'exact_outage fg mid': 0.8770901604932242,
+        'exact_outage fg mid': 0.877090160493222,
         'outage_asymptotic fg mid': 0.8931821303717248,
         'outage_fg_floor mid': 0.8692056603302031,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 113729.93689435555,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (5.0, 8.0, 150.0): {
@@ -129,25 +119,22 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.47714609667324837,
-        'exact_outage fg low': 0.03144341845503797,
-        'exact_outage fg below': 0.3198158197032729,
+        'exact_outage fg low': 0.031443418455037966,
+        'exact_outage fg below': 0.3198158197032728,
         'outage_asymptotic fg low': 0.03144341846653003,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.011935535678667e-11,
         'exact_outage vg low': 3.6904923873760636e-12,
-        'exact_outage vg below': 7.011935541332293e-11,
+        'exact_outage vg below': 7.011935541332292e-11,
         'outage_asymptotic vg low': 3.690492387199309e-12,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
-        'gamma_map low': 1786.261626093564,
-        'exact_outage fg mid': 0.8692056606833913,
+        'exact_outage fg mid': 0.8692056606833918,
         'outage_asymptotic fg mid': 0.8692056608439845,
         'outage_fg_floor mid': 0.8692056603302031,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 113729.93689435608,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (inf, 5.0, 30.0): {
@@ -161,14 +148,13 @@ PINNED = {
         'outage_asymptotic fg low': 1.0,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': None,
-        'exact_outage vg low': 0.998706704903319,
+        'exact_outage vg low': 0.9987067049033189,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': 1.0,
         'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.3934693402873666,
-        'gamma_map low': 953.594342559792,
     },
     (inf, 5.0, 70.0): {
         'threshold fg': inf,
@@ -181,14 +167,13 @@ PINNED = {
         'outage_asymptotic fg low': 0.39440207428835916,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.00725111700345442,
-        'exact_outage vg low': 0.00038218304389802695,
-        'exact_outage vg below': 0.007369552594084599,
+        'exact_outage vg low': 0.00038218304389802706,
+        'exact_outage vg below': 0.0073695525940846215,
         'outage_asymptotic vg low': 0.00038163773702391677,
         'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.3934693402873666,
-        'gamma_map low': 953.5943425597919,
     },
     (inf, 5.0, 150.0): {
         'threshold fg': inf,
@@ -202,13 +187,12 @@ PINNED = {
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454422e-11,
         'exact_outage vg low': 3.816377370427939e-12,
-        'exact_outage vg below': 7.251117009491499e-11,
+        'exact_outage vg below': 7.251117009491474e-11,
         'outage_asymptotic vg low': 3.816377370239167e-12,
         'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.3934693402873666,
-        'gamma_map low': 953.594342559792,
     },
     (5.0, inf, 30.0): {
         'threshold fg': 1907.188685119584,
@@ -228,13 +212,10 @@ PINNED = {
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
-        'gamma_map low': 1908.188685119584,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
         'outage_fg_floor mid': 1.0,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': inf,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (5.0, inf, 70.0): {
@@ -243,8 +224,8 @@ PINNED = {
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
         'ordinate fg': 0.05843709871898431,
-        'exact_outage fg low': 0.0017954148616065573,
-        'exact_outage fg below': 0.023407751050620044,
+        'exact_outage fg low': 0.0017954148616065569,
+        'exact_outage fg below': 0.023407751050619992,
         'outage_asymptotic fg low': 0.003075636774683384,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.00725111700345442,
@@ -255,13 +236,10 @@ PINNED = {
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
-        'gamma_map low': 1908.1886851195839,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
         'outage_fg_floor mid': 1.0,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': inf,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (5.0, inf, 150.0): {
@@ -271,7 +249,7 @@ PINNED = {
         'fg_advantage_factor mid': None,
         'ordinate fg': 1.2522235439782353e-09,
         'exact_outage fg low': 5.3105721791772884e-11,
-        'exact_outage fg below': 9.022563562918871e-10,
+        'exact_outage fg below': 9.022563562918881e-10,
         'outage_asymptotic fg low': 6.590650231464394e-11,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454421e-11,
@@ -282,13 +260,10 @@ PINNED = {
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
-        'gamma_map low': 1908.188685119584,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
         'outage_fg_floor mid': 1.0,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': inf,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (8.0, 5.0, 30.0): {
@@ -297,7 +272,7 @@ PINNED = {
         'threshold_gap': 54066.62791101807,
         'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
-        'exact_outage fg low': 0.9295846897410496,
+        'exact_outage fg low': 0.9295846897410495,
         'exact_outage fg below': 0.9900451738989462,
         'outage_asymptotic fg low': 1.0,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
@@ -309,13 +284,10 @@ PINNED = {
         'asymptotic_sndr vg': 1844.2461935996553,
         'asymptotic_sndr fg': (937.5864595798043, 3570.7108293029864),
         'outage_fg_floor low': 0.38836241170726254,
-        'gamma_map low': 937.6032288840694,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': 1.0,
         'outage_fg_floor mid': 0.9999999999999749,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 59726.25147485688,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (8.0, 5.0, 70.0): {
@@ -324,25 +296,22 @@ PINNED = {
         'threshold_gap': 54066.62791101807,
         'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
-        'exact_outage fg low': 0.38894303719828044,
+        'exact_outage fg low': 0.3889430371982804,
         'exact_outage fg below': 0.6132962214281238,
         'outage_asymptotic fg low': 0.38928722623845563,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.0070119355356786815,
         'exact_outage vg low': 0.0003695614657605521,
-        'exact_outage vg below': 0.007123535983946424,
+        'exact_outage vg below': 0.007123535983946432,
         'outage_asymptotic vg low': 0.00036904923871993085,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),
         'outage_fg_floor low': 0.38836241170726254,
-        'gamma_map low': 937.6032288840692,
         'exact_outage fg mid': 0.9999999999999758,
         'outage_asymptotic fg mid': 0.9999999999999774,
         'outage_fg_floor mid': 0.9999999999999749,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 59726.25147485689,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
     (8.0, 5.0, 150.0): {
@@ -356,20 +325,17 @@ PINNED = {
         'outage_asymptotic fg low': 0.38836241172708,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.01193553567868e-11,
-        'exact_outage vg low': 3.690492387376064e-12,
-        'exact_outage vg below': 7.011935541332288e-11,
+        'exact_outage vg low': 3.6904923873760636e-12,
+        'exact_outage vg below': 7.011935541332272e-11,
         'outage_asymptotic vg low': 3.690492387199309e-12,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),
         'outage_fg_floor low': 0.38836241170726254,
-        'gamma_map low': 937.6032288840692,
         'exact_outage fg mid': 0.9999999999999749,
         'outage_asymptotic fg mid': 0.9999999999999749,
         'outage_fg_floor mid': 0.9999999999999749,
         'outage_fg_floor past': 1.0,
-        'gamma_map mid': 59726.25147485689,
-        'gamma_map past': inf,
         'exact_outage vg past': 1.0,
     },
 }

@@ -288,14 +288,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv,digest", [
         (["outage-sweep", "--protocol", "vg", *FIG2, "--snr-db", "50", "--gamma-db", "0:5:30",
           "--trials", "1e4", "--seed", "7", "--format", "json"],
-         "cb9e9db4c87793cc6c70ea0bf07efc7b098313571242d1cf4cfa3e755855b5b7"),
+         "c5400342cb34448045e67b0cfc5e2b9829ea7262da2b680dd726a74b81acc1ee"),
         (["power-sweep", "--protocol", "vg", *FIG2, "--gamma-db", "0", "--ps-db", "40:10:80"],
          "520469efad152e9372a71b38b956ccfda9ef851ee4a90038d732f6628ad00abc"),
         (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
           "--ps-db", "40:10:80", "--format", "json"],
-         "ad6ea0384739b79a28a7ab499cd1dbdb20e6c61e04cc4c4cf63a1445285e8507"),
+         "beb107e1b9e620c25b20db1f267ca5cc9fc82aa98d97f2e946eeb179a94d42a6"),
         (["thresholds", *FIG2, "--snr-db", "70"],
-         "b2ab6d3e9926c625c46ed048aeaf7fd9eeecf89b83f2738fdcdad0ef7bd60c40"),
+         "03f4fb3f96bb262526808b25e8e8ec0220342ee0020ae7dcce8d2c04d0f17e22"),
         # thresholds writes JSON whatever --format says
         (["thresholds", "--snr-db", "30", "--format", "csv"],
          "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),
@@ -419,9 +419,10 @@ class TestConfigHandling:
          "gamma_db is too large"),
         (["power-sweep", "--gamma-db", "4000"], 2, "gamma_db is too large"),
         (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
-          "--ps-db=-4000:10:-3960"], 2, "p_s must be positive and finite"),
+          "--ps-db=-4000:10:-3960"], 2, "ps_db is too small, got '-4000:10:-3960'"),
         (["power-sweep", "--clip-r", "5", "--gamma-db", "0", "--ps-db=-4000:10:-3960"], 2,
-         "p_s must be positive and finite"),
+         "ps_db is too small, got '-4000:10:-3960'"),
+        (["thresholds", "--snr-db=-4000"], 2, "snr_db is too small, got -4000.0"),
         (["power-sweep", "--ps-db", "3000:50:3100", "--gamma-db", "0"], 2,
          "ps_db is too large, got '3000:50:3100'"),
         (["power-sweep", "--protocol", "fg", "--n0", "1e300", "--gamma-db", "0",
@@ -431,8 +432,8 @@ class TestConfigHandling:
         (["power-sweep", "--ps-db", "20.1:10:50.1", "--gamma-db", "0"], 0, None),
         (["power-sweep", "--ps-db", "20.8:10:50.8", "--gamma-db", "0"], 0, None),
     ], ids=["gamma-overflow-vg", "gamma-overflow-fg", "gamma-overflow-relay-only",
-            "power-sweep-gamma-overflow", "ps-underflow-fg", "ps-underflow-vg", "ps-overflow",
-            "ps-times-n0-overflow", "span-29.85-db", "span-30-db-from-20.1",
+            "power-sweep-gamma-overflow", "ps-underflow-fg", "ps-underflow-vg", "snr-underflow",
+            "ps-overflow", "ps-times-n0-overflow", "span-29.85-db", "span-30-db-from-20.1",
             "span-30-db-from-20.8"])
     def test_axis_rule_violations_exit_2_in_one_line(self, capsys, argv, code, start):
         # one error line, no traceback, no numpy or Python warning; 30 dB grids still run
@@ -445,6 +446,13 @@ class TestConfigHandling:
             assert err == ""
         else:
             assert err.startswith(f"error: {start}") and err.count("\n") == 1
+
+    def test_underflowing_gamma_is_zero(self, capsys):
+        # -4000 dB is 0.0 in floats: a valid threshold with outage 0, where a power is refused
+        assert main(["outage-sweep", "--gamma-db=-4000", "--trials", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[2].split(",")[:3] == ["-4000", "0", "0"]
 
     @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime"),
                                      ConvergenceError("quadrature ran out of budget")],

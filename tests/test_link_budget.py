@@ -94,13 +94,6 @@ class TestBuildBudget:
         assert b2.eps_r == pytest.approx(b1.eps_r / 2.0, rel=1e-12)
         assert b2.eps_star == pytest.approx(b1.eps_star / 2.0, rel=1e-12)
 
-    def test_sigma_r_bar(self):
-        b = build_budget(FIG3_CFG)
-        g = 3.0
-        expected = b.sigma2_bar - (1.0 + g) * b.config.mu2 / b.eps_r
-        assert b.sigma_r_bar(g) == pytest.approx(expected, rel=1e-14)
-        assert linear_budget().sigma_r_bar(10.0) == pytest.approx(1.0)
-
 
 class TestGains:
     def test_fg_trivial_cases(self):

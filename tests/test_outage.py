@@ -10,10 +10,8 @@ from afrelay import cli
 from afrelay.errors import ConvergenceError, DomainError, RegimeError
 from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, sndr
 from afrelay.outage import (
-    _fg_constants,
     diversity_fit,
     exact_outage,
-    gamma_map_source_distortion,
     outage_asymptotic,
     outage_fg,
     outage_fg_floor,
@@ -41,6 +39,19 @@ def mc_outage_channel(protocol, gamma_th, budget, n, key):
     return float(np.mean(lam <= gamma_th))
 
 
+def fg_sndr_coefficients(gamma_th, budget):
+    """A, B, C with fixed-gain outage iff y ((A - gamma C) x - gamma B) <= gamma n0.
+
+    Read off the SNDR x y s zr / (y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / G^2),
+    s zr = sigma_S^2 zeta_S^2 zeta_R^2, times the fixed gain G^2 = sigma_R^2 / (p_s mu1 + n0)
+    over and under: A = G^2 s zr, B = G^2 zeta_R^2 n0 + eta_R and C = G^2 zeta_R^2 eta_S.
+    """
+    s, r = budget.sel_s, budget.sel_r
+    cfg = budget.config
+    g2zr2 = r.sigma_sq / (cfg.p_s * cfg.mu1 + cfg.n0) * r.zeta**2
+    return g2zr2 * s.sigma_sq * s.zeta**2, g2zr2 * cfg.n0 + r.eta, g2zr2 * s.eta
+
+
 def fg_outage_quadrature(gamma_th, budget, tol=1e-18, rel=1e-11):
     """Fixed-gain outage by conditional-CDF quadrature, independent of K1.
 
@@ -53,7 +64,7 @@ def fg_outage_quadrature(gamma_th, budget, tol=1e-18, rel=1e-11):
         return 0.0
     if budget.n0 == 0.0:
         return outage_floor("fg", gamma_th, budget)
-    a, b, c = _fg_constants(gamma_th, budget)
+    a, b, c = fg_sndr_coefficients(gamma_th, budget)
     slope = a - gamma_th * c
     if slope <= 0.0:
         return 1.0
@@ -78,36 +89,6 @@ def scaled_cfg(cfg, p_s):
         mu1=cfg.mu1, mu2=cfg.mu2, n0=cfg.n0, p_s=p_s, p_ratio=cfg.p_ratio,
         clip_ratio_s=cfg.clip_ratio_s, clip_ratio_r=cfg.clip_ratio_r,
     )
-
-
-class TestGammaMap:
-    def test_linear_source_identity(self):
-        b = build_budget(NetworkConfig())
-        for g in (0.0, 0.5, 3.0, 100.0):
-            assert gamma_map_source_distortion(g, b) == pytest.approx(g, rel=1e-14)
-
-    def test_boundary_is_sure_outage(self):
-        b = build_budget(FIG2_CFG)
-        g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
-        assert gamma_map_source_distortion(g_crit, b) == math.inf
-        assert gamma_map_source_distortion(g_crit * 1.01, b) == math.inf
-        assert gamma_map_source_distortion(g_crit * 0.99, b) < math.inf
-
-    def test_zero(self):
-        assert gamma_map_source_distortion(0.0, build_budget(FIG2_CFG)) == 0.0
-
-    def test_overflow_is_not_sure_outage(self):
-        # gamma * p_s overflows below the source sure-outage point: an error,
-        # not an infinite threshold
-        b = build_budget(NetworkConfig(p_s=3e307, clip_ratio_s=5.0))
-        with pytest.raises(DomainError, match="overflows"):
-            gamma_map_source_distortion(10.0, b)
-        with pytest.raises(DomainError, match="overflows"):
-            exact_outage("vg", 10.0, b)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            gamma_map_source_distortion(-1.0, build_budget(FIG2_CFG))
 
 
 class TestOutageVg:
@@ -157,6 +138,16 @@ class TestOutageVg:
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
         assert outage_vg(g_crit * 1.5, b).p_outage == 1.0
 
+    def test_overflow_is_not_sure_outage(self):
+        # gamma * p_s would overflow at this power, but the closed form never forms it:
+        # a finite outage, equal to that of the same network with every power 1e300
+        # times smaller, where the quadrature oracle stays in range
+        b = build_budget(NetworkConfig(p_s=3e307, clip_ratio_s=5.0))
+        p = exact_outage("vg", 10.0, b)
+        assert 0.0 < p < 1.0
+        small = build_budget(NetworkConfig(p_s=3e7, n0=1e-300, clip_ratio_s=5.0))
+        assert p == pytest.approx(outage_vg_quadrature(10.0, small, tol=1e-318).p_outage, rel=1e-9)
+
 
 class TestOutageVgQuadrature:
     def test_matches_closed_form(self):
@@ -185,7 +176,7 @@ class TestOutageFg:
     def test_source_sure_outage(self):
         b = build_budget(FIG2_CFG)
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
-        a, _, c = _fg_constants(g_crit, b)
+        a, _, c = fg_sndr_coefficients(g_crit, b)
         assert a - g_crit * c <= 0.0
         assert outage_fg(g_crit, b).p_outage == 1.0
 
@@ -248,7 +239,7 @@ class TestOutageFgClosedForm:
         # a large mu1 also makes x0/mu1 small, so the z term dominates
         b = build_budget(NetworkConfig(p_s=1e3, mu1=1e12, mu2=1e9, clip_ratio_s=5.0))
         gamma = 1.0
-        a, b_fg, c = _fg_constants(gamma, b)
+        a, b_fg, c = fg_sndr_coefficients(gamma, b)
         slope = a - gamma * c
         q = gamma * b_fg / slope / b.config.mu1
         k = gamma * b.n0 / (slope * b.config.mu2) / b.config.mu1
@@ -284,7 +275,6 @@ class TestExactOutage:
             lambda g: outage_floor(protocol, g, b),
             lambda g: outage_fg_floor(g, b),
             lambda g: outage_asymptotic(protocol, g, [1e3, 1e6], GOLDEN_CFG),
-            lambda g: gamma_map_source_distortion(g, b),
             lambda g: mc_outage_sweep(protocol, [1.0, g], b, 1000, Rng(5)),
             lambda g: waveform_outage(protocol, [g, 1.0], b, 2, 4, Rng(5)),
             lambda g: small_gamma_expansion(protocol, g, b),
@@ -293,6 +283,29 @@ class TestExactOutage:
             for entry in entries:
                 with pytest.raises(DomainError):
                     entry(bad)
+
+    @pytest.mark.parametrize("protocol", ["fg", "vg"])
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(p_s=10.0 ** 19.5, clip_ratio_s=5.0, clip_ratio_r=8.0),
+        NetworkConfig(mu1=2.0, mu2=0.3, n0=1e-3, p_ratio=3.0, p_s=1e-3 * 10.0 ** 19.75,
+                      clip_ratio_s=1.0, clip_ratio_r=3.0),
+        NetworkConfig(p_s=10.0 ** 19.5, clip_ratio_s=5.0),
+        NetworkConfig(p_s=10.0 ** 5.25, clip_ratio_s=0.55),
+        NetworkConfig(clip_ratio_s=0.55),
+        NetworkConfig(clip_ratio_s=1.0),
+    ], ids=["fig2-195db", "clip-1-3-197.5db", "source-only-5-195db", "source-only-0.55-52.5db",
+            "source-only-0.55-0db", "source-only-1-0db"])
+    def test_sure_outage_from_threshold_on(self, protocol, cfg):
+        # threshold() is the one sure-outage rule: exactly 1 at it and at the next floats,
+        # however close to zero the rounded margin below it comes out
+        b = build_budget(cfg)
+        gamma = threshold(protocol, b)
+        for _ in range(4):
+            values = [exact_outage(protocol, gamma, b), outage_floor(protocol, gamma, b)]
+            if protocol == "fg":
+                values.append(outage_fg_floor(gamma, b))
+            assert values == [1.0] * len(values)
+            gamma = math.nextafter(gamma, math.inf)
 
 
 class TestFgFloor:
