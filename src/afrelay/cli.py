@@ -220,7 +220,7 @@ def cmd_power_sweep(rc: RunConfig) -> int:
     rows = []
     for p_db, p_s, a in zip(ps_db, ps_grid, asym):
         p_ex = exact_outage(rc.protocol, gamma, build_budget(rc.network(p_s=p_s)))
-        ratio = p_ex / a.p_outage if a.p_outage > 0.0 else None
+        ratio = p_ex / a.p_outage if a.p_outage else None
         rows.append((float(p_db), p_ex, a.p_outage, ratio))
     summary = {
         "protocol": rc.protocol,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 from .link_budget import LinkBudget, normalize_protocol
-from .outage import _expansion_terms, exact_outage, threshold
+from .outage import _series, _series_terms, exact_outage, threshold
 
 # "Just below" the critical threshold, where ordinate and report's
 # exact_outage_below are both taken.
@@ -51,17 +51,14 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
     """Leading-order outage just below the critical threshold.
 
     This is the first-order high-power expansion of outage_asymptotic taken
-    at BELOW_THRESHOLD times the critical threshold: the floor plus
-    log(p)/(g_fg p) for fixed gain, 1/(g_vg p) for variable gain. So it falls
-    like eps_star for variable gain (diversity 1) and tends to the floor for
+    at BELOW_THRESHOLD times the critical threshold. So it falls like
+    eps_star for variable gain (diversity 1) and tends to the floor for
     fixed gain (diversity 0).
 
     eps_star defaults to the budget's own value but can be overridden to
     study the scaling law; it then stands for the equivalent source power
-    p_s * budget.eps_star / eps_star. The expansion is a series in its
-    first-order term, so it holds only while that term lies in [0, 1);
-    outside that region (including the negative fixed-gain log term below
-    unit equivalent power) a RegimeError is raised.
+    p_s * budget.eps_star / eps_star. Outside the series' region of validity
+    a RegimeError is raised.
     """
     protocol = normalize_protocol(protocol)
     b = budget
@@ -76,11 +73,7 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
         if not (0.0 < eps < math.inf):
             raise DomainError(f"eps_star must be positive and finite, got {eps!r}")
         p_s *= b.eps_star / eps
-    gamma = BELOW_THRESHOLD * th
-    floor, term = _expansion_terms(protocol, gamma, p_s, b)
-    if not (0.0 <= term < 1.0):
-        raise RegimeError("eps_star too large for the ordinate expansion")
-    return min(1.0, floor + term)
+    return _series(*_series_terms(protocol, BELOW_THRESHOLD * th, b, b.n0 / p_s))
 
 
 def fg_advantage_factor(gamma_th: float, budget: LinkBudget) -> float:

@@ -13,8 +13,11 @@ int_0^inf e^{-u/mu1-kappa/u} du = 2 sqrt(kappa mu1) K1(2 sqrt(kappa/mu1))
 quadrature, is an independent oracle.
 
 a > 0 holds exactly when gamma is below the protocol's critical threshold,
-so threshold() is the one sure-outage rule: exact_outage and the floors are
-exactly 1 from it on.
+so threshold() is the one sure-outage rule: exact_outage, the floors and
+outage_asymptotic are exactly 1 from it on. The floor and every expansion
+(outage_asymptotic and epsilon_critical.ordinate in 1/p_s,
+small_gamma_expansion in gamma) are the first order of that closed form, one
+series whose coefficients come from the same (alpha, beta).
 
 Every function here takes a finite linear threshold gamma_th >= 0 and source
 powers 0 < p_s < inf; anything else, inf and NaN included, raises DomainError
@@ -116,23 +119,22 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
         return OutagePoint(0.0, 0.0)
     if budget.n0 == 0.0:
         return OutagePoint(gamma_th, outage_floor("vg", gamma_th, budget))
-    s, r = budget.sel_s, budget.sel_r
-    cfg = budget.config
-    srz = r.sigma_sq * r.zeta**2
-    s_slope = s.sigma_sq * s.zeta**2 - gamma_th * s.eta
-    # conditional coefficient of |h2|^2: W(x) = srz (x s_slope - g N0)/(P_S x + N0) - g eta_R
-    d_inf = srz * s_slope - gamma_th * r.eta * cfg.p_s
+    b = budget
+    mu1, mu2 = b.config.mu1, b.config.mu2
+    nu = b.n0 / b.p_s
+    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
+    # conditional coefficient of |h2|^2 over p_s: W(x) = T_R (x s_slope - g nu)/(x + nu) - g E_R
+    d_inf = b.tilde_signal_r * s_slope - gamma_th * b.tilde_eta_r
     if d_inf <= 0.0:
         return OutagePoint(gamma_th, 1.0)
-    x0 = gamma_th * cfg.n0 * (srz + r.eta) / d_inf
-    mu1, mu2 = cfg.mu1, cfg.mu2
-    g_n0 = gamma_th * cfg.n0
+    x0 = gamma_th * nu * (b.tilde_signal_r + b.tilde_eta_r) / d_inf
+    g_nu = gamma_th * nu
 
     def knee(u):
         x = x0 + np.maximum(u, 0.0)
-        w = srz * (x * s_slope - g_n0) / (cfg.p_s * x + cfg.n0) - gamma_th * r.eta
+        w = b.tilde_signal_r * (x * s_slope - g_nu) / (x + nu) - gamma_th * b.tilde_eta_r
         w = np.maximum(w, 1e-320)
-        return np.exp(-x / mu1) / mu1 * -np.expm1(-g_n0 / (mu2 * w))
+        return np.exp(-x / mu1) / mu1 * -np.expm1(-g_nu / (mu2 * w))
 
     res = integrate_semi_infinite(knee, tol=tol, max_evals=400_000)
     p = -math.expm1(-x0 / mu1) + res.value
@@ -142,18 +144,12 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
     """High-power floor of the fixed-gain outage (CDF of its SNDR limit).
 
-    Exactly 1 from threshold("fg") on.
+    The zeroth order of the high-power series; exactly 1 from threshold("fg") on.
     """
     check_threshold(gamma_th)
     if gamma_th >= threshold("fg", budget):
         return 1.0
-    b = budget
-    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
-    if s_slope <= 0.0:  # gamma_th is below threshold() by a rounding only
-        return 1.0
-    if b.tilde_eta_r == 0.0:
-        return 0.0
-    return -math.expm1(-b.tilde_eta_r * gamma_th / (s_slope * b.tilde_signal_r))
+    return _series(*_series_terms("fg", gamma_th, budget, 0.0))
 
 
 def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
@@ -170,49 +166,83 @@ def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     return 0.0 if gamma_th < threshold("vg", budget) else 1.0
 
 
-def _expansion_terms(protocol: str, gamma_th: float, p_s: float, budget: LinkBudget):
-    """Floor and first-order term of the high-power expansion at source power p_s.
+_EULER = float(np.euler_gamma)
 
-    Fixed gain: outage_fg_floor plus log(p)/(g_fg p), with exp(-expo) kept as
-    a factor so the term decays to 0, not overflows, when relay distortion
-    dominates. Variable gain: 1/(g_vg p), or (1, 0) past its threshold. Both
-    terms are proportional to n0 * gamma_th, so they are 0 when it is. Only
-    the tilde fields and mu1, mu2, n0 and p_ratio are read, so any budget of
-    the configuration will do.
+
+def _series(q0: float, q1: float, k: float) -> float:
+    """First order of the outage 1 - e^{-q} z K1(z) in q = q0 + q1 and k = z^2/4.
+
+    1 - z K1(z) = k (1 - 2 gamma_E - ln k) + O(z^4 ln z) (Abramowitz & Stegun
+    9.6.11), and q0 is kept whole. The one validity guard: where the floor
+    -expm1(-q0) rounds to 1 the value is 1; otherwise a RegimeError is raised
+    for k outside [0, 1), past the turning point q1 <= k (2 gamma_E + ln k)
+    (q1 and k are linear in the expansion variable, and beyond it the value
+    would fall as that grows), or for a value outside [0, 1]. Never a clamp.
+    """
+    floor = -math.expm1(-q0)
+    if floor == 1.0:
+        return 1.0
+    if not 0.0 <= k < 1.0:
+        raise RegimeError(f"expansion region exceeded: kappa' = {k!r} outside [0, 1)")
+    term = q1
+    if k > 0.0:
+        if q1 <= k * (2.0 * _EULER + math.log(k)):
+            raise RegimeError("expansion region exceeded: first-order term past its turning point")
+        term += k * (1.0 - 2.0 * _EULER - math.log(k))
+    p = floor + math.exp(-q0) * term
+    if not 0.0 <= p <= 1.0:
+        raise RegimeError(f"expansion region exceeded: first-order value {p!r} outside [0, 1]")
+    return p
+
+
+def _series_terms(protocol: str, gamma_th: float, budget: LinkBudget, nu: float,
+                  small_gamma: bool = False):
+    """(q0, q1, k) of _series at nu = n0/p_s, from the scale-invariant tilde fields.
+
+    With the relay's gain line sigma_R^2/(p_s g^2) = alpha x + beta0 + nu and
+    a = T_R (T_S - gamma E_S) - gamma E_R alpha, _k1_outage's q is exactly
+    q0 + q1: q0 = gamma E_R beta0/(a mu1) has no noise (the fg floor's
+    exponent, 0 for vg) and q1 is proportional to nu. Its kappa' = kappa/mu1
+    is gamma nu (alpha x0 + beta0 + nu)/(a mu1 mu2); the high-power series
+    keeps it to first order in nu (alpha x0 is O(nu), as alpha beta0 = 0).
+    The small-gamma series takes a at gamma = 0, which puts all of q in q1,
+    and drops the gamma^2 term alpha x0.
     """
     b = budget
-    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
-    if s_slope <= 0.0:
-        raise DomainError("gamma_th is at or past the source sure-outage point")
     mu1, mu2 = b.config.mu1, b.config.mu2
-    if protocol == "fg":
-        expo = b.tilde_eta_r * gamma_th / (b.tilde_signal_r * s_slope)
-        c = b.n0 * gamma_th / (b.tilde_signal_r * mu2 * s_slope) * math.exp(-expo)
-        return outage_fg_floor(gamma_th, b), c * math.log(p_s) / p_s
-    g_eff = gamma_th / s_slope
-    margin = b.tilde_signal_r - g_eff * b.tilde_eta_r
-    if margin <= 0.0:
-        return 1.0, 0.0
-    if b.n0 * g_eff == 0.0:
-        return 0.0, 0.0
-    g_vg = margin * mu1 * mu2 / (b.n0 * g_eff * (mu1 + b.config.p_ratio * mu2))
-    return 0.0, 1.0 / (g_vg * p_s)
+    alpha, beta0 = (0.0, mu1) if protocol == "fg" else (1.0, 0.0)
+    g_a = 0.0 if small_gamma else gamma_th
+    a = (b.tilde_signal_s - g_a * b.tilde_eta_s) * b.tilde_signal_r - g_a * b.tilde_eta_r * alpha
+    if not a > 0.0:  # gamma_th is below threshold() by a rounding only: q is past the float range
+        return math.inf, 0.0, 0.0
+    q0 = b.tilde_eta_r * gamma_th / a * (beta0 / mu1)
+    g_nu = nu * gamma_th / a
+    q1 = g_nu * ((b.tilde_signal_r + b.tilde_eta_r) / mu1 + alpha / mu2)
+    k = g_nu * (beta0 + (nu if small_gamma else 0.0)) / (mu1 * mu2)
+    return (0.0, q0 + q1, k) if small_gamma else (q0, q1, k)
 
 
 def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConfig):
     """First-order high-power outage expansion on a grid of source powers.
 
-    Fixed gain tends to its floor plus a log(p)/p correction; variable gain
-    decays like 1/p. Values are clamped to [0, 1].
+    The series of the exact outage in 1/p_s: the fixed-gain floor (0 for
+    variable gain) plus its first-order term, so variable gain decays like
+    1/p and source-limited fixed gain like log(p)/p. Exactly 1 from
+    threshold(protocol) on; p_outage is None where a point lies outside the
+    series' region of validity.
     """
     protocol = normalize_protocol(protocol)
     check_threshold(gamma_th)
-    ref = build_budget(replace(cfg, p_s=1.0))
     out = []
     for p_s in map(float, p_s_grid):
-        replace(cfg, p_s=p_s)  # holds p_s to NetworkConfig's rule
-        floor, term = _expansion_terms(protocol, gamma_th, p_s, ref)
-        out.append(OutagePoint(gamma_th, _clamp01(floor + term)))
+        b = build_budget(replace(cfg, p_s=p_s))  # holds p_s to NetworkConfig's rule
+        p = 1.0
+        if gamma_th < threshold(protocol, b):
+            try:
+                p = _series(*_series_terms(protocol, gamma_th, b, cfg.n0 / p_s))
+            except RegimeError:
+                p = None
+        out.append(OutagePoint(gamma_th, p))
     return out
 
 
@@ -263,11 +293,10 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
 def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """First-order outage expansion about gamma_th = 0.
 
-    Valid while 0 < Z*gamma (times 1 + sigma1_bar for fixed gain) stays well
-    below one and gamma_th is below the protocol's critical threshold.
-    Outside that region, past the term's turning point (beyond which it
-    would fall as gamma grows), or where the first-order value leaves
-    [0, 1), a RegimeError is raised; the value is never clamped.
+    The series of the exact outage to first order in gamma_th. Below the
+    protocol's critical threshold and inside the series' region it is a
+    probability; at or past the threshold, or outside that region, a
+    RegimeError is raised and the value is never clamped.
     """
     protocol = normalize_protocol(protocol)
     if check_threshold(gamma_th) == 0.0:
@@ -277,27 +306,4 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
         raise DomainError("small-gamma expansion requires positive noise power")
     if not (gamma_th < threshold(protocol, b)):
         raise RegimeError("expansion region exceeded: gamma at or past the critical threshold")
-    euler_c = float(np.euler_gamma)
-    z_const = 1.0 / (
-        (b.sel_s.sigma_sq * b.sel_s.zeta**2 * b.config.mu1 / b.n0)
-        * (b.sel_r.sigma_sq * b.sel_r.zeta**2 * b.config.mu2 / b.n0)
-    )
-    zg = z_const * gamma_th
-    s1, s2 = b.sigma1_bar, b.sigma2_bar
-    # p = zg (lead - k ln arg), with (k, arg) = (1, zg) for vg, (1 + s1, zg (1 + s1)) for fg
-    if protocol == "vg":
-        k, arg = 1.0, zg
-        lead = 1.0 - 2.0 * euler_c + s1 + s2
-    else:
-        k, arg = 1.0 + s1, zg * (1.0 + s1)
-        mu2_over_eps_r = 0.0 if b.eps_r == math.inf else b.config.mu2 / b.eps_r
-        lead = s2 + s1 * mu2_over_eps_r + (1.0 + s1) * (1.0 - 2.0 * euler_c)
-    if not (0.0 < arg < 1.0):
-        raise RegimeError("expansion region exceeded: Z*gamma (scaled for fg) outside (0, 1)")
-    # p falls with gamma once k (ln arg + 1) >= lead
-    if k * (math.log(arg) + 1.0) >= lead:
-        raise RegimeError("expansion region exceeded: first-order term past its turning point")
-    p = zg * (lead - k * math.log(arg))
-    if not (0.0 <= p < 1.0):
-        raise RegimeError(f"expansion region exceeded: first-order term {p!r} outside [0, 1)")
-    return p
+    return _series(*_series_terms(protocol, gamma_th, b, b.n0 / b.p_s, small_gamma=True))

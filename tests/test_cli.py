@@ -120,12 +120,21 @@ class TestOutageSweep:
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     @pytest.mark.parametrize("argv", [["--clip-s", "5", "--snr-db", "1600"], ["--snr-db", "2000"]],
                              ids=["clipped-1600dB", "linear-2000dB"])
-    def test_small_gamma_underflow_leaves_cell_empty(self, tmp_path, protocol, argv):
-        # Z underflows to 0 at these powers; the expansion is out of regime
+    def test_small_gamma_at_extreme_power_is_first_order(self, tmp_path, protocol, argv):
+        # the series is built from n0/p_s, so nothing under- or overflows at these powers
         out = tmp_path / "hi.csv"
         assert main(["outage-sweep", "--protocol", protocol, *argv, "--gamma-db", "30",
                      "--trials", "0", "--out", str(out)]) == 0
-        assert read_lines(out)[2].split(",")[3] == ""
+        row = read_lines(out)[2].split(",")
+        exact, small = float(row[1]), float(row[3])
+        if "--clip-s" in argv:
+            # first order in gamma takes a(gamma) at gamma = 0; 30 dB is over half the
+            # 32.8 dB threshold, so the series stays below the exact outage (factor 0.48)
+            assert 0.0 < small < exact
+        else:
+            # no distortion, so a is gamma-free: the series is the exact outage here
+            # (fg: 4.5445483199002394e-195 against 4.54454831990024e-195)
+            assert small == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("protocol, argv, gamma_db", [
         ("vg", ["--clip-s", "5", "--clip-r", "8", "--snr-db", "30"], "28:2:40"),
@@ -288,14 +297,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv,digest", [
         (["outage-sweep", "--protocol", "vg", *FIG2, "--snr-db", "50", "--gamma-db", "0:5:30",
           "--trials", "1e4", "--seed", "7", "--format", "json"],
-         "c5400342cb34448045e67b0cfc5e2b9829ea7262da2b680dd726a74b81acc1ee"),
+         "189ee3fca2e0bd76220774e3c272d301906b20e8c2ae9291bdca09dce4ea9f08"),
         (["power-sweep", "--protocol", "vg", *FIG2, "--gamma-db", "0", "--ps-db", "40:10:80"],
          "520469efad152e9372a71b38b956ccfda9ef851ee4a90038d732f6628ad00abc"),
         (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
           "--ps-db", "40:10:80", "--format", "json"],
-         "beb107e1b9e620c25b20db1f267ca5cc9fc82aa98d97f2e946eeb179a94d42a6"),
+         "b1364347b89522be88cdb3129a65ace78b2c4c9da39bb83fa0c28a2b75a77dd6"),
         (["thresholds", *FIG2, "--snr-db", "70"],
-         "03f4fb3f96bb262526808b25e8e8ec0220342ee0020ae7dcce8d2c04d0f17e22"),
+         "c5b01416ccbe86dbbb87c8e66d7cd3e835667a93eda20b789f7a91c053aab157"),
         # thresholds writes JSON whatever --format says
         (["thresholds", "--snr-db", "30", "--format", "csv"],
          "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),
@@ -310,7 +319,7 @@ class TestPinnedOutput:
          "4e43c44ede7d0ff6d3a0553f8ccda0086e7eb575cc85a402c1f9677946e2ac17"),
         (["power-sweep", "--n0", "1e-3", "--ps-db=-10:5:40", "--protocol", "vg", *FIG2,
           "--gamma-db", "0"],
-         "985ec0a1cab10a8ae6c8c1e87744834797f6c332a24dc246d8b2497401255e0d"),
+         "299990087169571be1e340fb789b53c47b5cc7f3357ddf4ed458e3905635417b"),
     ], ids=["outage-sweep-json", "power-sweep-csv", "power-sweep-json", "thresholds-clipped",
             "thresholds-linear", "thresholds-n0-0", "validate", "outage-sweep-n0-0.3",
             "power-sweep-n0-1e-3"])

@@ -15,7 +15,8 @@ from afrelay.epsilon_critical import (
     threshold_gap,
 )
 from afrelay.link_budget import NetworkConfig, build_budget
-from afrelay.outage import exact_outage, outage_fg_floor, outage_vg, small_gamma_expansion
+from afrelay.outage import (exact_outage, outage_asymptotic, outage_fg_floor, outage_vg,
+                            small_gamma_expansion)
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
 FIG3_CFG = NetworkConfig(clip_ratio_s=math.inf, clip_ratio_r=5.0)
@@ -107,12 +108,18 @@ class TestOrdinate:
         assert 0.98 <= slope <= 1.02
 
     def test_fg_linear_relay_scaling(self):
-        # relay linear: the log term is all there is, O(eps log(1/eps))
+        # relay linear: O(eps log(1/eps)), whose local slope is the exact outage's own
+        # (0.828 between eps_star 1e-3 and 1e-4)
         b = build_budget(NetworkConfig(clip_ratio_s=5.0))
-        v1 = ordinate("fg", b, eps_star=1e-3)
-        v2 = ordinate("fg", b, eps_star=1e-4)
-        slope = (math.log(v1) - math.log(v2)) / (math.log(1e-3) - math.log(1e-4))
-        assert 0.85 <= slope <= 1.0
+
+        def exact(eps):
+            b_eq = build_budget(scaled(b.config, b.p_s * b.eps_star / eps))
+            return exact_outage("fg", BELOW_THRESHOLD * threshold("fg", b_eq), b_eq)
+
+        def slope(f):
+            return (math.log(f(1e-3)) - math.log(f(1e-4))) / (math.log(1e-3) - math.log(1e-4))
+
+        assert slope(lambda e: ordinate("fg", b, eps_star=e)) == pytest.approx(slope(exact), abs=0.01)
 
     def test_fg_finite_relay_eps_flattens(self):
         # relay-dominant distortion: the mu2/eps_R term is eps-free
@@ -131,17 +138,13 @@ class TestOrdinate:
 
 
 class TestOrdinateMatchesExact:
-    """The ordinate is the exact outage at BELOW_THRESHOLD x threshold, to first order.
-
-    Source-only fixed gain is left out of the 1% band: near the threshold its
-    first-order expansion converges only like 1/log p_s (ordinate/exact is 1.9
-    at 90 dB, 1.4 at 150 dB and 1.3 at 200 dB).
-    """
+    """The ordinate is the exact outage at BELOW_THRESHOLD x threshold, to first order."""
 
     CASES = [
         ("fig2", "vg", FIG2_CFG),
         ("fig2", "fg", FIG2_CFG),
         ("relay-only", "vg", FIG3_CFG),
+        ("source-only", "fg", NetworkConfig(clip_ratio_s=5.0)),
     ]
 
     @pytest.mark.parametrize("snr_db", [90, 120, 150, 200])
@@ -149,7 +152,7 @@ class TestOrdinateMatchesExact:
     def test_within_one_percent(self, name, proto, cfg, snr_db):
         b = build_budget(scaled(cfg, 10.0 ** (snr_db / 10.0)))
         exact = exact_outage(proto, BELOW_THRESHOLD * threshold(proto, b), b)
-        assert ordinate(proto, b) == pytest.approx(exact, rel=1e-2)
+        assert ordinate(proto, b) == pytest.approx(exact, rel=1e-2, abs=0.0)
 
     @pytest.mark.parametrize("snr_db", [40, 70, 90, 150, 200])
     def test_is_a_probability(self, snr_db):
@@ -166,6 +169,23 @@ class TestOrdinateMatchesExact:
                 except (DomainError, RegimeError):
                     continue
                 assert 0.0 <= o <= 1.0, (cfg, proto, o)
+
+    @pytest.mark.parametrize("proto,cfg", [("fg", NetworkConfig(clip_ratio_s=5.0)),
+                                           ("fg", FIG2_CFG), ("vg", FIG2_CFG)],
+                             ids=["source-only-fg", "fig2-fg", "fig2-vg"])
+    def test_reads_n0_only_through_the_snr(self, proto, cfg):
+        # the expansion sees n0 only through n0/p_s: at 80 dB SNR and gamma = 1 all three
+        # n0 give one value, the exact outage to first order (1.93e-7 for source-only fg)
+        values = []
+        for n0 in (1e-3, 1.0, 1e3):
+            c = NetworkConfig(n0=n0, p_s=n0 * 1e8, clip_ratio_s=cfg.clip_ratio_s,
+                              clip_ratio_r=cfg.clip_ratio_r)
+            b = build_budget(c)
+            values.append((outage_asymptotic(proto, 1.0, [c.p_s], c)[0].p_outage,
+                           ordinate(proto, b), exact_outage(proto, 1.0, b)))
+        for v in values[1:]:
+            assert v == pytest.approx(values[0], rel=1e-12, abs=0.0)
+        assert values[0][0] == pytest.approx(values[0][2], rel=1e-6, abs=0.0)
 
     def test_report_compares_at_the_same_point(self):
         rep = report(build_budget(scaled(FIG2_CFG, 1e12)), include_exact_outage=True)

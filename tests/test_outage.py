@@ -146,7 +146,8 @@ class TestOutageVg:
         p = exact_outage("vg", 10.0, b)
         assert 0.0 < p < 1.0
         small = build_budget(NetworkConfig(p_s=3e7, n0=1e-300, clip_ratio_s=5.0))
-        assert p == pytest.approx(outage_vg_quadrature(10.0, small, tol=1e-318).p_outage, rel=1e-9)
+        assert p == pytest.approx(outage_vg_quadrature(10.0, small, tol=1e-318).p_outage, rel=1e-9,
+                                  abs=0.0)
 
 
 class TestOutageVgQuadrature:
@@ -162,6 +163,13 @@ class TestOutageVgQuadrature:
         b = build_budget(GOLDEN_CFG)
         g_branch = b.sel_r.sigma_sq * b.sel_r.zeta**2 / b.sel_r.eta
         assert outage_vg_quadrature(g_branch * 1.01, b).p_outage == 1.0
+
+    def test_top_of_float_range(self):
+        # the coefficients come from the tilde fields and n0/p_s, so none overflows here
+        b = build_budget(NetworkConfig(p_s=3e307, clip_ratio_s=5.0))
+        p = outage_vg_quadrature(10.0, b, tol=1e-318).p_outage
+        assert p == pytest.approx(exact_outage("vg", 10.0, b), rel=1e-9, abs=0.0)
+        assert p == pytest.approx(6.7053e-307, rel=1e-4, abs=0.0)
 
     def test_quadrature_budget_exhaustion(self):
         b = build_budget(FIG2_CFG)
@@ -389,10 +397,29 @@ class TestAsymptotic:
             assert outage_asymptotic(protocol, 0.0, [1e4], FIG2_CFG)[0].p_outage == 0.0
 
     def test_precondition(self):
+        # past the source's sure-outage point the expansion is 1, as the exact outage is
         b = build_budget(FIG2_CFG)
         g_crit = b.sel_s.sigma_sq * b.sel_s.zeta**2 / b.sel_s.eta
-        with pytest.raises(DomainError):
-            outage_asymptotic("fg", g_crit * 1.01, [1e6], FIG2_CFG)
+        assert outage_asymptotic("fg", g_crit * 1.01, [1e6], FIG2_CFG)[0].p_outage == 1.0
+
+    @pytest.mark.parametrize("protocol,cfg", [
+        ("vg", NetworkConfig(p_s=10.0 ** 19.5, clip_ratio_s=5.0, clip_ratio_r=8.0)),
+        ("vg", NetworkConfig(p_s=10.0 ** 19.5, clip_ratio_s=1.0)),
+        ("fg", NetworkConfig(p_s=10.0 ** 18.75, clip_ratio_s=0.55)),
+    ], ids=["vg-fig2-195db", "vg-source-only-1-195db", "fg-source-only-0.55-187.5db"])
+    def test_sure_outage_at_threshold(self, protocol, cfg):
+        # threshold() is the one sure-outage rule, for the expansion as for exact_outage
+        gamma = threshold(protocol, build_budget(cfg))
+        assert outage_asymptotic(protocol, gamma, [cfg.p_s], cfg)[0].p_outage == 1.0
+
+    def test_rounding_below_threshold(self):
+        # one float below threshold("vg") the series' a rounds to 0 for clip pair 5/5;
+        # q is past the float range there, and the outage is sure as exact_outage says
+        cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=5.0)
+        b = build_budget(cfg)
+        gamma = math.nextafter(threshold("vg", b), 0.0)
+        assert exact_outage("vg", gamma, b) == 1.0
+        assert outage_asymptotic("vg", gamma, [cfg.p_s], cfg)[0].p_outage == 1.0
 
 
 class TestDiversityFit:
