@@ -2,7 +2,7 @@
 
 When the noise-to-distortion ratio eps_star is small, the outage probability
 jumps between a small value and one across a critical protection threshold.
-This module computes those thresholds for both protocols, the gap between
+This module reports those thresholds (link_budget.threshold), the gap between
 them, the leading-order ordinate of the drop, and the bounded factor by which
 fixed gain can beat variable gain inside the gap.
 """
@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .link_budget import LinkBudget, normalize_protocol
-from .outage import _series, _series_terms, exact_outage, threshold
+from .link_budget import LinkBudget, normalize_protocol, threshold
+from .outage import _series, _series_terms, exact_outage
 
 # "Just below" the critical threshold, where ordinate and report's
 # exact_outage_below are both taken.

@@ -3,9 +3,9 @@
 A two-hop amplify-and-forward link: the source transmits an OFDM waveform
 through a soft limiter, hop 1 adds Rayleigh fading and noise, the relay
 amplifies (fixed gain from the average received power, or variable gain from
-the instantaneous per-subcarrier gain), passes through its own limiter, and
-hop 2 delivers to the destination. Everything downstream (outage, critical
-thresholds) consumes the LinkBudget built here.
+the instantaneous per-subcarrier gain: _gain_line, the one place they differ),
+passes through its own limiter, and hop 2 delivers to the destination.
+Everything downstream (outage, critical thresholds) consumes the LinkBudget.
 
 Conventions: gamma values and channel gains are linear, powers in watts.
 Under fixed clip ratios all node powers scale with the source power p_s, so
@@ -142,14 +142,34 @@ def build_budget(cfg: NetworkConfig) -> LinkBudget:
     )
 
 
+def _gain_line(protocol: str, budget: LinkBudget) -> tuple[float, float]:
+    """(alpha, beta) of the relay's gain rule sigma_R^2/g^2 = p_s (alpha x + beta) + n0.
+
+    The one place fixed gain (0, mu1) and variable gain (1, 0) differ. Read
+    x if alpha else beta, never alpha x: at x = inf that is NaN for fixed gain.
+    """
+    return (0.0, budget.config.mu1) if normalize_protocol(protocol) == "fg" else (1.0, 0.0)
+
+
+def threshold(protocol: str, budget: LinkBudget) -> float:
+    """Critical threshold; +inf when the protocol has no phase transition.
+
+    The root in gamma of a = T_R (T_S - gamma E_S) - gamma E_R alpha, the
+    coefficient whose sign decides outage in the distortion limit.
+    """
+    alpha, _ = _gain_line(protocol, budget)
+    b = budget
+    den = alpha * b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
+    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
+
+
 def gain_fg(budget: LinkBudget) -> float:
     """Fixed relay amplification, sized from the average received power."""
-    cfg = budget.config
-    return math.sqrt(budget.sel_r.sigma_sq / (cfg.p_s * cfg.mu1 + cfg.n0))
+    return gain_vg(budget, budget.config.mu1)
 
 
 def gain_vg(budget: LinkBudget, h1_gain):
-    """Variable relay amplification for instantaneous first-hop gain |h1|^2."""
+    """Relay amplification sized from first-hop gain |h1|^2 (the mean mu1 for fixed gain)."""
     h1_gain = np.asarray(h1_gain, dtype=float)
     if not np.all(h1_gain >= 0.0):
         raise DomainError("h1_gain must be non-negative, not NaN")
@@ -165,14 +185,13 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     gain so zero-gain and zero-noise corners produce no intermediate
     infinities; the degenerate all-zero case returns 0 rather than faulting.
     """
-    protocol = normalize_protocol(protocol)
+    alpha, beta = _gain_line(protocol, budget)
     x = np.asarray(h1_gain, dtype=float)
     y = np.asarray(h2_gain, dtype=float)
     if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
         raise DomainError("channel gains must be non-negative, not NaN")
     s, r = budget.sel_s, budget.sel_r
-    cfg = budget.config
-    n0 = cfg.n0
+    n0 = budget.config.n0
     zr2 = r.zeta**2
     # den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built in place
     # in the order of that expression, so the rounding is the same
@@ -182,14 +201,10 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     den *= zr2
     relay = y * r.eta
     relay += n0
-    if protocol == "fg":
-        relay *= (cfg.p_s * cfg.mu1 + n0) / r.sigma_sq
-    else:
-        inv_g2 = cfg.p_s * x
-        inv_g2 += n0
-        inv_g2 /= r.sigma_sq
-        relay = relay * inv_g2
-    den += relay
+    inv_g2 = budget.config.p_s * (x if alpha else beta)
+    inv_g2 += n0
+    inv_g2 /= r.sigma_sq
+    den += relay * inv_g2
     num = s.sigma_sq * s.zeta**2 * zr2 * x * y
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(num / den)
@@ -238,13 +253,13 @@ def asymptotic_sndr(protocol: str, h1_gain, budget: LinkBudget):
     Deterministic for the variable-gain protocol; for fixed gain it keeps a
     first-hop dependence unless the relay is the only distorting node.
     """
-    protocol = normalize_protocol(protocol)
+    alpha, _ = _gain_line(protocol, budget)
     b = budget
     if max(b.tilde_eta_s, b.tilde_eta_r) <= 0.0:
         raise DomainError("asymptotic SNDR is infinite for a linear network")
+    if alpha:  # a gain that tracks x cancels it: the limit is the critical threshold
+        return threshold(protocol, b)
     num_core = b.tilde_signal_s * b.tilde_signal_r
-    if protocol == "vg":
-        return num_core / (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s)
     x = np.asarray(h1_gain, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("h1_gain must be non-negative")

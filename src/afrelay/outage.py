@@ -1,12 +1,12 @@
 """Outage probabilities for both forwarding protocols.
 
-Fixed and variable gain differ only in how the relay sets its gain, and both
-write its inverse squared gain as a line in the first-hop gain x:
-1/g^2 = alpha x + beta, with alpha = 0 and beta = (p_s mu1 + n0)/sigma_R^2
-for fixed gain, alpha = p_s/sigma_R^2 and beta = n0/sigma_R^2 for variable
-gain. So SNDR <= gamma reads y (a x - b) <= gamma n0 (alpha x + beta) for
-second-hop gain y, and one K1 closed form serves both: conditioned on x the
-second hop is an exponential CDF, and the integral over x is
+Fixed and variable gain differ only in how the relay sets its gain: the line
+sigma_R^2/g^2 = p_s (alpha x + beta) + n0 in the first-hop gain x, whose
+(alpha, beta) link_budget._gain_line alone chooses, (0, mu1) for fixed gain
+and (1, 0) for variable gain. Scaled to 1/g^2 = alpha x + beta, SNDR <= gamma
+reads y (a x - b) <= gamma n0 (alpha x + beta) for second-hop gain y, and one
+K1 closed form serves both: conditioned on x the second hop is an
+exponential CDF, and the integral over x is
 int_0^inf e^{-u/mu1-kappa/u} du = 2 sqrt(kappa mu1) K1(2 sqrt(kappa/mu1))
 (Gradshteyn & Ryzhik 3.471.9; Hasna & Alouini, IEEE Trans. Wireless Commun.
 3(6), 2004). The same route for variable gain, integrated by adaptive
@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .link_budget import (LinkBudget, NetworkConfig, build_budget, check_threshold,
-                          normalize_protocol)
+from .link_budget import (LinkBudget, NetworkConfig, _gain_line, build_budget, check_threshold,
+                          normalize_protocol, threshold)
 from .special_math import integrate_semi_infinite, one_minus_x_k1
 
 
@@ -50,16 +50,6 @@ class DiversityFit:
 
     slope: float
     r_squared: float
-
-
-def threshold(protocol: str, budget: LinkBudget) -> float:
-    """Critical threshold; +inf when the protocol has no phase transition."""
-    protocol = normalize_protocol(protocol)
-    b = budget
-    if protocol == "fg":
-        return b.tilde_signal_s / b.tilde_eta_s if b.tilde_eta_s > 0.0 else math.inf
-    den = b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
-    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
 
 
 def _clamp01(p: float) -> float:
@@ -84,17 +74,16 @@ def _k1_tail(q: float, z: float) -> float:
 def _k1_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """Outage 1 - e^{-q} z K1(z) below the threshold, with noise, for either protocol.
 
-    (alpha, beta) is the one place the protocols differ. Outage is sure for
-    first-hop gains x <= x0 = b/a. Past it, at x = x0 + u, the second hop
-    fails with probability 1 - e^{-c - kappa/u}, where c = gamma n0 alpha/(a mu2);
-    so q = x0/mu1 + c and z = 2 sqrt(kappa/mu1).
+    (alpha, beta) is link_budget._gain_line's pair, the one place the protocols
+    differ, scaled to 1/g^2 = alpha x + beta. Outage is sure for x <= x0 = b/a.
+    Past it, at x = x0 + u, the second hop fails with probability
+    1 - e^{-c - kappa/u}, c = gamma n0 alpha/(a mu2); so q = x0/mu1 + c and
+    z = 2 sqrt(kappa/mu1).
     """
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
-    if protocol == "fg":
-        alpha, beta = 0.0, (cfg.p_s * cfg.mu1 + cfg.n0) / r.sigma_sq
-    else:
-        alpha, beta = cfg.p_s / r.sigma_sq, cfg.n0 / r.sigma_sq
+    alpha, beta = _gain_line(protocol, budget)
+    alpha, beta = cfg.p_s * alpha / r.sigma_sq, (cfg.p_s * beta + cfg.n0) / r.sigma_sq
     zr2 = r.zeta**2
     a = zr2 * (s.sigma_sq * s.zeta**2 - gamma_th * s.eta) - gamma_th * (r.eta * alpha)
     if a <= 0.0:  # gamma_th is below threshold() by a rounding only
@@ -142,28 +131,22 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 
 
 def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
-    """High-power floor of the fixed-gain outage (CDF of its SNDR limit).
-
-    The zeroth order of the high-power series; exactly 1 from threshold("fg") on.
-    """
-    check_threshold(gamma_th)
-    if gamma_th >= threshold("fg", budget):
-        return 1.0
-    return _series(*_series_terms("fg", gamma_th, budget, 0.0))
+    """High-power floor of the fixed-gain outage (CDF of its SNDR limit)."""
+    return outage_floor("fg", gamma_th, budget)
 
 
 def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
-    """Distortion-limited outage floor for either protocol.
+    """Distortion-limited outage floor (CDF of the SNDR limit) for either protocol.
 
-    Fixed gain keeps a fading-dependent limit, hence a smooth floor; variable
-    gain's limit is deterministic, so the floor is a step at the critical
-    threshold.
+    The zeroth order of the high-power series; exactly 1 from
+    threshold(protocol) on. Fixed gain keeps a fading-dependent limit, hence
+    a smooth floor; variable gain's limit is deterministic, so its series has
+    q0 = 0 and the floor is a step at the critical threshold.
     """
-    protocol = normalize_protocol(protocol)
-    if protocol == "fg":
-        return outage_fg_floor(gamma_th, budget)
     check_threshold(gamma_th)
-    return 0.0 if gamma_th < threshold("vg", budget) else 1.0
+    if gamma_th >= threshold(protocol, budget):
+        return 1.0
+    return _series(*_series_terms(protocol, gamma_th, budget, 0.0))
 
 
 _EULER = float(np.euler_gamma)
@@ -210,11 +193,13 @@ def _series_terms(protocol: str, gamma_th: float, budget: LinkBudget, nu: float,
     """
     b = budget
     mu1, mu2 = b.config.mu1, b.config.mu2
-    alpha, beta0 = (0.0, mu1) if protocol == "fg" else (1.0, 0.0)
+    alpha, beta0 = _gain_line(protocol, b)
     g_a = 0.0 if small_gamma else gamma_th
     a = (b.tilde_signal_s - g_a * b.tilde_eta_s) * b.tilde_signal_r - g_a * b.tilde_eta_r * alpha
-    if not a > 0.0:  # gamma_th is below threshold() by a rounding only: q is past the float range
-        return math.inf, 0.0, 0.0
+    if not a > 0.0:  # gamma_th is below threshold() by a rounding only
+        if nu == 0.0 and b.tilde_eta_r * beta0 == 0.0:
+            return 0.0, 0.0, 0.0  # q0 and q1 have a zero factor: the floor is 0
+        return math.inf, 0.0, 0.0  # q is past the float range: sure outage
     q0 = b.tilde_eta_r * gamma_th / a * (beta0 / mu1)
     g_nu = nu * gamma_th / a
     q1 = g_nu * ((b.tilde_signal_r + b.tilde_eta_r) / mu1 + alpha / mu2)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .bussgang import sel_apply
 from .errors import DomainError
-from .link_budget import LinkBudget, check_threshold, gain_fg, gain_vg, normalize_protocol, sndr
+from .link_budget import (LinkBudget, _gain_line, check_threshold, gain_fg, gain_vg,
+                          normalize_protocol, sndr)
 from .special_math import unitary_dft, unitary_idft
 
 _CHUNK = 1 << 16
@@ -166,9 +167,8 @@ def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
 
 def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
     """Relay gain per subcarrier: a scalar for fixed gain, a vector for variable gain."""
-    if protocol == "fg":
-        return gain_fg(budget)
-    return gain_vg(budget, np.abs(channel.freq_h1) ** 2)
+    alpha, beta = _gain_line(protocol, budget)
+    return gain_vg(budget, np.abs(channel.freq_h1) ** 2 if alpha else beta)
 
 
 def _noiseless_last_hop(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,

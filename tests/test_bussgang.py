@@ -62,7 +62,7 @@ class TestSelParams:
         zeta_ref, eta_ref, pavg_ref = ref
         p = sel_params(1.0, r)
         assert p.zeta == pytest.approx(zeta_ref, abs=1e-9)
-        assert p.eta == pytest.approx(eta_ref, rel=1e-8)
+        assert p.eta == pytest.approx(eta_ref, rel=1e-8, abs=0.0)
         assert p.p_avg == pytest.approx(pavg_ref, abs=1e-9)
 
     def test_invariants(self):
@@ -71,7 +71,7 @@ class TestSelParams:
                 p = sel_params(s2, r * s2)
                 assert 0.0 <= p.zeta <= 1.0
                 assert p.eta >= 0.0
-                assert p.p_avg == pytest.approx(s2 * -math.expm1(-r), rel=1e-14)
+                assert p.p_avg == pytest.approx(s2 * -math.expm1(-r), rel=1e-14, abs=0.0)
                 assert p.eta == pytest.approx(p.p_avg - p.zeta**2 * p.sigma_sq, abs=1e-13 * s2)
                 assert p.p_avg <= min(p.sigma_sq, p.p_max) + 1e-12
 
@@ -81,7 +81,7 @@ class TestSelParams:
         for k in rng.uniform(0.1, 30.0, 50):
             scaled = sel_params(k, 4.0 * k)
             assert scaled.zeta == pytest.approx(base.zeta, abs=1e-12)
-            assert scaled.eta == pytest.approx(base.eta * k, rel=1e-12)
+            assert scaled.eta == pytest.approx(base.eta * k, rel=1e-12, abs=0.0)
 
     def test_zeta_monotone_eta_vanishes(self):
         rs = np.linspace(0.05, 40.0, 300)
@@ -93,7 +93,7 @@ class TestSelParams:
         # eta ~ remainder terms; the naive p_avg - zeta^2 difference would
         # return garbage at this scale. Reference from a 40-digit evaluation.
         p = sel_params(1.0, 25.0)
-        assert p.eta == pytest.approx(2.62561198682e-13, rel=1e-9)
+        assert p.eta == pytest.approx(2.62561198682e-13, rel=1e-9, abs=0.0)
 
     def test_empirical_bussgang_consistency(self):
         # Residual after removing the analytic gain is uncorrelated with the
@@ -118,7 +118,7 @@ class TestSelParams:
         zeta_hat = float(np.vdot(x, y).real / np.vdot(x, x).real)
         eta_hat = float(np.mean(np.abs(y - zeta_hat * x) ** 2))
         assert zeta_hat == pytest.approx(p.zeta, abs=2e-3)
-        assert eta_hat == pytest.approx(p.eta, rel=eta_tol)
+        assert eta_hat == pytest.approx(p.eta, rel=eta_tol, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -140,12 +140,12 @@ class TestSigmaForTargetPower:
 
     def test_value_and_roundtrip(self):
         s2 = sigma_for_target_power(1.0, 5.0)
-        assert s2 == pytest.approx(1.0067836549063043, rel=1e-12)
-        assert sel_params(s2, 5.0 * s2).p_avg == pytest.approx(1.0, rel=1e-12)
+        assert s2 == pytest.approx(1.0067836549063043, rel=1e-12, abs=0.0)
+        assert sel_params(s2, 5.0 * s2).p_avg == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_linear_scaling(self):
         assert sigma_for_target_power(2.0, 5.0) == pytest.approx(
-            2.0 * sigma_for_target_power(1.0, 5.0), rel=1e-14
+            2.0 * sigma_for_target_power(1.0, 5.0), rel=1e-14, abs=0.0
         )
 
     def test_roundtrip_random(self):
@@ -154,7 +154,7 @@ class TestSigmaForTargetPower:
             p_t = float(rng.uniform(0.1, 20.0))
             r = float(rng.uniform(0.2, 30.0))
             s2 = sigma_for_target_power(p_t, r)
-            assert sel_params(s2, r * s2).p_avg == pytest.approx(p_t, rel=1e-12)
+            assert sel_params(s2, r * s2).p_avg == pytest.approx(p_t, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -182,7 +182,7 @@ class TestPowerSweep:
 
         floor = outage_fg_floor(1.0, build_budget(NetworkConfig(clip_ratio_r=5.0)))
         last = lines[-2].split(",")
-        assert float(last[1]) == pytest.approx(floor, rel=0.01)
+        assert float(last[1]) == pytest.approx(floor, rel=0.01, abs=0.0)
 
     def test_fg_relay_dominant_near_threshold(self, tmp_path):
         # the first-order coefficient underflows here; it must not overflow

@@ -33,22 +33,22 @@ class TestThreshold:
     def test_reference_values(self):
         # frozen pre-build by composing the limiter oracle values
         b2 = build_budget(FIG2_CFG)
-        assert threshold("fg", b2) == pytest.approx(1907.188685, rel=1e-8)
-        assert threshold("vg", b2) == pytest.approx(1844.246194, rel=1e-8)
+        assert threshold("fg", b2) == pytest.approx(1907.188685, rel=1e-8, abs=0.0)
+        assert threshold("vg", b2) == pytest.approx(1844.246194, rel=1e-8, abs=0.0)
         assert 10 * math.log10(threshold("fg", b2)) == pytest.approx(32.8039, abs=1e-3)
         assert 10 * math.log10(threshold("vg", b2)) == pytest.approx(32.6582, abs=1e-3)
         b3 = build_budget(FIG3_CFG)
         assert threshold("fg", b3) == math.inf
-        assert threshold("vg", b3) == pytest.approx(1907.188685, rel=1e-8)
+        assert threshold("vg", b3) == pytest.approx(1907.188685, rel=1e-8, abs=0.0)
 
     def test_relay_linear_thresholds_coincide(self):
         b = build_budget(NetworkConfig(clip_ratio_s=5.0))
-        assert threshold("fg", b) == pytest.approx(threshold("vg", b), rel=1e-12)
+        assert threshold("fg", b) == pytest.approx(threshold("vg", b), rel=1e-12, abs=0.0)
 
     def test_invariant_to_power_scaling(self):
         for p_s in (1.0, 100.0, 1e7):
             b = build_budget(scaled(FIG2_CFG, p_s))
-            assert threshold("vg", b) == pytest.approx(1844.246194, rel=1e-8)
+            assert threshold("vg", b) == pytest.approx(1844.246194, rel=1e-8, abs=0.0)
 
     def test_vg_below_fg_randomized(self):
         rng = np.random.default_rng(61)
@@ -76,10 +76,10 @@ class TestGap:
             )
             b = build_budget(cfg)
             diff = threshold("fg", b) - threshold("vg", b)
-            assert threshold_gap(b) == pytest.approx(diff, rel=1e-10)
+            assert threshold_gap(b) == pytest.approx(diff, rel=1e-10, abs=0.0)
 
     def test_reference_value(self):
-        assert threshold_gap(build_budget(FIG2_CFG)) == pytest.approx(62.942492, rel=1e-6)
+        assert threshold_gap(build_budget(FIG2_CFG)) == pytest.approx(62.942492, rel=1e-6, abs=0.0)
 
     def test_zero_when_relay_linear(self):
         assert threshold_gap(build_budget(NetworkConfig(clip_ratio_s=5.0))) == 0.0
@@ -190,7 +190,7 @@ class TestOrdinateMatchesExact:
     def test_report_compares_at_the_same_point(self):
         rep = report(build_budget(scaled(FIG2_CFG, 1e12)), include_exact_outage=True)
         for proto in ("vg", "fg"):
-            assert rep[proto].ordinate == pytest.approx(rep[proto].exact_outage_below, rel=1e-2)
+            assert rep[proto].ordinate == pytest.approx(rep[proto].exact_outage_below, rel=1e-2, abs=0.0)
 
 
 class TestAdvantageFactor:
@@ -201,7 +201,7 @@ class TestAdvantageFactor:
         f = fg_advantage_factor(g, b)
         assert 0.0 < f < 1.0
         # near the lower edge the factor is the fixed-gain floor evaluated there
-        assert f == pytest.approx(outage_fg_floor(g, b), rel=5e-3)
+        assert f == pytest.approx(outage_fg_floor(g, b), rel=5e-3, abs=0.0)
 
     def test_increasing_in_gamma(self):
         b = build_budget(FIG2_CFG)
@@ -227,10 +227,10 @@ class TestReport:
 
     def test_clipped_network(self):
         rep = report(build_budget(scaled(FIG2_CFG, 1e7)))
-        assert rep["fg"].gamma_crit == pytest.approx(1907.188685, rel=1e-8)
-        assert rep["vg"].gamma_crit == pytest.approx(1844.246194, rel=1e-8)
+        assert rep["fg"].gamma_crit == pytest.approx(1907.188685, rel=1e-8, abs=0.0)
+        assert rep["vg"].gamma_crit == pytest.approx(1844.246194, rel=1e-8, abs=0.0)
         assert rep["vg"].ordinate is not None and rep["vg"].ordinate > 0.0
-        assert rep["fg"].threshold_gap == pytest.approx(62.942492, rel=1e-6)
+        assert rep["fg"].threshold_gap == pytest.approx(62.942492, rel=1e-6, abs=0.0)
         assert 0.0 < rep["fg"].fg_advantage_factor < 1.0
 
     def test_relay_only_clipping(self):

@@ -63,36 +63,36 @@ class TestBuildBudget:
         with pytest.raises(DomainError, match="^source clip power overflows"):
             build_budget(NetworkConfig(p_s=7.9e307, clip_ratio_s=5.0, clip_ratio_r=8.0))
         b = build_budget(NetworkConfig(p_s=7.9e300, clip_ratio_s=5.0, clip_ratio_r=8.0))
-        assert b.eps_star == pytest.approx(2.4e-298, rel=0.02)
+        assert b.eps_star == pytest.approx(2.4e-298, rel=0.02, abs=0.0)
 
     def test_clipped_reference_values(self):
         b = build_budget(FIG2_CFG)
-        assert b.sel_s.sigma_sq == pytest.approx(1.0067836549, rel=1e-9)
-        assert b.sel_r.sigma_sq == pytest.approx(1.0003355753, rel=1e-9)
-        assert b.sel_s.eta == pytest.approx(5.240571898e-4, rel=1e-8)
-        assert b.sel_r.eta == pytest.approx(1.788528852e-5, rel=1e-8)
-        assert b.eps_s == pytest.approx(1908.188685, rel=1e-8)
-        assert b.eps_r == pytest.approx(55911.874105, rel=1e-8)
-        assert b.eps_star == pytest.approx(1908.188685, rel=1e-8)
+        assert b.sel_s.sigma_sq == pytest.approx(1.0067836549, rel=1e-9, abs=0.0)
+        assert b.sel_r.sigma_sq == pytest.approx(1.0003355753, rel=1e-9, abs=0.0)
+        assert b.sel_s.eta == pytest.approx(5.240571898e-4, rel=1e-8, abs=0.0)
+        assert b.sel_r.eta == pytest.approx(1.788528852e-5, rel=1e-8, abs=0.0)
+        assert b.eps_s == pytest.approx(1908.188685, rel=1e-8, abs=0.0)
+        assert b.eps_r == pytest.approx(55911.874105, rel=1e-8, abs=0.0)
+        assert b.eps_star == pytest.approx(1908.188685, rel=1e-8, abs=0.0)
 
     def test_budget_invariants(self):
         for cfg in [FIG2_CFG, FIG3_CFG, NetworkConfig(p_s=4.0, p_ratio=2.5, clip_ratio_s=3.0, clip_ratio_r=6.0, n0=0.3)]:
             b = build_budget(cfg)
             if b.sel_s.eta > 0:
-                assert b.eps_s == pytest.approx(cfg.n0 / b.sel_s.eta, rel=1e-14)
+                assert b.eps_s == pytest.approx(cfg.n0 / b.sel_s.eta, rel=1e-14, abs=0.0)
             assert b.eps_star == min(b.eps_s, b.eps_r)
-            assert b.tilde_eta_s * cfg.p_s == pytest.approx(b.sel_s.eta, rel=1e-12)
-            assert b.tilde_eta_r * cfg.p_s == pytest.approx(b.sel_r.eta, rel=1e-12)
-            assert b.sel_s.p_avg == pytest.approx(cfg.p_s, rel=1e-12)
-            assert b.sel_r.p_avg == pytest.approx(cfg.p_ratio * cfg.p_s, rel=1e-12)
-            assert b.sigma1_bar == pytest.approx(cfg.p_s * cfg.mu1 / cfg.n0, rel=1e-14)
+            assert b.tilde_eta_s * cfg.p_s == pytest.approx(b.sel_s.eta, rel=1e-12, abs=0.0)
+            assert b.tilde_eta_r * cfg.p_s == pytest.approx(b.sel_r.eta, rel=1e-12, abs=0.0)
+            assert b.sel_s.p_avg == pytest.approx(cfg.p_s, rel=1e-12, abs=0.0)
+            assert b.sel_r.p_avg == pytest.approx(cfg.p_ratio * cfg.p_s, rel=1e-12, abs=0.0)
+            assert b.sigma1_bar == pytest.approx(cfg.p_s * cfg.mu1 / cfg.n0, rel=1e-14, abs=0.0)
 
     def test_doubling_power_halves_eps(self):
         b1 = build_budget(FIG2_CFG)
         b2 = build_budget(NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, p_s=2.0))
-        assert b2.eps_s == pytest.approx(b1.eps_s / 2.0, rel=1e-12)
-        assert b2.eps_r == pytest.approx(b1.eps_r / 2.0, rel=1e-12)
-        assert b2.eps_star == pytest.approx(b1.eps_star / 2.0, rel=1e-12)
+        assert b2.eps_s == pytest.approx(b1.eps_s / 2.0, rel=1e-12, abs=0.0)
+        assert b2.eps_r == pytest.approx(b1.eps_r / 2.0, rel=1e-12, abs=0.0)
+        assert b2.eps_star == pytest.approx(b1.eps_star / 2.0, rel=1e-12, abs=0.0)
 
 
 class TestGains:
@@ -100,9 +100,9 @@ class TestGains:
         # sigma_r^2 = p_r with a linear relay; first case makes P_S mu_1
         # negligible against N_0 while holding sigma_r^2 = 1.
         b = linear_budget(p_s=1e-12, p_ratio=1e12, n0=1.0)
-        assert gain_fg(b) == pytest.approx(1.0, rel=1e-9)
+        assert gain_fg(b) == pytest.approx(1.0, rel=1e-9, abs=0.0)
         b2 = linear_budget(p_s=1.0, p_ratio=2.0, n0=1.0)
-        assert gain_fg(b2) == pytest.approx(1.0, rel=1e-12)
+        assert gain_fg(b2) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_fg_reference_value(self):
         # sqrt(sigma_R^2 / (P_S mu_1 + N_0)) with sigma_R^2 = 1.0003355753
@@ -110,7 +110,7 @@ class TestGains:
 
     def test_vg_matches_fg_at_mean_gain(self):
         b = build_budget(FIG2_CFG)
-        assert gain_vg(b, b.config.mu1) == pytest.approx(gain_fg(b), rel=1e-14)
+        assert gain_vg(b, b.config.mu1) == pytest.approx(gain_fg(b), rel=1e-14, abs=0.0)
 
     def test_vg_limits(self):
         b = linear_budget()
@@ -142,7 +142,7 @@ class TestSndr:
             l1 = b.p_s * x / b.n0
             l2 = b.config.p_ratio * b.p_s * y / b.n0
             expected = l1 * l2 / (l1 + l2 + 1.0)
-            assert sndr("vg", x, y, b) == pytest.approx(expected, rel=1e-10)
+            assert sndr("vg", x, y, b) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_vectorized_matches_scalar(self):
         b = build_budget(FIG2_CFG)
@@ -152,7 +152,7 @@ class TestSndr:
         for proto in ("fg", "vg"):
             vec = sndr(proto, x, y, b)
             for i in [0, 7, 49]:
-                assert vec[i] == pytest.approx(sndr(proto, x[i], y[i], b), rel=1e-14)
+                assert vec[i] == pytest.approx(sndr(proto, x[i], y[i], b), rel=1e-14, abs=0.0)
 
     def test_fg_monotone_in_h1(self):
         b = build_budget(FIG2_CFG)
@@ -166,7 +166,7 @@ class TestSndr:
         for proto in ("fg", "vg"):
             for x, y in [(0.5, 1.2), (2.0, 0.3), (1.0, 1.0)]:
                 lam = sndr(proto, x, y, b)
-                assert lam == pytest.approx(asymptotic_sndr(proto, x, b), rel=1e-6)
+                assert lam == pytest.approx(asymptotic_sndr(proto, x, b), rel=1e-6, abs=0.0)
 
     def test_vg_limit_uniform_over_random_draws(self):
         # keep draws away from the degenerate near-zero corner where the
@@ -262,17 +262,17 @@ class TestNormalizedSndr:
                 for proto in ("fg", "vg"):
                     a, lc, q, scale = normalized_sndr_coeffs(proto, x, y, b)
                     recon = scale / (a + lc * b.eps_star + q * b.eps_star**2)
-                    assert recon == pytest.approx(sndr(proto, x, y, b), rel=1e-10)
+                    assert recon == pytest.approx(sndr(proto, x, y, b), rel=1e-10, abs=0.0)
 
     def test_eps_to_zero_limit(self):
         b = build_budget(FIG2_CFG)
         a, lc, q, scale = normalized_sndr_coeffs("vg", 1.3, 0.6, b)
-        assert scale / a == pytest.approx(asymptotic_sndr("vg", 1.3, b), rel=1e-12)
+        assert scale / a == pytest.approx(asymptotic_sndr("vg", 1.3, b), rel=1e-12, abs=0.0)
 
     def test_fg_lcoef_large_h2(self):
         b = build_budget(FIG2_CFG)
         _, lc, q, _ = normalized_sndr_coeffs("fg", 1.0, 1e12, b)
-        assert lc == pytest.approx(b.config.p_ratio / b.config.mu1, rel=1e-9)
+        assert lc == pytest.approx(b.config.p_ratio / b.config.mu1, rel=1e-9, abs=0.0)
         assert q < 1e-12
 
     def test_linear_network_rejected(self):
@@ -303,10 +303,10 @@ class TestAsymptoticSndr:
     def test_vg_reference_value(self):
         # equals the variable-gain critical threshold by construction
         assert asymptotic_sndr("vg", 1.0, build_budget(FIG2_CFG)) == pytest.approx(
-            1844.246194, rel=1e-8
+            1844.246194, rel=1e-8, abs=0.0
         )
         assert asymptotic_sndr("vg", 1.0, build_budget(FIG3_CFG)) == pytest.approx(
-            1907.188685, rel=1e-8
+            1907.188685, rel=1e-8, abs=0.0
         )
 
     def test_fg_source_only_clipping_h1_independent(self):
@@ -314,7 +314,7 @@ class TestAsymptoticSndr:
         b = build_budget(cfg)
         ref = b.tilde_signal_s / b.tilde_eta_s
         for h in (0.1, 1.0, 10.0):
-            assert asymptotic_sndr("fg", h, b) == pytest.approx(ref, rel=1e-12)
+            assert asymptotic_sndr("fg", h, b) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_linear_network_rejected(self):
         with pytest.raises(DomainError):

@@ -224,7 +224,7 @@ class TestOutageFgClosedForm:
             top = 0.95 * (th if th < math.inf else threshold("vg", b))
             for gamma in np.geomspace(1e-3, top, 7):
                 p = outage_fg(float(gamma), b).p_outage
-                assert p == pytest.approx(fg_outage_quadrature(float(gamma), b), rel=1e-9)
+                assert p == pytest.approx(fg_outage_quadrature(float(gamma), b), rel=1e-9, abs=0.0)
 
     def test_thresholds_json_at_high_power(self, tmp_path):
         # an absolute quadrature tolerance of 1e-10 gives 2.81e-10 here, a third of the value
@@ -234,8 +234,8 @@ class TestOutageFgClosedForm:
         b = build_budget(NetworkConfig(p_s=1e15, clip_ratio_s=5.0))
         assert fg["gamma_crit"] == threshold("fg", b)
         expected = fg_outage_quadrature(0.95 * threshold("fg", b), b)
-        assert fg["exact_outage_below"] == pytest.approx(expected, rel=1e-9)
-        assert expected == pytest.approx(9.0226e-10, rel=1e-4)
+        assert fg["exact_outage_below"] == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert expected == pytest.approx(9.0226e-10, rel=1e-4, abs=0.0)
 
     def test_noiseless_is_floor(self):
         b = build_budget(NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0))
@@ -254,8 +254,8 @@ class TestOutageFgClosedForm:
         assert 1e-14 < k < 1e-10 and q < 1e-3 * k
         p = outage_fg(gamma, b).p_outage
         series = q + k * (1.0 - 2.0 * float(np.euler_gamma) - math.log(k))
-        assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9)
-        assert p == pytest.approx(series, rel=1e-6)
+        assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9, abs=0.0)
+        assert p == pytest.approx(series, rel=1e-6, abs=0.0)
 
     def test_large_z(self):
         # kappa >> mu1: z K1(z) underflows and the outage is sure, with no NaN
@@ -263,7 +263,7 @@ class TestOutageFgClosedForm:
         for gamma in (1.0, 10.0, 100.0):
             p = outage_fg(gamma, b).p_outage
             assert p == 1.0
-            assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9)
+            assert p == pytest.approx(fg_outage_quadrature(gamma, b), rel=1e-9, abs=0.0)
         # at -3000 dB SNR kappa overflows to inf; inf * K1(inf) is NaN, which
         # _clamp01 would publish as 0
         b = build_budget(NetworkConfig(n0=1e300, p_s=1.0, clip_ratio_s=5.0, clip_ratio_r=8.0))
@@ -347,6 +347,15 @@ class TestFgFloor:
         assert outage_floor("vg", th * 0.999, b) == 0.0
         assert outage_floor("vg", th * 1.001, b) == 1.0
 
+    @pytest.mark.parametrize("protocol", ["fg", "vg"])
+    def test_linear_relay_floor_just_below_threshold(self, protocol):
+        # with a linear relay the noiseless SNDR never falls below the threshold, so the
+        # floor is 0 up to it, also where the series' a rounds to 0 one float below it
+        b = build_budget(NetworkConfig(p_s=1e24, clip_ratio_s=0.442))
+        gamma = math.nextafter(threshold(protocol, b), 0.0)
+        assert outage_floor(protocol, gamma, b) == 0.0
+        assert exact_outage(protocol, gamma, b) < 1e-6
+
 
 class TestAsymptotic:
     def test_vg_first_order_constant(self):
@@ -357,7 +366,7 @@ class TestAsymptotic:
             b = build_budget(cfg)
             p_exact = outage_vg(gamma, b).p_outage
             p_asym = outage_asymptotic("vg", gamma, [cfg.p_s], FIG2_CFG)[0].p_outage
-            assert p_asym == pytest.approx(p_exact, rel=0.05)
+            assert p_asym == pytest.approx(p_exact, rel=0.05, abs=0.0)
 
     def test_fg_tends_to_floor(self):
         gamma = 100.0
@@ -365,14 +374,14 @@ class TestAsymptotic:
         floor = outage_fg_floor(gamma, b_ref)
         assert floor > 0.0
         pts = outage_asymptotic("fg", gamma, [1e8, 1e10, 1e12], FIG2_CFG)
-        assert pts[-1].p_outage == pytest.approx(floor, rel=1e-3)
+        assert pts[-1].p_outage == pytest.approx(floor, rel=1e-3, abs=0.0)
 
     def test_fg_source_only_log_decay(self):
         cfg = NetworkConfig(clip_ratio_s=5.0)
         pts = outage_asymptotic("fg", 1.0, [1e6, 1e8], cfg)
         ratio = pts[0].p_outage / pts[1].p_outage
         # log(p)/p scaling: ratio ~ 100 * log(1e6)/log(1e8)
-        assert ratio == pytest.approx(100.0 * 6.0 / 8.0, rel=0.05)
+        assert ratio == pytest.approx(100.0 * 6.0 / 8.0, rel=0.05, abs=0.0)
 
     def test_fg_relay_dominant_near_threshold_is_floor(self):
         # the log(p)/p coefficient carries exp(-eta_R gamma / (srz s_slope)),

@@ -3,7 +3,9 @@
 Outage is a probability, it grows with the threshold, it is 1 past the
 critical threshold, the closed-form variable-gain outage agrees with its
 quadrature route, and the small-gamma expansion only returns probabilities
-and never falls as the threshold grows.
+and never falls as the threshold grows. Fixed and variable gain share one
+relay gain rule, so their gains, limits and floors agree bit for bit where
+the rule says they must.
 Examples are derandomized so a tier-1 run is reproducible.
 """
 
@@ -17,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afrelay.errors import RegimeError
-from afrelay.link_budget import NetworkConfig, build_budget
+from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, gain_fg, gain_vg
 from afrelay.outage import (
     exact_outage,
+    outage_fg_floor,
+    outage_floor,
     outage_vg,
     outage_vg_quadrature,
     small_gamma_expansion,
@@ -96,3 +100,26 @@ def test_fg_small_gamma_expansion_does_not_fall(budget, protocol, g1, g2):
     except RegimeError:
         return
     assert p_lo <= p_hi
+
+
+# clip ratios down to 0.3 and p_s from 1 to 1e15
+wide_clip_ratios = st.one_of(st.just(math.inf), st.floats(0.3, 12.0))
+gain_rule_budgets = st.builds(network, wide_clip_ratios, wide_clip_ratios, st.floats(0.0, 150.0),
+                              st.just(1.0), st.just(1.0))
+
+
+@settled(300)
+@given(budget=gain_rule_budgets, x=st.floats(0.0, 1e6), u=st.floats(0.0, 1.0),
+       g_db=st.floats(-60.0, 60.0))
+def test_one_relay_gain_rule(budget, x, u, g_db):
+    b = budget
+    assert gain_fg(b) == gain_vg(b, b.config.mu1)
+    th_vg = threshold("vg", b)
+    if th_vg < math.inf:  # a node clips
+        assert asymptotic_sndr("vg", x, b) == th_vg
+    gamma = 10.0 ** (g_db / 10.0)
+    assert outage_floor("fg", gamma, b) == outage_fg_floor(gamma, b)
+    # the vg floor is 0 on 0 <= gamma < threshold("vg"), one float below it included
+    top = math.nextafter(th_vg, 0.0)
+    for below in (min(u * th_vg, top), top) if th_vg < math.inf else (gamma,):
+        assert outage_floor("vg", below, b) == 0.0

@@ -84,11 +84,11 @@ class TestErfc:
 
     @pytest.mark.parametrize("x,ref", sorted(ERFC_REF.items()))
     def test_frozen_values(self, x, ref):
-        assert math.erfc(x) == pytest.approx(ref, rel=1e-13)
+        assert math.erfc(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_against_cf_oracle(self):
         for x in [2.0, 3.0, 5.0, 8.0, 13.0, 26.0]:
-            assert math.erfc(x) == pytest.approx(erfc_cf_oracle(x), rel=1e-13)
+            assert math.erfc(x) == pytest.approx(erfc_cf_oracle(x), rel=1e-13, abs=0.0)
 
     def test_reflection_identity(self):
         rng = np.random.default_rng(7)
@@ -103,18 +103,18 @@ class TestBesselK1:
 
     @pytest.mark.parametrize("x,ref", sorted(K1_REF.items()))
     def test_frozen_values(self, x, ref):
-        assert bessel_k1(x) == pytest.approx(ref, rel=1e-10)
+        assert bessel_k1(x) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_against_series_oracle(self):
         for x in [0.05, 0.3, 1.0, 1.9, 2.5, 3.5]:
-            assert bessel_k1(x) == pytest.approx(k1_series_oracle(x), rel=1e-11)
+            assert bessel_k1(x) == pytest.approx(k1_series_oracle(x), rel=1e-11, abs=0.0)
 
     def test_against_asymptotic_oracle(self):
         for x in [20.0, 40.0, 100.0, 400.0, 700.0]:
-            assert bessel_k1(x) == pytest.approx(k1_asymptotic_oracle(x), rel=1e-10)
+            assert bessel_k1(x) == pytest.approx(k1_asymptotic_oracle(x), rel=1e-10, abs=0.0)
 
     def test_split_point_continuity(self):
-        assert bessel_k1(2.0 - 1e-12) == pytest.approx(bessel_k1(2.0 + 1e-12), rel=1e-9)
+        assert bessel_k1(2.0 - 1e-12) == pytest.approx(bessel_k1(2.0 + 1e-12), rel=1e-9, abs=0.0)
 
     def test_x_k1_monotone_and_bounded(self):
         xs = np.logspace(-8, 2.5, 400)
@@ -136,7 +136,7 @@ class TestBesselK1:
         # carry only a few good digits.
         x = 1e-6
         expected = -x * x / 2.0 * math.log(x / 2.0) + x * x / 4.0 * (1.0 - 2.0 * np.euler_gamma)
-        assert one_minus_x_k1(x) == pytest.approx(expected, rel=1e-6)
+        assert one_minus_x_k1(x) == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -162,7 +162,7 @@ class TestUnitaryDft:
         rng = np.random.default_rng(11)
         for n in [2, 8, 64, 512]:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.linalg.norm(unitary_dft(v)) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+            assert np.linalg.norm(unitary_dft(v)) == pytest.approx(np.linalg.norm(v), rel=1e-12, abs=0.0)
 
     def test_roundtrip_512(self):
         rng = np.random.default_rng(12)
@@ -245,13 +245,13 @@ class TestQuadrature:
         # truth = kappa*(log(1/kappa) + 1 - 2*gamma) + O(kappa^2), from the
         # exact value 1 - 2 sqrt(kappa) K1(2 sqrt(kappa))
         truth = 1.0 - 2.0 * math.sqrt(kappa) * bessel_k1(2.0 * math.sqrt(kappa))
-        assert res.value == pytest.approx(truth, rel=1e-4)
+        assert res.value == pytest.approx(truth, rel=1e-4, abs=0.0)
 
     def test_budget_exhaustion_carries_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
             integrate_semi_infinite(lambda x: np.exp(-x), tol=1e-300, max_evals=200)
         assert exc.value.result is not None
-        assert exc.value.result.value == pytest.approx(1.0, rel=1e-4)
+        assert exc.value.result.value == pytest.approx(1.0, rel=1e-4, abs=0.0)
 
     def test_bad_tol(self):
         with pytest.raises(DomainError):
