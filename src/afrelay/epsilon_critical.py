@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 from .link_budget import LinkBudget, normalize_protocol, threshold
-from .outage import _series, _series_terms, exact_outage
+from .outage import _series, exact_outage
 
 # "Just below" the critical threshold, where ordinate and report's
 # exact_outage_below are both taken.
@@ -56,8 +56,8 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
     fixed gain (diversity 0).
 
     eps_star defaults to the budget's own value but can be overridden to
-    study the scaling law; it then stands for the equivalent source power
-    p_s * budget.eps_star / eps_star. Outside the series' region of validity
+    study the scaling law; it then stands for the noise power
+    n0 * eps_star / budget.eps_star. Outside the series' region of validity
     a RegimeError is raised.
     """
     protocol = normalize_protocol(protocol)
@@ -67,13 +67,13 @@ def ordinate(protocol: str, budget: LinkBudget, eps_star: float | None = None) -
         raise DomainError(f"{protocol} has no phase transition, so no ordinate")
     if not (b.n0 > 0.0):
         raise DomainError("ordinate requires positive noise power")
-    p_s = b.p_s
+    n0 = b.n0
     if eps_star is not None:
         eps = float(eps_star)
         if not (0.0 < eps < math.inf):
             raise DomainError(f"eps_star must be positive and finite, got {eps!r}")
-        p_s *= b.eps_star / eps
-    return _series(*_series_terms(protocol, BELOW_THRESHOLD * th, b, b.n0 / p_s))
+        n0 *= eps / b.eps_star
+    return _series(protocol, BELOW_THRESHOLD * th, b, n0)
 
 
 def fg_advantage_factor(gamma_th: float, budget: LinkBudget) -> float:

@@ -181,15 +181,16 @@ def gain_vg(budget: LinkBudget, h1_gain):
 def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     """Instantaneous per-subcarrier SNDR for given channel gains.
 
-    Accepts scalars or broadcastable arrays. Written with the inverse relay
-    gain so zero-gain and zero-noise corners produce no intermediate
-    infinities; the degenerate all-zero case returns 0 rather than faulting.
+    Accepts scalars or broadcastable arrays of finite gains >= 0. Written with
+    the inverse relay gain so zero-gain and zero-noise corners produce no
+    intermediate infinities; the degenerate all-zero case returns 0 rather
+    than faulting.
     """
     alpha, beta = _gain_line(protocol, budget)
     x = np.asarray(h1_gain, dtype=float)
     y = np.asarray(h2_gain, dtype=float)
-    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
-        raise DomainError("channel gains must be non-negative, not NaN")
+    if not (np.all((x >= 0.0) & (x < math.inf)) and np.all((y >= 0.0) & (y < math.inf))):
+        raise DomainError("channel gains must be finite and non-negative")
     s, r = budget.sel_s, budget.sel_r
     n0 = budget.config.n0
     zr2 = r.zeta**2
@@ -222,28 +223,21 @@ def normalized_sndr_coeffs(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     exactly, which isolates how performance degrades as the network leaves the
     distortion-limited regime. Undefined when both nodes are linear.
     """
-    protocol = normalize_protocol(protocol)
+    alpha, beta = _gain_line(protocol, budget)
     x = float(h1_gain)
     y = float(h2_gain)
-    # the coefficients divide by h2_gain, and by h1_gain for variable gain
-    if not (x >= 0.0 and y > 0.0) or (protocol == "vg" and x == 0.0):
+    seen = x if alpha else beta  # the first-hop gain the relay's gain rule reads
+    # the coefficients divide by h2_gain and by seen, which is h1_gain for variable gain
+    if not (x >= 0.0 and y > 0.0 and seen > 0.0):
         raise DomainError(f"channel gains must be positive (fg allows h1_gain = 0), got {x!r}, {y!r}")
     b = budget
     eta_max = max(b.tilde_eta_s, b.tilde_eta_r)
     if eta_max <= 0.0:
         raise DomainError("normalized SNDR requires distortion at one node")
-    mu1 = b.config.mu1
-    p_ratio = b.config.p_ratio
-    if protocol == "fg":
-        a = b.tilde_eta_r / eta_max + b.tilde_signal_r * x * b.tilde_eta_s / (eta_max * mu1)
-        lcoef = 1.0 / y + p_ratio / mu1
-        q = eta_max / (mu1 * y)
-        scale = b.tilde_signal_s * b.tilde_signal_r * x / (mu1 * eta_max)
-    else:
-        a = (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s) / eta_max
-        lcoef = 1.0 / y + p_ratio / x
-        q = eta_max / (x * y)
-        scale = b.tilde_signal_s * b.tilde_signal_r / eta_max
+    a = (b.tilde_eta_r * seen + b.tilde_signal_r * b.tilde_eta_s * x) / (eta_max * seen)
+    lcoef = 1.0 / y + b.config.p_ratio / seen
+    q = eta_max / (seen * y)
+    scale = b.tilde_signal_s * b.tilde_signal_r * x / (seen * eta_max)
     return a, lcoef, q, scale
 
 

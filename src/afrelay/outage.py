@@ -12,12 +12,15 @@ int_0^inf e^{-u/mu1-kappa/u} du = 2 sqrt(kappa mu1) K1(2 sqrt(kappa/mu1))
 3(6), 2004). The same route for variable gain, integrated by adaptive
 quadrature, is an independent oracle.
 
+One builder, _k1_form, gives that form's coefficients (q0, q1, k0, k1) at a
+noise power passed to it, and every result here reads it: exact_outage
+evaluates the form at the budget's own n0, the floor is the same form at
+n0 = 0 (the CDF of the distortion-limited SNDR), and every expansion
+(outage_asymptotic and epsilon_critical.ordinate in n0, or equally in
+1/p_s; small_gamma_expansion in gamma) is its first order, _series.
 a > 0 holds exactly when gamma is below the protocol's critical threshold,
 so threshold() is the one sure-outage rule: exact_outage, the floors and
-outage_asymptotic are exactly 1 from it on. The floor and every expansion
-(outage_asymptotic and epsilon_critical.ordinate in 1/p_s,
-small_gamma_expansion in gamma) are the first order of that closed form, one
-series whose coefficients come from the same (alpha, beta).
+outage_asymptotic are exactly 1 from it on.
 
 Every function here takes a finite linear threshold gamma_th >= 0 and source
 powers 0 < p_s < inf; anything else, inf and NaN included, raises DomainError
@@ -66,35 +69,56 @@ def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     return OutagePoint(gamma_th, exact_outage("fg", gamma_th, budget))
 
 
-def _k1_tail(q: float, z: float) -> float:
-    """1 - e^{-q} z K1(z) as two positive pieces: tiny outages keep full precision."""
-    return -math.expm1(-q) + math.exp(-q) * one_minus_x_k1(z)
-
-
-def _k1_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
-    """Outage 1 - e^{-q} z K1(z) below the threshold, with noise, for either protocol.
+def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
+             small_gamma: bool = False) -> tuple[float, float, float, float]:
+    """(q0, q1, k0, k1) of the outage 1 - e^{-q} z K1(z) at noise power n0, below the threshold.
 
     (alpha, beta) is link_budget._gain_line's pair, the one place the protocols
-    differ, scaled to 1/g^2 = alpha x + beta. Outage is sure for x <= x0 = b/a.
-    Past it, at x = x0 + u, the second hop fails with probability
-    1 - e^{-c - kappa/u}, c = gamma n0 alpha/(a mu2); so q = x0/mu1 + c and
-    z = 2 sqrt(kappa/mu1).
+    differ, scaled to 1/g^2 = alpha x + beta + n0/sigma_R^2. With
+    a = zeta_R^2 (sigma_S^2 zeta_S^2 - gamma eta_S) - gamma eta_R alpha, outage
+    is sure for x <= x0 + x1: x0 = gamma eta_R beta/a is noise free and
+    x1 = gamma n0 (zeta_R^2 + eta_R/sigma_R^2)/a. Past it, at x = x0 + x1 + u,
+    the second hop fails with probability 1 - e^{-c - kappa/u},
+    c = gamma n0 alpha/(a mu2); so q = (x0 + x1)/mu1 + c and z^2/4 = kappa/mu1.
+    In n0, q = q0 + q1 is affine, with q0 noise free (the fg floor's exponent,
+    0 for vg), and z^2/4 = k0 + k1 has a linear k0 and a quadratic k1 (alpha x0
+    is 0, as alpha beta = 0). small_gamma orders both in gamma instead: a taken
+    at gamma = 0 puts all of q in q1, and k1 keeps only the gamma^2 term alpha x1.
     """
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
     alpha, beta = _gain_line(protocol, budget)
-    alpha, beta = cfg.p_s * alpha / r.sigma_sq, (cfg.p_s * beta + cfg.n0) / r.sigma_sq
+    alpha, beta = cfg.p_s * alpha / r.sigma_sq, cfg.p_s * beta / r.sigma_sq
     zr2 = r.zeta**2
-    a = zr2 * (s.sigma_sq * s.zeta**2 - gamma_th * s.eta) - gamma_th * (r.eta * alpha)
-    if a <= 0.0:  # gamma_th is below threshold() by a rounding only
+    g_a = 0.0 if small_gamma else gamma_th
+    a = zr2 * (s.sigma_sq * s.zeta**2 - g_a * s.eta) - g_a * (r.eta * alpha)
+    if not a > 0.0:  # gamma_th is below threshold() by a rounding only
+        if n0 == 0.0 and r.eta * beta == 0.0:
+            return 0.0, 0.0, 0.0, 0.0  # q and kappa have a zero factor: no outage
+        return math.inf, 0.0, 0.0, 0.0  # q is past the float range: sure outage
+    x0 = gamma_th * r.eta * beta / a
+    x1 = gamma_th * n0 * (zr2 + r.eta / r.sigma_sq) / a
+    g_n0 = gamma_th * n0 / (a * cfg.mu2)
+    if not (x1 < math.inf and g_n0 < math.inf):  # the noise terms are past the float range
+        return x0 / cfg.mu1, math.inf, math.inf, 0.0  # sure outage, and no series
+    q0, q1 = x0 / cfg.mu1, x1 / cfg.mu1 + g_n0 * alpha
+    k = g_n0 / cfg.mu1
+    if small_gamma:
+        return 0.0, q0 + q1, k * (beta + n0 / r.sigma_sq), k * (alpha * x1)
+    return q0, q1, k * beta, k * (alpha * x1 + n0 / r.sigma_sq)
+
+
+def _outage(protocol: str, gamma_th: float, budget: LinkBudget, n0: float) -> float:
+    """The K1 form at noise power n0; exactly 1 from threshold(protocol) on.
+
+    1 - e^{-q} z K1(z) as two positive pieces, so tiny outages keep full precision.
+    """
+    check_threshold(gamma_th)
+    if gamma_th >= threshold(protocol, budget):
         return 1.0
-    x0 = gamma_th * (zr2 * cfg.n0 + r.eta * beta) / a
-    g_n0 = gamma_th * cfg.n0 / (a * cfg.mu2)
-    if not (x0 < math.inf and g_n0 < math.inf):  # q or kappa past the float range: sure outage
-        return 1.0
-    q = x0 / cfg.mu1 + g_n0 * alpha
-    kappa = g_n0 * (alpha * x0 + beta)
-    return _clamp01(_k1_tail(q, 2.0 * math.sqrt(kappa / cfg.mu1)))
+    q0, q1, k0, k1 = _k1_form(protocol, gamma_th, budget, n0)
+    q = q0 + q1
+    return _clamp01(-math.expm1(-q) + math.exp(-q) * one_minus_x_k1(2.0 * math.sqrt(k0 + k1)))
 
 
 def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10) -> OutagePoint:
@@ -138,30 +162,30 @@ def outage_fg_floor(gamma_th: float, budget: LinkBudget) -> float:
 def outage_floor(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """Distortion-limited outage floor (CDF of the SNDR limit) for either protocol.
 
-    The zeroth order of the high-power series; exactly 1 from
+    The exact outage's K1 form at zero noise power; exactly 1 from
     threshold(protocol) on. Fixed gain keeps a fading-dependent limit, hence
-    a smooth floor; variable gain's limit is deterministic, so its series has
+    a smooth floor 1 - e^{-q0}; variable gain's limit is deterministic, so
     q0 = 0 and the floor is a step at the critical threshold.
     """
-    check_threshold(gamma_th)
-    if gamma_th >= threshold(protocol, budget):
-        return 1.0
-    return _series(*_series_terms(protocol, gamma_th, budget, 0.0))
+    return _outage(protocol, gamma_th, budget, 0.0)
 
 
 _EULER = float(np.euler_gamma)
 
 
-def _series(q0: float, q1: float, k: float) -> float:
-    """First order of the outage 1 - e^{-q} z K1(z) in q = q0 + q1 and k = z^2/4.
+def _series(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
+            small_gamma: bool = False) -> float:
+    """First order of the outage 1 - e^{-q} z K1(z) at noise power n0, from _k1_form.
 
     1 - z K1(z) = k (1 - 2 gamma_E - ln k) + O(z^4 ln z) (Abramowitz & Stegun
-    9.6.11), and q0 is kept whole. The one validity guard: where the floor
-    -expm1(-q0) rounds to 1 the value is 1; otherwise a RegimeError is raised
-    for k outside [0, 1), past the turning point q1 <= k (2 gamma_E + ln k)
-    (q1 and k are linear in the expansion variable, and beyond it the value
-    would fall as that grows), or for a value outside [0, 1]. Never a clamp.
+    9.6.11) with k = z^2/4; q = q0 + q1 is kept whole, k0 is kept and k1 dropped.
+    The one validity guard: where the floor -expm1(-q0) rounds to 1 the value
+    is 1; otherwise a RegimeError is raised for k0 outside [0, 1), past the
+    turning point q1 <= k0 (2 gamma_E + ln k0) (q1 and k0 are linear in the
+    expansion variable, and beyond it the value would fall as that grows), or
+    for a value outside [0, 1]. Never a clamp.
     """
+    q0, q1, k, _ = _k1_form(protocol, gamma_th, budget, n0, small_gamma)
     floor = -math.expm1(-q0)
     if floor == 1.0:
         return 1.0
@@ -176,35 +200,6 @@ def _series(q0: float, q1: float, k: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise RegimeError(f"expansion region exceeded: first-order value {p!r} outside [0, 1]")
     return p
-
-
-def _series_terms(protocol: str, gamma_th: float, budget: LinkBudget, nu: float,
-                  small_gamma: bool = False):
-    """(q0, q1, k) of _series at nu = n0/p_s, from the scale-invariant tilde fields.
-
-    With the relay's gain line sigma_R^2/(p_s g^2) = alpha x + beta0 + nu and
-    a = T_R (T_S - gamma E_S) - gamma E_R alpha, _k1_outage's q is exactly
-    q0 + q1: q0 = gamma E_R beta0/(a mu1) has no noise (the fg floor's
-    exponent, 0 for vg) and q1 is proportional to nu. Its kappa' = kappa/mu1
-    is gamma nu (alpha x0 + beta0 + nu)/(a mu1 mu2); the high-power series
-    keeps it to first order in nu (alpha x0 is O(nu), as alpha beta0 = 0).
-    The small-gamma series takes a at gamma = 0, which puts all of q in q1,
-    and drops the gamma^2 term alpha x0.
-    """
-    b = budget
-    mu1, mu2 = b.config.mu1, b.config.mu2
-    alpha, beta0 = _gain_line(protocol, b)
-    g_a = 0.0 if small_gamma else gamma_th
-    a = (b.tilde_signal_s - g_a * b.tilde_eta_s) * b.tilde_signal_r - g_a * b.tilde_eta_r * alpha
-    if not a > 0.0:  # gamma_th is below threshold() by a rounding only
-        if nu == 0.0 and b.tilde_eta_r * beta0 == 0.0:
-            return 0.0, 0.0, 0.0  # q0 and q1 have a zero factor: the floor is 0
-        return math.inf, 0.0, 0.0  # q is past the float range: sure outage
-    q0 = b.tilde_eta_r * gamma_th / a * (beta0 / mu1)
-    g_nu = nu * gamma_th / a
-    q1 = g_nu * ((b.tilde_signal_r + b.tilde_eta_r) / mu1 + alpha / mu2)
-    k = g_nu * (beta0 + (nu if small_gamma else 0.0)) / (mu1 * mu2)
-    return (0.0, q0 + q1, k) if small_gamma else (q0, q1, k)
 
 
 def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConfig):
@@ -224,7 +219,7 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
         p = 1.0
         if gamma_th < threshold(protocol, b):
             try:
-                p = _series(*_series_terms(protocol, gamma_th, b, cfg.n0 / p_s))
+                p = _series(protocol, gamma_th, b, cfg.n0)
             except RegimeError:
                 p = None
         out.append(OutagePoint(gamma_th, p))
@@ -233,14 +228,7 @@ def outage_asymptotic(protocol: str, gamma_th: float, p_s_grid, cfg: NetworkConf
 
 def exact_outage(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """Exact outage probability of either protocol; 1 from threshold(protocol) on."""
-    protocol = normalize_protocol(protocol)
-    check_threshold(gamma_th)
-    if gamma_th >= threshold(protocol, budget):
-        return 1.0
-    if budget.n0 == 0.0 or gamma_th == 0.0:
-        # a noiseless SNDR is its distortion limit, whose CDF is the floor; at 0 both are 0
-        return outage_floor(protocol, gamma_th, budget)
-    return _k1_outage(protocol, gamma_th, budget)
+    return _outage(protocol, gamma_th, budget, budget.n0)
 
 
 def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) -> DiversityFit:
@@ -291,4 +279,4 @@ def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) ->
         raise DomainError("small-gamma expansion requires positive noise power")
     if not (gamma_th < threshold(protocol, b)):
         raise RegimeError("expansion region exceeded: gamma at or past the critical threshold")
-    return _series(*_series_terms(protocol, gamma_th, b, b.n0 / b.p_s, small_gamma=True))
+    return _series(protocol, gamma_th, b, b.n0, small_gamma=True)

@@ -71,7 +71,7 @@ PINNED = {
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633882,
         'ordinate fg': None,
-        'exact_outage fg low': 0.9741380710202682,
+        'exact_outage fg low': 0.9741380710202681,
         'exact_outage fg below': 0.9999999999998906,
         'outage_asymptotic fg low': None,
         'normalized_sndr_coeffs fg': (0.7341159854801227, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
@@ -79,13 +79,13 @@ PINNED = {
         'exact_outage vg low': 0.9983597087850016,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.034110619893567, 2.197802197802198, 0.0005758870217974447, 1907.1545744996906),
+        'normalized_sndr_coeffs vg': (1.0341106198935672, 2.197802197802198, 0.0005758870217974447, 1907.1545744996909),
         'asymptotic_sndr vg': 1844.246193599655,
         'asymptotic_sndr fg': (1785.3255228454823, 1875.1894071043869),
-        'outage_fg_floor low': 0.03144341840677359,
+        'outage_fg_floor low': 0.031443418406773595,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
-        'outage_fg_floor mid': 0.869205660330205,
+        'outage_fg_floor mid': 0.8692056603302086,
         'outage_fg_floor past': 1.0,
         'exact_outage vg past': 1.0,
     },
@@ -94,12 +94,12 @@ PINNED = {
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
-        'ordinate fg': 0.48940217548635206,
-        'exact_outage fg low': 0.0330827226160126,
+        'ordinate fg': 0.4894021754863524,
+        'exact_outage fg low': 0.03308272261601259,
         'exact_outage fg below': 0.3300457050760809,
         'outage_asymptotic fg low': 0.03308284573098587,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
-        'ordinate vg': 0.007011935535678666,
+        'ordinate vg': 0.007011935535678671,
         'exact_outage vg low': 0.00036956146576055206,
         'exact_outage vg below': 0.007123535983946411,
         'outage_asymptotic vg low': 0.0003690492387199309,
@@ -108,8 +108,8 @@ PINNED = {
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
         'exact_outage fg mid': 0.877090160493222,
-        'outage_asymptotic fg mid': 0.877122496329218,
-        'outage_fg_floor mid': 0.8692056603302031,
+        'outage_asymptotic fg mid': 0.8771224963292201,
+        'outage_fg_floor mid': 0.8692056603302053,
         'outage_fg_floor past': 1.0,
         'exact_outage vg past': 1.0,
     },
@@ -118,22 +118,22 @@ PINNED = {
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 62.94249151992908,
         'fg_advantage_factor mid': 0.8646647167633863,
-        'ordinate fg': 0.477146096490263,
-        'exact_outage fg low': 0.031443418455037966,
-        'exact_outage fg below': 0.3198158197032728,
-        'outage_asymptotic fg low': 0.03144341845503796,
+        'ordinate fg': 0.4771460964902635,
+        'exact_outage fg low': 0.03144341845503797,
+        'exact_outage fg below': 0.31981581970327283,
+        'outage_asymptotic fg low': 0.031443418455037966,
         'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
-        'ordinate vg': 7.011935535678667e-11,
+        'ordinate vg': 7.011935535678693e-11,
         'exact_outage vg low': 3.6904923873760636e-12,
         'exact_outage vg below': 7.011935541332292e-11,
         'outage_asymptotic vg low': 3.6904923871993095e-12,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
-        'outage_fg_floor low': 0.03144341840677358,
+        'outage_fg_floor low': 0.03144341840677359,
         'exact_outage fg mid': 0.8692056606833918,
-        'outage_asymptotic fg mid': 0.8692056606833882,
-        'outage_fg_floor mid': 0.8692056603302031,
+        'outage_asymptotic fg mid': 0.8692056606833917,
+        'outage_fg_floor mid': 0.8692056603302065,
         'outage_fg_floor past': 1.0,
         'exact_outage vg past': 1.0,
     },
@@ -151,10 +151,10 @@ PINNED = {
         'exact_outage vg low': 0.9987067049033189,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
-        'outage_fg_floor low': 0.3934693402873666,
+        'outage_fg_floor low': 0.39346934028736663,
     },
     (inf, 5.0, 70.0): {
         'threshold fg': inf,
@@ -166,11 +166,11 @@ PINNED = {
         'exact_outage fg below': 0.6139222174675777,
         'outage_asymptotic fg low': 0.39405398255448826,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
-        'ordinate vg': 0.00725111700345442,
+        'ordinate vg': 0.007251117003454451,
         'exact_outage vg low': 0.00038218304389802706,
         'exact_outage vg below': 0.0073695525940846215,
-        'outage_asymptotic vg low': 0.00038163773702391677,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'outage_asymptotic vg low': 0.0003816377370239169,
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.3934693402873666,
@@ -181,18 +181,18 @@ PINNED = {
         'threshold_gap': None,
         'fg_advantage_factor mid': None,
         'ordinate fg': None,
-        'exact_outage fg low': 0.3934693403038728,
+        'exact_outage fg low': 0.39346934030387287,
         'exact_outage fg below': 0.613258976565046,
-        'outage_asymptotic fg low': 0.3934693403038728,
+        'outage_asymptotic fg low': 0.39346934030387287,
         'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
-        'ordinate vg': 7.251117003454422e-11,
+        'ordinate vg': 7.251117003454426e-11,
         'exact_outage vg low': 3.816377370427939e-12,
         'exact_outage vg below': 7.251117009491474e-11,
-        'outage_asymptotic vg low': 3.816377370239168e-12,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'outage_asymptotic vg low': 3.816377370239169e-12,
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
-        'outage_fg_floor low': 0.3934693402873666,
+        'outage_fg_floor low': 0.39346934028736663,
     },
     (5.0, inf, 30.0): {
         'threshold fg': 1907.188685119584,
@@ -208,7 +208,7 @@ PINNED = {
         'exact_outage vg low': 0.9987067049033189,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
@@ -223,16 +223,16 @@ PINNED = {
         'threshold vg': 1907.188685119584,
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
-        'ordinate fg': 0.02344037995188637,
+        'ordinate fg': 0.023440379951886393,
         'exact_outage fg low': 0.0017954148616065569,
         'exact_outage fg below': 0.023407751050619992,
         'outage_asymptotic fg low': 0.0017955587224010652,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
-        'ordinate vg': 0.00725111700345442,
+        'ordinate vg': 0.007251117003454429,
         'exact_outage vg low': 0.00038218304389802695,
         'exact_outage vg below': 0.007369552594084599,
         'outage_asymptotic vg low': 0.00038163773702391677,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
@@ -247,16 +247,16 @@ PINNED = {
         'threshold vg': 1907.188685119584,
         'threshold_gap': 0.0,
         'fg_advantage_factor mid': None,
-        'ordinate fg': 9.022563563072558e-10,
+        'ordinate fg': 9.022563563072572e-10,
         'exact_outage fg low': 5.3105721791772884e-11,
         'exact_outage fg below': 9.022563562918881e-10,
         'outage_asymptotic fg low': 5.310572179182075e-11,
         'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
-        'ordinate vg': 7.251117003454422e-11,
+        'ordinate vg': 7.251117003454432e-11,
         'exact_outage vg low': 3.816377370427938e-12,
         'exact_outage vg below': 7.251117009491481e-11,
         'outage_asymptotic vg low': 3.816377370239168e-12,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.188685119584),
+        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
         'asymptotic_sndr vg': 1907.188685119584,
         'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
@@ -280,10 +280,10 @@ PINNED = {
         'exact_outage vg low': 0.9983597087850016,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996906),
+        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996909),
         'asymptotic_sndr vg': 1844.2461935996553,
         'asymptotic_sndr fg': (937.5864595798043, 3570.7108293029864),
-        'outage_fg_floor low': 0.38836241170726254,
+        'outage_fg_floor low': 0.3883624117072626,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
         'outage_fg_floor mid': 0.9999999999999749,
@@ -298,16 +298,16 @@ PINNED = {
         'ordinate fg': 1.0,
         'exact_outage fg low': 0.3889430371982804,
         'exact_outage fg below': 0.6132962214281238,
-        'outage_asymptotic fg low': 0.3889430603497688,
+        'outage_asymptotic fg low': 0.3889430603497687,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
-        'ordinate vg': 0.007011935535678678,
+        'ordinate vg': 0.007011935535678692,
         'exact_outage vg low': 0.0003695614657605521,
         'exact_outage vg below': 0.007123535983946432,
         'outage_asymptotic vg low': 0.00036904923871993096,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),
-        'outage_fg_floor low': 0.38836241170726254,
+        'outage_fg_floor low': 0.3883624117072625,
         'exact_outage fg mid': 0.9999999999999758,
         'outage_asymptotic fg mid': 0.9999999999999758,
         'outage_fg_floor mid': 0.9999999999999749,
@@ -324,10 +324,10 @@ PINNED = {
         'exact_outage fg below': 0.6126329184143096,
         'outage_asymptotic fg low': 0.38836241172363833,
         'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
-        'ordinate vg': 7.011935535678679e-11,
+        'ordinate vg': 7.011935535678674e-11,
         'exact_outage vg low': 3.6904923873760636e-12,
         'exact_outage vg below': 7.011935541332272e-11,
-        'outage_asymptotic vg low': 3.69049238719931e-12,
+        'outage_asymptotic vg low': 3.6904923871993095e-12,
         'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
         'asymptotic_sndr vg': 1844.2461935996548,
         'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),

@@ -297,14 +297,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv,digest", [
         (["outage-sweep", "--protocol", "vg", *FIG2, "--snr-db", "50", "--gamma-db", "0:5:30",
           "--trials", "1e4", "--seed", "7", "--format", "json"],
-         "189ee3fca2e0bd76220774e3c272d301906b20e8c2ae9291bdca09dce4ea9f08"),
+         "33d67e82f52a65ae327a037e792bf1ede6dd2ffb4248f69965a9327c369e384e"),
         (["power-sweep", "--protocol", "vg", *FIG2, "--gamma-db", "0", "--ps-db", "40:10:80"],
          "520469efad152e9372a71b38b956ccfda9ef851ee4a90038d732f6628ad00abc"),
         (["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
           "--ps-db", "40:10:80", "--format", "json"],
-         "b1364347b89522be88cdb3129a65ace78b2c4c9da39bb83fa0c28a2b75a77dd6"),
+         "b6b1db7ca5777bf7cc35b39f5cd3364193a02b09d4dba970b96b686b56ce9de3"),
         (["thresholds", *FIG2, "--snr-db", "70"],
-         "c5b01416ccbe86dbbb87c8e66d7cd3e835667a93eda20b789f7a91c053aab157"),
+         "0ddc345a19ccf35a82ecbdd3225a655c917a47d9ebdfb47ae1edad5f32cf5e1c"),
         # thresholds writes JSON whatever --format says
         (["thresholds", "--snr-db", "30", "--format", "csv"],
          "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),

@@ -131,6 +131,10 @@ class TestOrdinate:
         b = build_budget(FIG2_CFG)
         with pytest.raises(Exception):
             ordinate("vg", b, eps_star=1e3)
+        # a noise power past the float range leaves the series' region; it is no sure 1
+        for protocol in ("vg", "fg"):
+            with pytest.raises(RegimeError):
+                ordinate(protocol, b, eps_star=1.7e308)
 
     def test_fg_requires_source_distortion(self):
         with pytest.raises(DomainError):

@@ -194,7 +194,7 @@ class TestSndr:
         # expression, evaluated in the same order
         b = build_budget(cfg)
         s, r, n0 = b.sel_s, b.sel_r, b.config.n0
-        corners = np.array([0.0, 1e-300, 0.5, 1.0, 7.0, 1e300, math.inf])
+        corners = np.array([0.0, 1e-300, 0.5, 1.0, 7.0, 1e300])
         x, y = np.meshgrid(corners, corners)
         draws = np.random.default_rng(11).exponential(1.0, (2, 500))
         for h1, h2 in ((x, y), (draws[0], draws[1]), (corners, 0.8), (0.8, corners)):
@@ -230,9 +230,17 @@ class TestSndr:
         (1.0, math.nan),
         (np.array([0.5, math.nan]), np.array([1.0, 2.0])),
         (np.array([0.5, 1.0]), np.array([math.nan, 2.0])),
-    ], ids=["scalar-h1", "scalar-h2", "array-h1", "array-h2"])
+        # an infinite gain gave NaN, or 0 * inf, before it was refused
+        (math.inf, 1.0),
+        (math.inf, 0.0),
+        (1.0, math.inf),
+        (0.0, math.inf),
+        (np.array([0.5, math.inf]), np.array([1.0, 2.0])),
+        (np.array([0.5, 1.0]), np.array([-math.inf, 2.0])),
+    ], ids=["scalar-h1", "scalar-h2", "array-h1", "array-h2", "inf-h1", "inf-h1-zero-h2",
+            "inf-h2", "inf-h2-zero-h1", "inf-array-h1", "minus-inf-array-h2"])
     def test_nan_gain_rejected(self, protocol, h1, h2):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^channel gains must be finite and non-negative"):
             sndr(protocol, h1, h2, build_budget(FIG2_CFG))
 
 

@@ -5,11 +5,13 @@ critical threshold, the closed-form variable-gain outage agrees with its
 quadrature route, and the small-gamma expansion only returns probabilities
 and never falls as the threshold grows. Fixed and variable gain share one
 relay gain rule, so their gains, limits and floors agree bit for bit where
-the rule says they must.
+the rule says they must. The floor is the exact outage at zero noise power,
+bit for bit, and the exact outage tends to it as the noise vanishes.
 Examples are derandomized so a tier-1 run is reproducible.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -123,3 +125,27 @@ def test_one_relay_gain_rule(budget, x, u, g_db):
     top = math.nextafter(th_vg, 0.0)
     for below in (min(u * th_vg, top), top) if th_vg < math.inf else (gamma,):
         assert outage_floor("vg", below, b) == 0.0
+
+
+@settled(150)
+@given(budget=budgets, protocol=protocols, g_db=gamma_dbs)
+def test_floor_is_exact_outage_at_zero_noise(budget, protocol, g_db):
+    gamma = 10.0 ** (g_db / 10.0)
+    noiseless = build_budget(replace(budget.config, n0=0.0))
+    assert outage_floor(protocol, gamma, budget) == exact_outage(protocol, gamma, noiseless)
+
+
+@settled(100)
+@given(budget=budgets, protocol=protocols)
+def test_outage_is_zero_at_zero_threshold(budget, protocol):
+    assert exact_outage(protocol, 0.0, budget) == 0.0
+    assert exact_outage(protocol, 0.0, build_budget(replace(budget.config, n0=0.0))) == 0.0
+
+
+@settled(150)
+@given(budget=budgets, protocol=protocols, u=st.floats(0.0, 0.9), g_db=gamma_dbs)
+def test_outage_tends_to_floor_as_noise_vanishes(budget, protocol, u, g_db):
+    th = threshold(protocol, budget)
+    gamma = u * th if th < math.inf else 10.0 ** (g_db / 10.0)
+    quiet = build_budget(replace(budget.config, n0=1e-30 * budget.p_s))
+    assert abs(exact_outage(protocol, gamma, quiet) - outage_floor(protocol, gamma, budget)) < 1e-12
