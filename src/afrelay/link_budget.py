@@ -40,6 +40,14 @@ def check_threshold(gamma_th):
     return gamma_th
 
 
+def check_gains(*gains):
+    """The channel gains as float arrays if every value is finite and >= 0; NaN is neither."""
+    arrays = tuple(np.asarray(g, dtype=float) for g in gains)
+    if not all(np.all((g >= 0.0) & (g < math.inf)) for g in arrays):
+        raise DomainError("channel gains must be finite and non-negative")
+    return arrays
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static network parameters.
@@ -79,18 +87,16 @@ class NetworkConfig:
 class LinkBudget:
     """Every derived symbol of a configured network.
 
-    sigma1_bar/sigma2_bar are the average per-hop SNRs, eps_s/eps_r the
-    noise-to-distortion ratios per node (inf for a linear node), eps_star
-    their minimum. Per node, tilde_signal = sigma_sq * zeta^2 / p_s and
-    tilde_eta = eta / p_s are its signal and distortion powers over p_s, both
-    scale invariant.
+    eps_s/eps_r are the noise-to-distortion ratios per node (inf for a linear
+    node, 0 at zero noise power), eps_star their minimum. Per node,
+    tilde_signal = sigma_sq * zeta^2 / p_s and tilde_eta = eta / p_s are its
+    signal and distortion powers over p_s, both scale invariant. Nothing here
+    divides by n0, so zero noise is an ordinary budget.
     """
 
     config: NetworkConfig
     sel_s: SelParams
     sel_r: SelParams
-    sigma1_bar: float
-    sigma2_bar: float
     eps_s: float
     eps_r: float
     eps_star: float
@@ -130,8 +136,6 @@ def build_budget(cfg: NetworkConfig) -> LinkBudget:
         config=cfg,
         sel_s=sel_s,
         sel_r=sel_r,
-        sigma1_bar=cfg.p_s * cfg.mu1 / cfg.n0 if cfg.n0 > 0.0 else math.inf,
-        sigma2_bar=p_r * cfg.mu2 / cfg.n0 if cfg.n0 > 0.0 else math.inf,
         eps_s=eps_s,
         eps_r=eps_r,
         eps_star=min(eps_s, eps_r),
@@ -170,9 +174,7 @@ def gain_fg(budget: LinkBudget) -> float:
 
 def gain_vg(budget: LinkBudget, h1_gain):
     """Relay amplification sized from first-hop gain |h1|^2 (the mean mu1 for fixed gain)."""
-    h1_gain = np.asarray(h1_gain, dtype=float)
-    if not np.all(h1_gain >= 0.0):
-        raise DomainError("h1_gain must be non-negative, not NaN")
+    (h1_gain,) = check_gains(h1_gain)
     cfg = budget.config
     out = np.sqrt(budget.sel_r.sigma_sq / (cfg.p_s * h1_gain + cfg.n0))
     return float(out) if out.ndim == 0 else out
@@ -187,10 +189,7 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     than faulting.
     """
     alpha, beta = _gain_line(protocol, budget)
-    x = np.asarray(h1_gain, dtype=float)
-    y = np.asarray(h2_gain, dtype=float)
-    if not (np.all((x >= 0.0) & (x < math.inf)) and np.all((y >= 0.0) & (y < math.inf))):
-        raise DomainError("channel gains must be finite and non-negative")
+    x, y = check_gains(h1_gain, h2_gain)
     s, r = budget.sel_s, budget.sel_r
     n0 = budget.config.n0
     zr2 = r.zeta**2
@@ -230,6 +229,7 @@ def normalized_sndr_coeffs(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     # the coefficients divide by h2_gain and by seen, which is h1_gain for variable gain
     if not (x >= 0.0 and y > 0.0 and seen > 0.0):
         raise DomainError(f"channel gains must be positive (fg allows h1_gain = 0), got {x!r}, {y!r}")
+    check_gains(x, y)
     b = budget
     eta_max = max(b.tilde_eta_s, b.tilde_eta_r)
     if eta_max <= 0.0:
@@ -248,15 +248,13 @@ def asymptotic_sndr(protocol: str, h1_gain, budget: LinkBudget):
     first-hop dependence unless the relay is the only distorting node.
     """
     alpha, _ = _gain_line(protocol, budget)
+    (x,) = check_gains(h1_gain)
     b = budget
     if max(b.tilde_eta_s, b.tilde_eta_r) <= 0.0:
         raise DomainError("asymptotic SNDR is infinite for a linear network")
     if alpha:  # a gain that tracks x cancels it: the limit is the critical threshold
         return threshold(protocol, b)
     num_core = b.tilde_signal_s * b.tilde_signal_r
-    x = np.asarray(h1_gain, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("h1_gain must be non-negative")
     mu1 = b.config.mu1
     den = (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s * x / mu1) * mu1
     out = np.divide(num_core * x, den, out=np.zeros_like(num_core * x + den), where=den > 0.0)

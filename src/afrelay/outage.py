@@ -22,8 +22,9 @@ a > 0 holds exactly when gamma is below the protocol's critical threshold,
 so threshold() is the one sure-outage rule: exact_outage, the floors and
 outage_asymptotic are exactly 1 from it on.
 
-Every function here takes a finite linear threshold gamma_th >= 0 and source
-powers 0 < p_s < inf; anything else, inf and NaN included, raises DomainError
+Every function here takes a finite linear threshold gamma_th >= 0, a noise
+power 0 <= n0 < inf and source powers 0 < p_s < inf, zero threshold and zero
+noise included; anything else, inf and NaN included, raises DomainError
 from link_budget.check_threshold or NetworkConfig, which the command line
 turns into exit code 2.
 """
@@ -126,6 +127,10 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
 
     Independent of the closed form (no Bessel evaluation); used to cross
     check it. Raises ConvergenceError if the quadrature budget runs out.
+    At zero noise power it returns outage_floor: the quadrature is then
+    empty and its own sure-outage test (d_inf <= 0, in tilde units) alone
+    decides the step, which rounds differently from threshold() within a
+    float of gamma_th = threshold("vg"), so the two would differ by 1 there.
     """
     check_threshold(gamma_th)
     if gamma_th == 0.0:
@@ -147,7 +152,8 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
         x = x0 + np.maximum(u, 0.0)
         w = b.tilde_signal_r * (x * s_slope - g_nu) / (x + nu) - gamma_th * b.tilde_eta_r
         w = np.maximum(w, 1e-320)
-        return np.exp(-x / mu1) / mu1 * -np.expm1(-g_nu / (mu2 * w))
+        with np.errstate(over="ignore"):  # g_nu / (mu2 w) = inf: the factor is 1
+            return np.exp(-x / mu1) / mu1 * -np.expm1(-g_nu / (mu2 * w))
 
     res = integrate_semi_infinite(knee, tol=tol, max_evals=400_000)
     p = -math.expm1(-x0 / mu1) + res.value
@@ -266,17 +272,15 @@ def diversity_fit(protocol: str, gamma_th: float, cfg: NetworkConfig, p_s_grid) 
 def small_gamma_expansion(protocol: str, gamma_th: float, budget: LinkBudget) -> float:
     """First-order outage expansion about gamma_th = 0.
 
-    The series of the exact outage to first order in gamma_th. Below the
-    protocol's critical threshold and inside the series' region it is a
-    probability; at or past the threshold, or outside that region, a
-    RegimeError is raised and the value is never clamped.
+    The series of the exact outage to first order in gamma_th: 0.0 at
+    gamma_th = 0, and at zero noise power the floor's first order (fixed
+    gain's q0, variable gain's 0). Below the protocol's critical threshold
+    and inside the series' region it is a probability; at or past the
+    threshold, or outside that region, a RegimeError is raised and the value
+    is never clamped.
     """
     protocol = normalize_protocol(protocol)
-    if check_threshold(gamma_th) == 0.0:
-        raise DomainError("gamma_th must be positive")
-    b = budget
-    if b.n0 == 0.0:
-        raise DomainError("small-gamma expansion requires positive noise power")
-    if not (gamma_th < threshold(protocol, b)):
+    check_threshold(gamma_th)
+    if not (gamma_th < threshold(protocol, budget)):
         raise RegimeError("expansion region exceeded: gamma at or past the critical threshold")
-    return _series(protocol, gamma_th, b, b.n0, small_gamma=True)
+    return _series(protocol, gamma_th, budget, budget.n0, small_gamma=True)

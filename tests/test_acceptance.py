@@ -8,6 +8,7 @@ expansion taken at that same point.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -252,17 +253,22 @@ def test_acceptance_7_small_gamma_expansions():
     assert elapsed < 60.0
 
 
+def at_eps_star(b, eps):
+    """The budget of b's network at the noise power where eps_star is eps (it is linear in n0)."""
+    return build_budget(replace(b.config, n0=b.config.n0 * (eps / b.eps_star)))
+
+
 def test_acceptance_8_ordinate_scaling_laws():
     t0 = time.time()
     eps = np.array([1e-2, 1e-3, 1e-4])
     # variable gain: ordinate ~ eps (diversity order 1), log-log slope 1
     b = build_budget(NetworkConfig(**FIG2))
-    vals = np.array([ordinate("vg", b, eps_star=float(e)) for e in eps])
+    vals = np.array([ordinate("vg", at_eps_star(b, float(e))) for e in eps])
     slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
     assert 0.98 <= slope <= 1.02
     # fixed gain with relay-dominant distortion flattens to a constant
     b_fg = build_budget(NetworkConfig(clip_ratio_s=8.0, clip_ratio_r=5.0))
-    vals_fg = [ordinate("fg", b_fg, eps_star=float(e)) for e in eps]
+    vals_fg = [ordinate("fg", at_eps_star(b_fg, float(e))) for e in eps]
     spread = max(vals_fg) / min(vals_fg)
     assert spread <= 1.2
     elapsed = time.time() - t0

@@ -309,7 +309,7 @@ class TestPinnedOutput:
         (["thresholds", "--snr-db", "30", "--format", "csv"],
          "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),
         (["thresholds", "--n0", "0", *FIG2],
-         "f2fc522aa983b28d5d3f861ac6bec68f91803cb1077f1d63af498c2d570913a9"),
+         "b4c524d301d04579cce45ce28100202c552b316cf78d0271d4f8961b65c98599"),
         (["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2", "--blocks", "100",
           "--trials", "1e4", "--n", "64", "--taps", "16"],
          "3fad3040153b59ea1bcd754f2bc4e9783234e696cb00aa396af53b5bb0a922ed"),

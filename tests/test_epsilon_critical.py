@@ -1,6 +1,7 @@
 """Critical thresholds, gap, ordinates, and the transition itself."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from afrelay.epsilon_critical import (
     threshold_gap,
 )
 from afrelay.link_budget import NetworkConfig, build_budget
-from afrelay.outage import (exact_outage, outage_asymptotic, outage_fg_floor, outage_vg,
-                            small_gamma_expansion)
+from afrelay.outage import (exact_outage, outage_asymptotic, outage_fg_floor, outage_floor,
+                            outage_vg, small_gamma_expansion)
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
 FIG3_CFG = NetworkConfig(clip_ratio_s=math.inf, clip_ratio_r=5.0)
@@ -27,6 +28,11 @@ def scaled(cfg, p_s):
         mu1=cfg.mu1, mu2=cfg.mu2, n0=cfg.n0, p_s=p_s, p_ratio=cfg.p_ratio,
         clip_ratio_s=cfg.clip_ratio_s, clip_ratio_r=cfg.clip_ratio_r,
     )
+
+
+def at_eps_star(b, eps):
+    """The budget of b's network at the noise power where eps_star is eps (it is linear in n0)."""
+    return build_budget(replace(b.config, n0=b.config.n0 * (eps / b.eps_star)))
 
 
 class TestThreshold:
@@ -103,7 +109,7 @@ class TestOrdinate:
         # ordinate ~ eps (diversity order 1): log-log slope 1
         b = build_budget(FIG2_CFG)
         eps = np.array([1e-2, 1e-3, 1e-4])
-        vals = np.array([ordinate("vg", b, eps_star=float(e)) for e in eps])
+        vals = np.array([ordinate("vg", at_eps_star(b, float(e))) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         assert 0.98 <= slope <= 1.02
 
@@ -119,26 +125,40 @@ class TestOrdinate:
         def slope(f):
             return (math.log(f(1e-3)) - math.log(f(1e-4))) / (math.log(1e-3) - math.log(1e-4))
 
-        assert slope(lambda e: ordinate("fg", b, eps_star=e)) == pytest.approx(slope(exact), abs=0.01)
+        assert slope(lambda e: ordinate("fg", at_eps_star(b, e))) == pytest.approx(slope(exact), abs=0.01)
 
     def test_fg_finite_relay_eps_flattens(self):
         # relay-dominant distortion: the mu2/eps_R term is eps-free
         b = build_budget(NetworkConfig(clip_ratio_s=8.0, clip_ratio_r=5.0))
-        vals = [ordinate("fg", b, eps_star=e) for e in (1e-2, 1e-3, 1e-4)]
+        vals = [ordinate("fg", at_eps_star(b, e)) for e in (1e-2, 1e-3, 1e-4)]
         assert max(vals) / min(vals) < 1.2
 
     def test_out_of_regime(self):
         b = build_budget(FIG2_CFG)
         with pytest.raises(Exception):
-            ordinate("vg", b, eps_star=1e3)
+            ordinate("vg", at_eps_star(b, 1e3))
         # a noise power past the float range leaves the series' region; it is no sure 1
         for protocol in ("vg", "fg"):
             with pytest.raises(RegimeError):
-                ordinate(protocol, b, eps_star=1.7e308)
+                ordinate(protocol, at_eps_star(b, 1.7e308))
+
+    @pytest.mark.parametrize("proto,cfg", [("fg", FIG2_CFG), ("vg", FIG2_CFG), ("vg", FIG3_CFG),
+                                           ("fg", NetworkConfig(clip_ratio_s=5.0)),
+                                           ("fg", NetworkConfig(clip_ratio_s=8.0, clip_ratio_r=5.0))],
+                             ids=["fig2-fg", "fig2-vg", "relay-only-vg", "source-only-fg",
+                                  "relay-dominant-fg"])
+    def test_zero_noise_is_the_floor(self, proto, cfg):
+        # at n0 = 0 the series has no first-order term: it is the floor, bit for bit
+        b = build_budget(replace(cfg, n0=0.0))
+        gamma = BELOW_THRESHOLD * threshold(proto, b)
+        o = ordinate(proto, b)
+        assert o == exact_outage(proto, gamma, b) == outage_floor(proto, gamma, b)
+        rep = report(b, include_exact_outage=True)[proto]
+        assert o == rep.ordinate == rep.exact_outage_below
 
     def test_fg_requires_source_distortion(self):
         with pytest.raises(DomainError):
-            ordinate("fg", build_budget(FIG3_CFG), eps_star=1e-3)
+            ordinate("fg", build_budget(FIG3_CFG))
 
 
 class TestOrdinateMatchesExact:

@@ -85,7 +85,6 @@ class TestBuildBudget:
             assert b.tilde_eta_r * cfg.p_s == pytest.approx(b.sel_r.eta, rel=1e-12, abs=0.0)
             assert b.sel_s.p_avg == pytest.approx(cfg.p_s, rel=1e-12, abs=0.0)
             assert b.sel_r.p_avg == pytest.approx(cfg.p_ratio * cfg.p_s, rel=1e-12, abs=0.0)
-            assert b.sigma1_bar == pytest.approx(cfg.p_s * cfg.mu1 / cfg.n0, rel=1e-14, abs=0.0)
 
     def test_doubling_power_halves_eps(self):
         b1 = build_budget(FIG2_CFG)
@@ -242,6 +241,25 @@ class TestSndr:
     def test_nan_gain_rejected(self, protocol, h1, h2):
         with pytest.raises(DomainError, match="^channel gains must be finite and non-negative"):
             sndr(protocol, h1, h2, build_budget(FIG2_CFG))
+
+
+@pytest.mark.parametrize("protocol", ["vg", "fg"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+def test_one_gain_rule_at_every_entry(protocol, bad):
+    # at each of these inf gave NaN or a RuntimeWarning, or NaN or -1 gave a number
+    b = build_budget(FIG2_CFG)
+    entries = [
+        lambda: sndr(protocol, bad, 1.0, b),
+        lambda: sndr(protocol, 1.0, bad, b),
+        lambda: gain_vg(b, bad),
+        lambda: gain_vg(b, np.array([1.0, bad])),
+        lambda: asymptotic_sndr(protocol, bad, b),
+        lambda: normalized_sndr_coeffs(protocol, bad, 1.0, b),
+        lambda: normalized_sndr_coeffs(protocol, 1.0, bad, b),
+    ]
+    for entry in entries:
+        with pytest.raises(DomainError, match="^channel gains must be"):
+            entry()
 
 
 class TestNormalizedSndr:

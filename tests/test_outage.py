@@ -158,6 +158,10 @@ class TestOutageVgQuadrature:
                 p_cf = outage_vg(gamma, b).p_outage
                 p_q = outage_vg_quadrature(gamma, b, tol=1e-9).p_outage
                 assert abs(p_q - p_cf) < 1e-6
+        # just below the threshold w reaches its clamp and g_nu / (mu2 w) overflows to inf
+        b = build_budget(FIG2_CFG)
+        gamma = (1.0 - 1e-6) * threshold("vg", b)
+        assert abs(outage_vg_quadrature(gamma, b, tol=1e-9).p_outage - outage_vg(gamma, b).p_outage) < 1e-6
 
     def test_sure_outage_branch(self):
         b = build_budget(GOLDEN_CFG)
@@ -499,6 +503,21 @@ class TestSmallGamma:
         approx = small_gamma_expansion("fg", gamma, b)
         exact = outage_fg(gamma, b).p_outage
         assert approx / exact == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("cfg", [FIG2_CFG, NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0),
+                                     GOLDEN_CFG], ids=["fig2", "fig2-n0-0", "relay-only"])
+    def test_zero_threshold_is_zero(self, cfg):
+        for protocol in ("fg", "vg"):
+            assert small_gamma_expansion(protocol, 0.0, build_budget(cfg)) == 0.0
+
+    def test_zero_noise_is_the_floors_first_order(self):
+        # at n0 = 0 the series is the floor's first order in gamma: fixed gain's
+        # 1 - e^{-q0} ~ q0 with q0 taken at its gamma -> 0 slope, variable gain's 0
+        b = build_budget(NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        gamma = 1e-3 * threshold("fg", b)
+        assert small_gamma_expansion("fg", gamma, b) == pytest.approx(outage_fg_floor(gamma, b),
+                                                                      rel=2e-3, abs=0.0)
+        assert small_gamma_expansion("vg", 1e-3 * threshold("vg", b), b) == 0.0
 
     def test_monotone_in_gamma(self):
         b = build_budget(scaled_cfg(FIG2_CFG, 1000.0))
