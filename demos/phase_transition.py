@@ -3,13 +3,14 @@
 With both nodes clipping, each protocol's SNDR saturates as the power budget
 grows; crossing the saturation value with the protection threshold flips the
 network from reliable to surely-outaged. This script prints the thresholds,
-their gap, the small factor by which fixed gain can beat variable gain inside
-the gap, and walks the outage across the cliff.
+their gap, fixed gain's edge at the gap's midpoint (variable gain is in sure
+outage there, so the edge is 1 - the fixed-gain exact outage), and walks the
+outage across the cliff.
 
 Run: python demos/phase_transition.py
 """
 
-from afrelay import NetworkConfig, build_budget, outage_vg, report
+from afrelay import NetworkConfig, build_budget, exact_outage, outage_vg, report
 from afrelay.epsilon_critical import BELOW_THRESHOLD
 
 
@@ -20,7 +21,8 @@ def main():
         ("linear network", NetworkConfig(p_s=1e7)),
     ):
         print(f"== {name}")
-        reps = report(build_budget(cfg), include_exact_outage=True)
+        budget = build_budget(cfg)
+        reps = report(budget, include_exact_outage=True)
         for proto in ("fg", "vg"):
             r = reps[proto]
             if r.no_phase_transition:
@@ -31,8 +33,9 @@ def main():
                   f"{r.exact_outage_below:.3e}")
         r = reps["fg"]
         if r.threshold_gap is not None:
-            print(f"  threshold gap {r.threshold_gap:.2f}; max fixed-gain advantage factor "
-                  f"{r.fg_advantage_factor:.3f}")
+            mid = 0.5 * (r.gamma_crit + reps["vg"].gamma_crit)
+            print(f"  threshold gap {r.threshold_gap:.2f}; fixed-gain edge at its midpoint "
+                  f"1 - P_o,fg = {1.0 - exact_outage('fg', mid, budget):.3f}")
         print()
 
     cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, p_s=1e7)

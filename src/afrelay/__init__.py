@@ -7,7 +7,6 @@ amplifiers clip, cross-validated against a time-domain Monte Carlo simulator.
 from .bussgang import SelParams, sel_apply, sel_params, sigma_for_target_power
 from .epsilon_critical import (
     PhaseTransitionReport,
-    fg_advantage_factor,
     ordinate,
     report,
     threshold,

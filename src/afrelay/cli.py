@@ -107,7 +107,8 @@ class RunConfig:
 
 
 def _parse_grid(spec: str, name: str) -> np.ndarray:
-    """start:step:stop in dB, inclusive of both ends."""
+    """start:step:stop in dB: start, then every whole step up to stop, stop
+    included when it lies on the grid (to within 1e-9 of a step)."""
     try:
         parts = [float(p) for p in str(spec).split(":")]
     except ValueError:
@@ -121,10 +122,10 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
     start, step, stop = parts
     if step <= 0.0 or stop < start:
         raise ConfigError(f"{name} needs step > 0 and stop >= start, got {spec!r}")
-    steps = (stop - start) / step
-    if steps > _MAX_GRID_POINTS - 1:
+    steps = (stop - start) / step + 1e-9  # whole steps are int(steps), never past stop
+    if steps >= _MAX_GRID_POINTS:
         raise ConfigError(f"{name} has more than {_MAX_GRID_POINTS} points: {spec!r}")
-    return start + step * np.arange(int(round(steps)) + 1)
+    return start + step * np.arange(int(steps) + 1)
 
 
 def _db_to_lin(db, name: str, given) -> np.ndarray:

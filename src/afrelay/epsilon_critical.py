@@ -3,8 +3,9 @@
 When the noise-to-distortion ratio eps_star is small, the outage probability
 jumps between a small value and one across a critical protection threshold.
 This module reports those thresholds (link_budget.threshold), the gap between
-them, the leading-order ordinate of the drop, and the bounded factor by which
-fixed gain can beat variable gain inside the gap.
+them and the leading-order ordinate of the drop. Inside the gap variable gain
+is in sure outage, so fixed gain's edge there is 1 - exact_outage("fg", ...),
+or 1 - outage_floor("fg", ...) in the distortion limit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class PhaseTransitionReport:
     ordinate: float | None
     eps_star: float
     threshold_gap: float | None
-    fg_advantage_factor: float | None
     no_phase_transition: bool
     exact_outage_below: float | None = None
 
@@ -65,27 +65,6 @@ def ordinate(protocol: str, budget: LinkBudget) -> float:
     return _series(protocol, BELOW_THRESHOLD * th, budget, budget.n0)
 
 
-def fg_advantage_factor(gamma_th: float, budget: LinkBudget) -> float:
-    """Largest distortion-limited edge of fixed over variable gain.
-
-    Only meaningful for thresholds strictly inside the inter-threshold gap,
-    where variable gain is already in sure outage but fixed gain still sees
-    its floor. It equals 1 - exp(-(gc_fg - gc_vg)/(gc_fg - gamma_th)) with
-    gc the critical thresholds, so it reads the network only through where
-    gamma_th sits in the gap: at the gap's midpoint, where report takes it,
-    it is 1 - e^{-2} ~ 0.8647 for every network.
-    """
-    b = budget
-    th_vg = threshold("vg", b)
-    th_fg = threshold("fg", b)
-    if not (th_vg < gamma_th < th_fg):
-        raise DomainError(
-            f"gamma_th must lie strictly between the thresholds ({th_vg:g}, {th_fg:g})"
-        )
-    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
-    return -math.expm1(-b.tilde_eta_r * th_vg / (s_slope * b.tilde_signal_r))
-
-
 def report(budget: LinkBudget, include_exact_outage: bool = False) -> dict:
     """Phase-transition summary for both protocols.
 
@@ -98,12 +77,8 @@ def report(budget: LinkBudget, include_exact_outage: bool = False) -> dict:
     gap = None
     if budget.tilde_eta_s > 0.0:
         gap = threshold_gap(budget)
-    adv = None
-    th_fg = threshold("fg", budget)
-    th_vg = threshold("vg", budget)
-    if th_vg < th_fg < math.inf:
-        adv = fg_advantage_factor(0.5 * (th_vg + th_fg), budget)
-    for proto, th in (("fg", th_fg), ("vg", th_vg)):
+    for proto in ("fg", "vg"):
+        th = threshold(proto, budget)
         try:
             o = ordinate(proto, budget)
         except (DomainError, RegimeError):
@@ -118,7 +93,6 @@ def report(budget: LinkBudget, include_exact_outage: bool = False) -> dict:
             ordinate=o,
             eps_star=budget.eps_star,
             threshold_gap=gap,
-            fg_advantage_factor=adv,
             no_phase_transition=not (th < math.inf),
             exact_outage_below=exact_below,
         )

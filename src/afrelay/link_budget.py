@@ -173,10 +173,15 @@ def gain_fg(budget: LinkBudget) -> float:
 
 
 def gain_vg(budget: LinkBudget, h1_gain):
-    """Relay amplification sized from first-hop gain |h1|^2 (the mean mu1 for fixed gain)."""
+    """Relay amplification sized from first-hop gain |h1|^2 (the mean mu1 for fixed gain).
+
+    A zero gain with zero noise leaves the relay nothing to size from: the
+    gain is its limit, inf.
+    """
     (h1_gain,) = check_gains(h1_gain)
     cfg = budget.config
-    out = np.sqrt(budget.sel_r.sigma_sq / (cfg.p_s * h1_gain + cfg.n0))
+    with np.errstate(divide="ignore"):
+        out = np.sqrt(budget.sel_r.sigma_sq / (cfg.p_s * h1_gain + cfg.n0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from afrelay.epsilon_critical import fg_advantage_factor, ordinate, threshold, threshold_gap
+from afrelay.epsilon_critical import ordinate, threshold, threshold_gap
 from afrelay.errors import DomainError, RegimeError
 from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, normalized_sndr_coeffs
 from afrelay.outage import (
@@ -45,7 +45,6 @@ def analytic_values(clip_s, clip_r, snr_db):
     mid = 0.5 * (th["vg"] + th["fg"])
     out = {f"threshold {p}": th[p] for p in th}
     out["threshold_gap"] = _or_none(threshold_gap, b)
-    out["fg_advantage_factor mid"] = _or_none(fg_advantage_factor, mid, b)
     for p in ("fg", "vg"):
         out[f"ordinate {p}"] = _or_none(ordinate, p, b)
         out[f"exact_outage {p} low"] = exact_outage(p, low, b)
@@ -69,7 +68,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1844.246193599655,
         'threshold_gap': 62.94249151992908,
-        'fg_advantage_factor mid': 0.8646647167633882,
         'ordinate fg': None,
         'exact_outage fg low': 0.9741380710202681,
         'exact_outage fg below': 0.9999999999998906,
@@ -93,7 +91,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 62.94249151992908,
-        'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.4894021754863524,
         'exact_outage fg low': 0.03308272261601259,
         'exact_outage fg below': 0.3300457050760809,
@@ -117,7 +114,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 62.94249151992908,
-        'fg_advantage_factor mid': 0.8646647167633863,
         'ordinate fg': 0.4771460964902635,
         'exact_outage fg low': 0.03144341845503797,
         'exact_outage fg below': 0.31981581970327283,
@@ -141,7 +137,6 @@ PINNED = {
         'threshold fg': inf,
         'threshold vg': 1907.188685119584,
         'threshold_gap': None,
-        'fg_advantage_factor mid': None,
         'ordinate fg': None,
         'exact_outage fg low': 0.9321914281495449,
         'exact_outage fg below': 0.9901112596205647,
@@ -160,7 +155,6 @@ PINNED = {
         'threshold fg': inf,
         'threshold vg': 1907.188685119584,
         'threshold_gap': None,
-        'fg_advantage_factor mid': None,
         'ordinate fg': None,
         'exact_outage fg low': 0.394053958852299,
         'exact_outage fg below': 0.6139222174675777,
@@ -179,7 +173,6 @@ PINNED = {
         'threshold fg': inf,
         'threshold vg': 1907.188685119584,
         'threshold_gap': None,
-        'fg_advantage_factor mid': None,
         'ordinate fg': None,
         'exact_outage fg low': 0.39346934030387287,
         'exact_outage fg below': 0.613258976565046,
@@ -198,7 +191,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1907.188685119584,
         'threshold_gap': 0.0,
-        'fg_advantage_factor mid': None,
         'ordinate fg': None,
         'exact_outage fg low': 0.9781064279847975,
         'exact_outage fg below': 1.0,
@@ -222,7 +214,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1907.188685119584,
         'threshold_gap': 0.0,
-        'fg_advantage_factor mid': None,
         'ordinate fg': 0.023440379951886393,
         'exact_outage fg low': 0.0017954148616065569,
         'exact_outage fg below': 0.023407751050619992,
@@ -246,7 +237,6 @@ PINNED = {
         'threshold fg': 1907.188685119584,
         'threshold vg': 1907.188685119584,
         'threshold_gap': 0.0,
-        'fg_advantage_factor mid': None,
         'ordinate fg': 9.022563563072572e-10,
         'exact_outage fg low': 5.3105721791772884e-11,
         'exact_outage fg below': 9.022563562918881e-10,
@@ -270,7 +260,6 @@ PINNED = {
         'threshold fg': 55910.87410461772,
         'threshold vg': 1844.2461935996553,
         'threshold_gap': 54066.62791101807,
-        'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
         'exact_outage fg low': 0.9295846897410495,
         'exact_outage fg below': 0.9900451738989462,
@@ -294,7 +283,6 @@ PINNED = {
         'threshold fg': 55910.87410461772,
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 54066.62791101807,
-        'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
         'exact_outage fg low': 0.3889430371982804,
         'exact_outage fg below': 0.6132962214281238,
@@ -318,7 +306,6 @@ PINNED = {
         'threshold fg': 55910.87410461772,
         'threshold vg': 1844.2461935996548,
         'threshold_gap': 54066.62791101807,
-        'fg_advantage_factor mid': 0.8646647167633873,
         'ordinate fg': 1.0,
         'exact_outage fg low': 0.38836241172363833,
         'exact_outage fg below': 0.6126329184143096,

@@ -304,12 +304,12 @@ class TestPinnedOutput:
           "--ps-db", "40:10:80", "--format", "json"],
          "b6b1db7ca5777bf7cc35b39f5cd3364193a02b09d4dba970b96b686b56ce9de3"),
         (["thresholds", *FIG2, "--snr-db", "70"],
-         "0ddc345a19ccf35a82ecbdd3225a655c917a47d9ebdfb47ae1edad5f32cf5e1c"),
+         "ee2e052a884264f6627218ca6af3def62bcfcfdde55e335577208e9fe6e50733"),
         # thresholds writes JSON whatever --format says
         (["thresholds", "--snr-db", "30", "--format", "csv"],
-         "be15e7cedd5333984bbf17b62894b48720056cdc2e62e00a681e58a210beea9f"),
+         "f1de1d5d34f0d839b62135f8bc0f78f15692128c7d4428c63cc06a579c4a7b78"),
         (["thresholds", "--n0", "0", *FIG2],
-         "b4c524d301d04579cce45ce28100202c552b316cf78d0271d4f8961b65c98599"),
+         "166b31abd70685c751b7b8c1447da0bacb4b23a34aa37bab93c3d10d42b62bc9"),
         (["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2", "--blocks", "100",
           "--trials", "1e4", "--n", "64", "--taps", "16"],
          "3fad3040153b59ea1bcd754f2bc4e9783234e696cb00aa396af53b5bb0a922ed"),
@@ -541,6 +541,20 @@ class TestConfigHandling:
         assert _parse_grid("0:1:4095", "gamma_db").size == 4096
         with pytest.raises(ConfigError):
             _parse_grid("0:0.5:2048", "gamma_db")
+
+    @pytest.mark.parametrize("spec,size,last", [
+        ("0:1:2.6", 3, 2.0), ("0:0.3:1.1", 4, 0.9), ("40:2.5:81.5", 17, 80.0),
+        ("0:2:5", 3, 4.0), ("0:2:7", 4, 6.0),
+        # a stop that lies on the grid up to float error is kept
+        ("0:0.1:0.3", 4, 0.3), ("20.1:10:50.1", 4, 50.1), ("0:0.25:30", 121, 30.0),
+    ])
+    def test_grid_never_passes_stop(self, spec, size, last):
+        grid = _parse_grid(spec, "gamma_db")
+        assert grid.size == size and grid[-1] == pytest.approx(last, rel=1e-12, abs=0.0)
+
+    def test_grid_cap_counts_the_points_it_makes(self):
+        # 0:1:4095.4 names the 4 096 points 0..4095
+        assert _parse_grid("0:1:4095.4", "gamma_db").size == 4096
 
     def test_db_roundtrip(self):
         for db in np.linspace(-30, 60, 91):

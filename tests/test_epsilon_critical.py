@@ -9,14 +9,13 @@ import pytest
 from afrelay.errors import DomainError, RegimeError
 from afrelay.epsilon_critical import (
     BELOW_THRESHOLD,
-    fg_advantage_factor,
     ordinate,
     report,
     threshold,
     threshold_gap,
 )
 from afrelay.link_budget import NetworkConfig, build_budget
-from afrelay.outage import (exact_outage, outage_asymptotic, outage_fg_floor, outage_floor,
+from afrelay.outage import (exact_outage, outage_asymptotic, outage_floor,
                             outage_vg, small_gamma_expansion)
 
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
@@ -217,31 +216,6 @@ class TestOrdinateMatchesExact:
             assert rep[proto].ordinate == pytest.approx(rep[proto].exact_outage_below, rel=1e-2, abs=0.0)
 
 
-class TestAdvantageFactor:
-    def test_in_unit_interval_and_matches_floor(self):
-        b = build_budget(FIG2_CFG)
-        th_vg = threshold("vg", b)
-        g = th_vg * 1.001
-        f = fg_advantage_factor(g, b)
-        assert 0.0 < f < 1.0
-        # near the lower edge the factor is the fixed-gain floor evaluated there
-        assert f == pytest.approx(outage_fg_floor(g, b), rel=5e-3, abs=0.0)
-
-    def test_increasing_in_gamma(self):
-        b = build_budget(FIG2_CFG)
-        th_vg, th_fg = threshold("vg", b), threshold("fg", b)
-        gs = np.linspace(th_vg * 1.001, th_fg * 0.999, 20)
-        vals = [fg_advantage_factor(float(g), b) for g in gs]
-        assert all(y > x for x, y in zip(vals, vals[1:]))
-
-    def test_outside_interval_rejected(self):
-        b = build_budget(FIG2_CFG)
-        with pytest.raises(DomainError):
-            fg_advantage_factor(threshold("vg", b) * 0.5, b)
-        with pytest.raises(DomainError):
-            fg_advantage_factor(threshold("fg", b) * 1.5, b)
-
-
 class TestReport:
     def test_linear_network_flags(self):
         rep = report(build_budget(NetworkConfig()))
@@ -255,7 +229,6 @@ class TestReport:
         assert rep["vg"].gamma_crit == pytest.approx(1844.246194, rel=1e-8, abs=0.0)
         assert rep["vg"].ordinate is not None and rep["vg"].ordinate > 0.0
         assert rep["fg"].threshold_gap == pytest.approx(62.942492, rel=1e-6, abs=0.0)
-        assert 0.0 < rep["fg"].fg_advantage_factor < 1.0
 
     def test_relay_only_clipping(self):
         rep = report(build_budget(scaled(FIG3_CFG, 1e6)))

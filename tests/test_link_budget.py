@@ -5,6 +5,8 @@ Frozen numbers come from the pre-build oracle pass: limiter triples from the
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +117,15 @@ class TestGains:
         b = linear_budget()
         assert gain_vg(b, 0.0) == pytest.approx(1.0)
         assert gain_vg(b, 1e12) < 1e-5
+
+    @pytest.mark.parametrize("h1", [0.0, np.array([1.0, 0.0])], ids=["scalar", "array"])
+    def test_vg_zero_gain_at_zero_noise_is_inf(self, h1):
+        # nothing to size the relay from: the gain is its limit, without a warning
+        b = build_budget(replace(FIG2_CFG, n0=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = np.atleast_1d(gain_vg(b, h1))
+        assert g[-1] == math.inf and np.isfinite(g[:-1]).all()
 
     def test_vg_rejects_negative(self):
         with pytest.raises(DomainError):
