@@ -44,10 +44,29 @@ class Rng:
     stream_id: int = 0
 
 
+def _key(rng: Rng) -> tuple[int, int]:
+    """Philox's two key words: seed and stream id, each taken modulo 2^64."""
+    return rng.seed & 0xFFFFFFFFFFFFFFFF, rng.stream_id & 0xFFFFFFFFFFFFFFFF
+
+
 def generator(rng: Rng) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[rng.seed & 0xFFFFFFFFFFFFFFFF, rng.stream_id & 0xFFFFFFFFFFFFFFFF])
-    )
+    # an explicit uint64 array: numpy may infer float64, which rounds, for a word >= 2^63
+    return np.random.Generator(np.random.Philox(key=np.array(_key(rng), dtype=np.uint64)))
+
+
+_NO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def reseed(gen: np.random.Generator, rng: Rng) -> np.random.Generator:
+    """Restart gen's Philox at the start of rng's stream; returns gen.
+
+    Its draws are then those of a fresh generator(rng), whatever gen drew
+    before, without building new objects or reading an OS entropy seed.
+    """
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _NO_WORDS, "key": _key(rng)},
+                               "buffer": _NO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def substream(rng: Rng, index: int) -> Rng:
@@ -104,14 +123,26 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _complex_normal(re, im, var):
+    """CN(0, var) samples from standard normal real and imaginary parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    out *= math.sqrt(var / 2.0)
+    return out
+
+
 def _cgauss(gen, shape, var):
     if var == 0.0:
         return np.zeros(shape, dtype=complex)
-    out = np.empty(shape, dtype=complex)
-    out.real = gen.standard_normal(shape)
-    out.imag = gen.standard_normal(shape)
-    out *= math.sqrt(var / 2.0)
-    return out
+    return _complex_normal(gen.standard_normal(shape), gen.standard_normal(shape), var)
+
+
+def _check_taps(l: int, n: int) -> None:
+    if not (1 <= l <= n):
+        raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
+    if n & (n - 1):
+        raise DomainError(f"n must be a power of two, got {n}")
 
 
 def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelRealization:
@@ -120,10 +151,7 @@ def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelReal
     Each tap is CN(0, n mu / l), so each subcarrier response is exactly
     CN(0, mu).
     """
-    if not (1 <= l <= n):
-        raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if n & (n - 1):
-        raise DomainError(f"n must be a power of two, got {n}")
+    _check_taps(l, n)
     gen = generator(rng)
     taps = np.zeros((2, n), dtype=complex)
     for row, mu in zip(taps, (mu1, mu2)):
@@ -135,9 +163,12 @@ def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelReal
 _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
-def _qpsk(gen, shape, sigma_sq):
-    idx = gen.integers(0, 4, shape)
+def _qpsk_symbols(idx, sigma_sq):
     return (math.sqrt(sigma_sq / 2.0) * _QPSK_POINTS)[idx]
+
+
+def _qpsk(gen, shape, sigma_sq):
+    return _qpsk_symbols(gen.integers(0, 4, shape), sigma_sq)
 
 
 def _faded(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float) -> np.ndarray:
@@ -333,9 +364,9 @@ def _residual_energy(energy: np.ndarray, n_blocks: int, n0: float,
     return np.where(exact, energy, 0.5 * n0 * gen.noncentral_chisquare(2 * n_blocks, nonc))
 
 
-def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
-                n_blocks: int, rng: Rng) -> np.ndarray:
-    """Per-subcarrier SNDR with the signal coefficient taken from the model.
+def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocols: tuple[str, ...],
+                n_blocks: int, rng: Rng) -> list[np.ndarray]:
+    """Per-subcarrier SNDR of each protocol, with the signal coefficient taken from the model.
 
     Everything not captured by the linear coefficient (noise, distortion, and
     any model error in the coefficient itself) lands in the residual, so this
@@ -347,20 +378,34 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     So the chain stops before that noise, at the noiseless residual e_b, and
     R = sum_b |e_b + w_b|^2 = (n0/2) chi'^2(2 n_blocks, 2 sum_b |e_b|^2 / n0)
     is drawn in closed form by _residual_energy.
+
+    The protocols share the QPSK blocks, the source limiter, the first hop
+    and its noise, computed once. Each protocol's remainder starts from the
+    generator state saved after that noise, so each array is bit identical
+    to a call with that protocol alone.
     """
     n = channel.freq_h1.shape[0]
     gen = generator(rng)
     sigma_sq = budget.sel_s.sigma_sq
-    gains = _relay_gains(budget, channel, protocol)
-    c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
     x = _qpsk(gen, (n_blocks, n), sigma_sq)
-    e = _noiseless_last_hop(x, channel, budget, protocol, gen)
-    e -= c * x
-    energy = np.abs(e)
-    energy *= energy
-    resid = _residual_energy(np.sum(energy, axis=0), n_blocks, budget.config.n0, gen)
-    resid = np.maximum(resid, 1e-300)
-    return np.abs(c) ** 2 * sigma_sq * n_blocks / resid
+    relay_in = _hop(x, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    state = gen.bit_generator.state
+    out = []
+    for k, protocol in enumerate(protocols):
+        gen.bit_generator.state = state
+        gains = _relay_gains(budget, channel, protocol)
+        c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
+        # the last protocol may scale the shared relay input in place
+        relay = relay_in if k == len(protocols) - 1 else relay_in.copy()
+        relay *= gains
+        e = _faded(relay, channel.freq_h2, budget.sel_r.p_max)
+        e -= c * x
+        energy = np.abs(e)
+        energy *= energy
+        resid = _residual_energy(np.sum(energy, axis=0), n_blocks, budget.config.n0, gen)
+        resid = np.maximum(resid, 1e-300)
+        out.append(np.abs(c) ** 2 * sigma_sq * n_blocks / resid)
+    return out
 
 
 def estimator_consistent_outage(p_of_gamma, gamma: float, n_blocks: int) -> float:
@@ -379,39 +424,82 @@ def estimator_consistent_outage(p_of_gamma, gamma: float, n_blocks: int) -> floa
     return float(np.sum(w * np.array([p_of_gamma(gamma * ui / b) for ui in u])))
 
 
-def waveform_outage(protocol: str, gammas, budget: LinkBudget, n_draws: int,
-                    n_blocks: int, rng: Rng) -> list[SimStats]:
+def waveform_outage(protocol: str | tuple[str, ...], gammas, budget: LinkBudget, n_draws: int,
+                    n_blocks: int, rng: Rng) -> list[SimStats] | list[list[SimStats]]:
     """Full-waveform outage: measured per-subcarrier SNDR against thresholds.
 
     Each channel draw contributes the outage fraction across its subcarriers;
     the interval is a Student-t one on the draw-level means (n - 1 variance),
     which respects the within-draw correlation. One draw cannot estimate that
     spread, so its interval is [0, 1].
+
+    protocol is "vg", "fg" or a tuple of them. A tuple returns one stats list
+    per protocol, in its order, from common random numbers: every protocol
+    sees the same channels, QPSK blocks and first-hop noise, computed once per
+    draw, and each list is bit identical to the call with that protocol alone.
     """
-    protocol = normalize_protocol(protocol)
+    protocols = ((normalize_protocol(protocol),) if isinstance(protocol, str)
+                 else tuple(normalize_protocol(p) for p in protocol))
+    if not protocols:
+        raise DomainError("need at least one protocol")
     if n_draws < 1 or n_blocks < 1:
         raise DomainError(f"need n_draws >= 1 and n_blocks >= 1, got {n_draws} and {n_blocks}")
     gammas = check_threshold(np.asarray(gammas, dtype=float))
     cfg = budget.config
     n = cfg.n_subcarriers
-    sums = np.zeros(gammas.shape)
-    sq_sums = np.zeros(gammas.shape)
-    total = np.zeros(gammas.shape, dtype=np.int64)
+    shape = (len(protocols), gammas.size)
+    sums = np.zeros(shape)
+    sq_sums = np.zeros(shape)
+    total = np.zeros(shape, dtype=np.int64)
     for d in range(n_draws):
         draw_rng = substream(rng, d)
         ch = gen_channel(cfg.n_taps, n, cfg.mu1, cfg.mu2, rng=substream(draw_rng, 0))
-        lam = _pilot_sndr(ch, budget, protocol, n_blocks, substream(draw_rng, 1))
-        counts = _outage_counts(lam, gammas)
-        frac = counts / n
-        sums += frac
-        sq_sums += frac * frac
-        total += counts
+        lams = _pilot_sndr(ch, budget, protocols, n_blocks, substream(draw_rng, 1))
+        for k, lam in enumerate(lams):
+            counts = _outage_counts(lam, gammas)
+            frac = counts / n
+            sums[k] += frac
+            sq_sums[k] += frac * frac
+            total[k] += counts
     mean = sums / n_draws
     var = np.maximum(sq_sums - n_draws * mean**2, 0.0) / max(n_draws - 1, 1)
     half = _t975(n_draws - 1) * np.sqrt(var / n_draws) if n_draws > 1 else np.inf
     lo, hi = np.maximum(mean - half, 0.0), np.minimum(mean + half, 1.0)
-    return [SimStats(n_trials=n_draws * n, n_outages=int(k), p_hat=float(p), ci_low=float(a),
-                     ci_high=float(b)) for k, p, a, b in zip(total, mean, lo, hi)]
+    stats = [[SimStats(n_trials=n_draws * n, n_outages=int(k), p_hat=float(p), ci_low=float(a),
+                       ci_high=float(b)) for k, p, a, b in zip(*rows)]
+             for rows in zip(total, mean, lo, hi)]
+    return stats[0] if isinstance(protocol, str) else stats
+
+
+def _relay_input_power(l: int, budget: LinkBudget, rng: Rng, realizations: range,
+                       gen: np.random.Generator) -> np.ndarray:
+    """Mean power of the fixed-gain relay's input, one value per realization.
+
+    Realization i reads the first hop's taps from substream(r, 0) and its
+    QPSK block and first-hop noise from substream(r, 1), r = substream(rng, i),
+    in the order of gen_channel and _hop; the second hop's taps come later in
+    the first stream and are never drawn. gen is reseeded for each stream,
+    and the chain then runs once over all the realizations.
+    """
+    cfg = budget.config
+    n, m = cfg.n_subcarriers, len(realizations)
+    taps = np.zeros((m, 2 * n))  # real parts, then imaginary parts
+    idx = np.empty((m, n), dtype=np.int64)
+    noise = np.empty((m, 2 * n))
+    for row, i in enumerate(realizations):
+        r = substream(rng, i)
+        reseed(gen, substream(r, 0))
+        gen.standard_normal(out=taps[row, :l])
+        gen.standard_normal(out=taps[row, n:n + l])
+        idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
+        if cfg.n0:
+            gen.standard_normal(out=noise[row])
+    freq_h1 = unitary_dft(_complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
+    y = _faded(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
+    if cfg.n0:
+        y += _complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
+    # by Parseval the mean power over subcarriers is the window's mean power
+    return np.mean(np.abs(gain_fg(budget) * y) ** 2, axis=1)
 
 
 def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: Rng) -> float:
@@ -421,19 +509,19 @@ def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: 
     fixed-gain amplification. Flat channels leave the full first-hop fading
     in this power; many taps average it away, which is what makes the
     stationary-Gaussian model of the relay input accurate.
+
+    Each realization is one block through the first hop, drawn from its own
+    streams; only the first hop's taps are drawn. The realizations then pass
+    the DFTs, the limiter and the first hop together, in batches of at most
+    _CHUNK samples, so memory does not grow with n_realizations.
     """
     if l < 1 or n_realizations < 2:
         raise DomainError("need l >= 1 and at least 2 realizations")
-    cfg = budget.config
-    n = cfg.n_subcarriers
-    g = gain_fg(budget)
-    powers = np.empty(n_realizations)
-    for i in range(n_realizations):
-        r = substream(rng, i)
-        ch = gen_channel(l, n, cfg.mu1, cfg.mu2, rng=substream(r, 0))
-        gen = generator(substream(r, 1))
-        x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
-        # by Parseval the mean power over subcarriers is the window's mean power
-        relay_in = g * _hop(x, ch.freq_h1, budget.sel_s.p_max, cfg.n0, gen)
-        powers[i] = float(np.mean(np.abs(relay_in) ** 2))
+    n = budget.config.n_subcarriers
+    _check_taps(l, n)
+    gen = generator(rng)  # reseeded for each stream it draws from
+    rows = max(1, _CHUNK // n)
+    powers = np.concatenate([
+        _relay_input_power(l, budget, rng, range(s, min(s + rows, n_realizations)), gen)
+        for s in range(0, n_realizations, rows)])
     return float(np.std(powers) / np.mean(powers))

@@ -139,8 +139,8 @@ def test_acceptance_3_waveform_model_fidelity():
     gammas = [2.293, 8.989, 24.625]  # analytic vg outage ~ 0.05 / 0.2 / 0.5
     n_draws, blocks = 10_000, 96
     wf_detail = []
-    for proto, exact in (("vg", outage_vg), ("fg", outage_fg)):
-        stats = waveform_outage(proto, gammas, b20, n_draws, blocks, Rng(832, 1))
+    joint = waveform_outage(("vg", "fg"), gammas, b20, n_draws, blocks, Rng(832, 1))
+    for (proto, exact), stats in zip((("vg", outage_vg), ("fg", outage_fg)), joint):
         for g, s in zip(gammas, stats):
             pred = estimator_consistent_outage(lambda x: exact(x, b20).p_outage, g, blocks)
             sigma = (s.ci_high - s.ci_low) / (2.0 * 1.959963984540054)

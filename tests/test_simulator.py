@@ -19,6 +19,7 @@ from afrelay.simulator import (
     _SLICE,
     _cgauss,
     _chunk_counts,
+    _hop,
     _noiseless_last_hop,
     _pilot_sndr,
     _qpsk,
@@ -31,6 +32,7 @@ from afrelay.simulator import (
     mc_outage_sweep,
     measure_sndr,
     model_sndr,
+    reseed,
     substream,
     waveform_chain,
     waveform_outage,
@@ -357,7 +359,48 @@ class TestMcOutage:
         assert hits >= 35
 
 
+def stationarity_reference(l, budget, n_realizations, rng):
+    """fg_stationarity_check one realization at a time, each with its own generators."""
+    cfg = budget.config
+    n = cfg.n_subcarriers
+    g = gain_fg(budget)
+    powers = np.empty(n_realizations)
+    for i in range(n_realizations):
+        r = substream(rng, i)
+        ch = gen_channel(l, n, cfg.mu1, cfg.mu2, rng=substream(r, 0))
+        gen = generator(substream(r, 1))
+        x = _qpsk(gen, (1, n), budget.sel_s.sigma_sq)
+        relay_in = g * _hop(x, ch.freq_h1, budget.sel_s.p_max, cfg.n0, gen)
+        powers[i] = float(np.mean(np.abs(relay_in) ** 2))
+    return float(np.std(powers) / np.mean(powers))
+
+
 class TestStationarity:
+    @pytest.mark.parametrize("n0,clip_s", [(1.0, 5.0), (0.0, 5.0), (1.0, math.inf)])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("l", [1, 3, "n"])
+    @pytest.mark.parametrize("n_real", [2, 7, 40])
+    def test_batched_pass_matches_reference_loop(self, n0, clip_s, n, l, n_real):
+        l = n if l == "n" else l
+        b = build_budget(NetworkConfig(p_s=100.0, n0=n0, clip_ratio_s=clip_s, clip_ratio_r=8.0,
+                                       n_subcarriers=n, n_taps=1))
+        rng = Rng(90 + n_real, l)
+        assert fg_stationarity_check(l, b, n_real, rng) == stationarity_reference(l, b, n_real, rng)
+
+    def test_realizations_past_one_chunk_match_reference_loop(self):
+        # 4 096 subcarriers: 16 realizations per batched pass, so 40 take three
+        b = build_budget(NetworkConfig(p_s=100.0, clip_ratio_s=5.0, n_subcarriers=4096, n_taps=1))
+        assert fg_stationarity_check(8, b, 40, Rng(96)) == stationarity_reference(8, b, 40, Rng(96))
+
+    @pytest.mark.parametrize("l,n,message", [
+        (65, 64, "need 1 <= l <= n, got l=65, n=64"),
+        (2, 48, "n must be a power of two, got 48"),
+    ])
+    def test_channel_domain_errors(self, l, n, message):
+        b = build_budget(NetworkConfig(n_subcarriers=n, n_taps=1))
+        with pytest.raises(DomainError, match=message):
+            fg_stationarity_check(l, b, 10, Rng(97))
+
     def test_single_tap_matches_conditional_variance_spread(self):
         cfg = NetworkConfig(p_s=100.0, n_subcarriers=256, n_taps=1)
         b = build_budget(cfg)
@@ -468,11 +511,13 @@ class TestResidualClosedForm:
     def test_noiseless_matches_explicit_path_bitwise(self, monkeypatch, protocol):
         budget = build_budget(replace(CLIPPED_CFG, p_s=100.0, n0=0.0, n_subcarriers=16))
         ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(66))
-        ours = _pilot_sndr(ch, budget, protocol, 20, Rng(67))
+        [ours] = _pilot_sndr(ch, budget, (protocol,), 20, Rng(67))
         assert ours.tobytes() == explicit_pilot_sndr(ch, budget, protocol, 20, Rng(67)).tobytes()
         gammas = np.quantile(ours, [0.1, 0.5, 0.9])
         stats = waveform_outage(protocol, gammas, budget, 4, 20, Rng(68))
-        monkeypatch.setattr(simulator, "_pilot_sndr", explicit_pilot_sndr)
+        monkeypatch.setattr(simulator, "_pilot_sndr",
+                            lambda ch, b, protocols, n_blocks, rng:
+                            [explicit_pilot_sndr(ch, b, p, n_blocks, rng) for p in protocols])
         assert stats == waveform_outage(protocol, gammas, budget, 4, 20, Rng(68))
 
 
@@ -520,6 +565,19 @@ class TestWaveformFrozen:
             assert 0.0 <= s.p_hat <= 1.0
             assert (s.ci_low, s.ci_high) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("protocols", [("vg", "fg"), ("fg", "vg"), ("fg",)])
+    @pytest.mark.parametrize("n0,n_draws", [(1.0, 3), (0.0, 2), (1.0, 1)])
+    def test_joint_outage_matches_separate_calls(self, protocols, n0, n_draws):
+        b = build_budget(replace(self.CFG, n0=n0))
+        joint = waveform_outage(protocols, [1.0, 10.0], b, n_draws, 20, Rng(45))
+        assert joint == [waveform_outage(p, [1.0, 10.0], b, n_draws, 20, Rng(45))
+                         for p in protocols]
+
+    @pytest.mark.parametrize("protocols", [("vg", "af"), ()])
+    def test_joint_outage_rejects_bad_protocols(self, protocols):
+        with pytest.raises(DomainError):
+            waveform_outage(protocols, [1.0], build_budget(self.CFG), 3, 20, Rng(46))
+
     @pytest.mark.parametrize("batch", [0, -1])
     def test_measure_sndr_rejects_bad_batch(self, batch):
         ch = gen_channel(4, 16, 1.0, 1.0, rng=Rng(42))
@@ -549,6 +607,27 @@ class TestWaveformInterval:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("rng", [Rng(5, 9), Rng(-1), Rng(-(2**63), 3), Rng(7, 2**63),
+                                     Rng(2**64 - 3, 2**64 - 1)])
+    def test_reseed_matches_fresh_generator(self, rng):
+        def draws(gen):
+            return (gen.standard_normal(5), gen.integers(0, 4, 7), gen.standard_normal(3),
+                    gen.noncentral_chisquare(4, [0.5, 2.0, 9.0]))
+        gen = generator(Rng(11, 12))
+        # leave the previous stream's Philox buffer and 32-bit half-word partly used
+        gen.standard_normal(3)
+        gen.integers(0, 4, 3)
+        state = gen.bit_generator.state
+        assert 0 < state["buffer_pos"] < 4 and state["has_uint32"]
+        for got, want in zip(draws(reseed(gen, rng)), draws(generator(rng))):
+            assert np.array_equal(got, want)
+
+    def test_key_is_seed_and_stream_modulo_2_64(self):
+        for seed, stream in ((-1, 0), (2**64 - 3, 7), (3, 2**63 + 1)):
+            key = generator(Rng(seed, stream)).bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed % 2**64, stream % 2**64]
+        assert generator(Rng(-1)).standard_normal() != generator(Rng(0)).standard_normal()
+
     def test_substreams_differ(self):
         a = generator(substream(Rng(1), 0)).standard_normal(4)
         b = generator(substream(Rng(1), 1)).standard_normal(4)
