@@ -16,11 +16,9 @@ from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .link_budget import (
     LinkBudget,
     NetworkConfig,
-    asymptotic_sndr,
     build_budget,
     gain_fg,
     gain_vg,
-    normalized_sndr_coeffs,
     sndr,
 )
 from .outage import (

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from multiprocessing import Pool
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bussgang import sel_apply, sel_params
 from .epsilon_critical import _to_db, report as phase_report, threshold
-from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
+from .errors import ConfigError, DomainError, RegimeError
 from .link_budget import PROTOCOLS, NetworkConfig, build_budget
 from .outage import (
     diversity_fit,
@@ -178,7 +179,7 @@ def _table(rc: RunConfig, header, rows, meta_key: str, meta: dict, head=(), tail
 def _mc_sweep(gammas, budget, trials, rc: RunConfig) -> list[SimStats]:
     if rc.workers == 1:
         return mc_outage_sweep(rc.protocol, gammas, budget, trials, Rng(rc.seed))
-    with Pool(rc.workers) as pool:
+    with Pool(min(rc.workers, os.cpu_count() or 1)) as pool:  # the output is the same at any size
         return mc_outage_sweep(rc.protocol, gammas, budget, trials, Rng(rc.seed), map_fn=pool.map)
 
 
@@ -351,6 +352,7 @@ _HELP = {
     "gamma_db": "threshold grid start:step:stop in dB, or one value",
     "ps_db": "source power grid start:step:stop in dB",
     "trials": "Monte Carlo trials (0 disables MC columns)",
+    "seed": "Monte Carlo seed, an integer in [0, 2^64)",
     "out": "output path (default stdout)",
 }
 
@@ -369,6 +371,8 @@ def _set_field(rc: RunConfig, key: str, value) -> None:
             raise TypeError(key)
         typed = _CASTS[key](value)
         if key in _CHOICES and typed not in _CHOICES[key]:
+            raise ValueError(key)
+        if key == "seed" and not 0 <= typed < 2**64:  # streams take it modulo 2^64
             raise ValueError(key)
         setattr(rc, key, typed)
     except (TypeError, ValueError):
@@ -427,7 +431,7 @@ def main(argv=None) -> int:
     try:
         rc = _build_run_config(args)
         return globals()[_COMMANDS[args.command]](rc)
-    except (ConfigError, DomainError, RegimeError, ConvergenceError) as exc:
+    except (ConfigError, DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -191,7 +191,9 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     Accepts scalars or broadcastable arrays of finite gains >= 0. Written with
     the inverse relay gain so zero-gain and zero-noise corners produce no
     intermediate infinities; the degenerate all-zero case returns 0 rather
-    than faulting.
+    than faulting. At zero noise it is the distortion-limited limit:
+    threshold("vg") for variable gain at any gains > 0, and for fixed gain
+    a function of h1_gain alone whose CDF is outage_floor("fg", ...).
     """
     alpha, beta = _gain_line(protocol, budget)
     x, y = check_gains(h1_gain, h2_gain)
@@ -219,48 +221,3 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
         out = np.where(den > 0.0, out, np.where(num > 0.0, np.inf, 0.0))
     return float(out) if out.ndim == 0 else out
 
-
-def normalized_sndr_coeffs(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
-    """Coefficients (a, lcoef, q, numerator_scale) of the eps_star-normalized SNDR.
-
-    The SNDR factorizes as numerator_scale / (a + lcoef*eps_star + q*eps_star^2)
-    exactly, which isolates how performance degrades as the network leaves the
-    distortion-limited regime. Undefined when both nodes are linear.
-    """
-    alpha, beta = _gain_line(protocol, budget)
-    x = float(h1_gain)
-    y = float(h2_gain)
-    seen = x if alpha else beta  # the first-hop gain the relay's gain rule reads
-    # the coefficients divide by h2_gain and by seen, which is h1_gain for variable gain
-    if not (x >= 0.0 and y > 0.0 and seen > 0.0):
-        raise DomainError(f"channel gains must be positive (fg allows h1_gain = 0), got {x!r}, {y!r}")
-    check_gains(x, y)
-    b = budget
-    eta_max = max(b.tilde_eta_s, b.tilde_eta_r)
-    if eta_max <= 0.0:
-        raise DomainError("normalized SNDR requires distortion at one node")
-    a = (b.tilde_eta_r * seen + b.tilde_signal_r * b.tilde_eta_s * x) / (eta_max * seen)
-    lcoef = 1.0 / y + b.config.p_ratio / seen
-    q = eta_max / (seen * y)
-    scale = b.tilde_signal_s * b.tilde_signal_r * x / (seen * eta_max)
-    return a, lcoef, q, scale
-
-
-def asymptotic_sndr(protocol: str, h1_gain, budget: LinkBudget):
-    """Distortion-limited SNDR limit (noise power to zero at fixed clip ratios).
-
-    Deterministic for the variable-gain protocol; for fixed gain it keeps a
-    first-hop dependence unless the relay is the only distorting node.
-    """
-    alpha, _ = _gain_line(protocol, budget)
-    (x,) = check_gains(h1_gain)
-    b = budget
-    if max(b.tilde_eta_s, b.tilde_eta_r) <= 0.0:
-        raise DomainError("asymptotic SNDR is infinite for a linear network")
-    if alpha:  # a gain that tracks x cancels it: the limit is the critical threshold
-        return threshold(protocol, b)
-    num_core = b.tilde_signal_s * b.tilde_signal_r
-    mu1 = b.config.mu1
-    den = (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s * x / mu1) * mu1
-    out = np.divide(num_core * x, den, out=np.zeros_like(num_core * x + den), where=den > 0.0)
-    return float(out) if out.ndim == 0 else out

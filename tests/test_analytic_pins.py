@@ -2,7 +2,7 @@
 
 Every value below was recorded with repr and is compared with ==, so any
 change to the arithmetic (operation order included) of the thresholds, the
-expansions, the SNDR limits or the exact outage shows up here. None records
+expansions, the floors or the exact outage shows up here. None records
 that the function raises DomainError or RegimeError for that case. A change
 that alters a value on purpose re-records it and says why.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from afrelay.epsilon_critical import ordinate, threshold, threshold_gap
 from afrelay.errors import DomainError, RegimeError
-from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, normalized_sndr_coeffs
+from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.outage import (
     exact_outage,
     outage_asymptotic,
@@ -50,9 +50,6 @@ def analytic_values(clip_s, clip_r, snr_db):
         out[f"exact_outage {p} low"] = exact_outage(p, low, b)
         out[f"exact_outage {p} below"] = exact_outage(p, 0.95 * th["vg"], b)
         out[f"outage_asymptotic {p} low"] = _or_none(_asymptotic, p, low, b)
-        out[f"normalized_sndr_coeffs {p}"] = normalized_sndr_coeffs(p, 0.7, 1.3, b)
-    out["asymptotic_sndr vg"] = asymptotic_sndr("vg", 1.0, b)
-    out["asymptotic_sndr fg"] = (asymptotic_sndr("fg", 0.5, b), asymptotic_sndr("fg", 2.0, b))
     out["outage_fg_floor low"] = outage_fg_floor(low, b)
     if th["fg"] < inf:
         out["exact_outage fg mid"] = exact_outage("fg", mid, b)
@@ -72,14 +69,10 @@ PINNED = {
         'exact_outage fg low': 0.9741380710202681,
         'exact_outage fg below': 0.9999999999998906,
         'outage_asymptotic fg low': None,
-        'normalized_sndr_coeffs fg': (0.7341159854801227, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
         'ordinate vg': None,
         'exact_outage vg low': 0.9983597087850016,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0341106198935672, 2.197802197802198, 0.0005758870217974447, 1907.1545744996909),
-        'asymptotic_sndr vg': 1844.246193599655,
-        'asymptotic_sndr fg': (1785.3255228454823, 1875.1894071043869),
         'outage_fg_floor low': 0.031443418406773595,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
@@ -95,14 +88,10 @@ PINNED = {
         'exact_outage fg low': 0.03308272261601259,
         'exact_outage fg below': 0.3300457050760809,
         'outage_asymptotic fg low': 0.03308284573098587,
-        'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.007011935535678671,
         'exact_outage vg low': 0.00036956146576055206,
         'exact_outage vg below': 0.007123535983946411,
         'outage_asymptotic vg low': 0.0003690492387199309,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
-        'asymptotic_sndr vg': 1844.2461935996548,
-        'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677358,
         'exact_outage fg mid': 0.877090160493222,
         'outage_asymptotic fg mid': 0.8771224963292201,
@@ -118,14 +107,10 @@ PINNED = {
         'exact_outage fg low': 0.03144341845503797,
         'exact_outage fg below': 0.31981581970327283,
         'outage_asymptotic fg low': 0.031443418455037966,
-        'normalized_sndr_coeffs fg': (0.7341159854801226, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.011935535678693e-11,
         'exact_outage vg low': 3.6904923873760636e-12,
         'exact_outage vg below': 7.011935541332292e-11,
         'outage_asymptotic vg low': 3.6904923871993095e-12,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
-        'asymptotic_sndr vg': 1844.2461935996548,
-        'asymptotic_sndr fg': (1785.325522845482, 1875.1894071043869),
         'outage_fg_floor low': 0.03144341840677359,
         'exact_outage fg mid': 0.8692056606833918,
         'outage_asymptotic fg mid': 0.8692056606833917,
@@ -141,14 +126,10 @@ PINNED = {
         'exact_outage fg low': 0.9321914281495449,
         'exact_outage fg below': 0.9901112596205647,
         'outage_asymptotic fg low': None,
-        'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': None,
         'exact_outage vg low': 0.9987067049033189,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.39346934028736663,
     },
     (inf, 5.0, 70.0): {
@@ -159,14 +140,10 @@ PINNED = {
         'exact_outage fg low': 0.394053958852299,
         'exact_outage fg below': 0.6139222174675777,
         'outage_asymptotic fg low': 0.39405398255448826,
-        'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.007251117003454451,
         'exact_outage vg low': 0.00038218304389802706,
         'exact_outage vg below': 0.0073695525940846215,
         'outage_asymptotic vg low': 0.0003816377370239169,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.3934693402873666,
     },
     (inf, 5.0, 150.0): {
@@ -177,14 +154,10 @@ PINNED = {
         'exact_outage fg low': 0.39346934030387287,
         'exact_outage fg below': 0.613258976565046,
         'outage_asymptotic fg low': 0.39346934030387287,
-        'normalized_sndr_coeffs fg': (1.0, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454426e-11,
         'exact_outage vg low': 3.816377370427939e-12,
         'exact_outage vg below': 7.251117009491474e-11,
         'outage_asymptotic vg low': 3.816377370239169e-12,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (953.594342559792, 3814.377370239168),
         'outage_fg_floor low': 0.39346934028736663,
     },
     (5.0, inf, 30.0): {
@@ -195,14 +168,10 @@ PINNED = {
         'exact_outage fg low': 0.9781064279847975,
         'exact_outage fg below': 1.0,
         'outage_asymptotic fg low': None,
-        'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': None,
         'exact_outage vg low': 0.9987067049033189,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': 1.0,
@@ -218,14 +187,10 @@ PINNED = {
         'exact_outage fg low': 0.0017954148616065569,
         'exact_outage fg below': 0.023407751050619992,
         'outage_asymptotic fg low': 0.0017955587224010652,
-        'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 0.007251117003454429,
         'exact_outage vg low': 0.00038218304389802695,
         'exact_outage vg below': 0.007369552594084599,
         'outage_asymptotic vg low': 0.00038163773702391677,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': 1.0,
@@ -241,14 +206,10 @@ PINNED = {
         'exact_outage fg low': 5.3105721791772884e-11,
         'exact_outage fg below': 9.022563562918881e-10,
         'outage_asymptotic fg low': 5.310572179182075e-11,
-        'normalized_sndr_coeffs fg': (0.7, 1.7692307692307692, 0.0004031209152582112, 1335.0320795837088),
         'ordinate vg': 7.251117003454432e-11,
         'exact_outage vg low': 3.816377370427938e-12,
         'exact_outage vg below': 7.251117009491481e-11,
         'outage_asymptotic vg low': 3.816377370239168e-12,
-        'normalized_sndr_coeffs vg': (1.0, 2.197802197802198, 0.0005758870217974447, 1907.1886851195839),
-        'asymptotic_sndr vg': 1907.188685119584,
-        'asymptotic_sndr fg': (1907.188685119584, 1907.188685119584),
         'outage_fg_floor low': 0.0,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': 1.0,
@@ -264,14 +225,10 @@ PINNED = {
         'exact_outage fg low': 0.9295846897410495,
         'exact_outage fg below': 0.9900451738989462,
         'outage_asymptotic fg low': None,
-        'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.0082021497835),
         'ordinate vg': None,
         'exact_outage vg low': 0.9983597087850016,
         'exact_outage vg below': 1.0,
         'outage_asymptotic vg low': None,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996909),
-        'asymptotic_sndr vg': 1844.2461935996553,
-        'asymptotic_sndr fg': (937.5864595798043, 3570.7108293029864),
         'outage_fg_floor low': 0.3883624117072626,
         'exact_outage fg mid': 1.0,
         'outage_asymptotic fg mid': None,
@@ -287,14 +244,10 @@ PINNED = {
         'exact_outage fg low': 0.3889430371982804,
         'exact_outage fg below': 0.6132962214281238,
         'outage_asymptotic fg low': 0.3889430603497687,
-        'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 0.007011935535678692,
         'exact_outage vg low': 0.0003695614657605521,
         'exact_outage vg below': 0.007123535983946432,
         'outage_asymptotic vg low': 0.00036904923871993096,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
-        'asymptotic_sndr vg': 1844.2461935996548,
-        'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),
         'outage_fg_floor low': 0.3883624117072625,
         'exact_outage fg mid': 0.9999999999999758,
         'outage_asymptotic fg mid': 0.9999999999999758,
@@ -310,14 +263,10 @@ PINNED = {
         'exact_outage fg low': 0.38836241172363833,
         'exact_outage fg below': 0.6126329184143096,
         'outage_asymptotic fg low': 0.38836241172363833,
-        'normalized_sndr_coeffs fg': (1.0238774339254968, 1.7692307692307692, 0.0004031209152582112, 1335.008202149783),
         'ordinate vg': 7.011935535678674e-11,
         'exact_outage vg low': 3.6904923873760636e-12,
         'exact_outage vg below': 7.011935541332272e-11,
         'outage_asymptotic vg low': 3.6904923871993095e-12,
-        'normalized_sndr_coeffs vg': (1.0341106198935668, 2.197802197802198, 0.0005758870217974447, 1907.1545744996902),
-        'asymptotic_sndr vg': 1844.2461935996548,
-        'asymptotic_sndr fg': (937.5864595798041, 3570.7108293029855),
         'outage_fg_floor low': 0.38836241170726254,
         'exact_outage fg mid': 0.9999999999999749,
         'outage_asymptotic fg mid': 0.9999999999999749,

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, fields
 
@@ -13,7 +14,7 @@ import pytest
 from afrelay import cli
 from afrelay.cli import (RunConfig, _build_run_config, _circular_gaussian, _db_to_lin,
                          _parse_grid, main)
-from afrelay.errors import ConfigError, ConvergenceError, RegimeError
+from afrelay.errors import ConfigError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.outage import diversity_fit
 from afrelay.simulator import Rng, generator, mc_outage_sweep
@@ -66,6 +67,32 @@ class TestOutageSweep:
             assert main(args) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_pool_is_capped_at_the_core_count(self, monkeypatch, tmp_path):
+        # a recorder stands in for the pool and maps in process: nothing is forked
+        sizes = []
+
+        class RecordingPool:
+            map = staticmethod(map)
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        outs = []
+        for workers in ("1", "4096"):
+            out = tmp_path / f"w{workers}.csv"
+            args = SWEEP_ARGS + ["--gamma-db", "0:5:30", "--workers", workers, "--out", str(out)]
+            assert main(args) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
 
     def test_trials_zero_empty_mc_columns(self, tmp_path):
         out = tmp_path / "nomc.csv"
@@ -463,9 +490,8 @@ class TestConfigHandling:
         assert captured.err == ""
         assert captured.out.splitlines()[2].split(",")[:3] == ["-4000", "0", "0"]
 
-    @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime"),
-                                     ConvergenceError("quadrature ran out of budget")],
-                             ids=["regime", "convergence"])
+    # ConvergenceError is raised only by the quadrature oracle, which no subcommand calls
+    @pytest.mark.parametrize("exc", [RegimeError("outside the expansion's regime")], ids=["regime"])
     def test_regime_and_convergence_errors_exit_2(self, monkeypatch, capsys, exc):
         def raise_exc(rc):
             raise exc
@@ -496,25 +522,30 @@ class TestConfigHandling:
         ("seed", ["--seed", "1.5"], True),
         ("workers", ["--workers", "true"], True),
         ("snr_db", ["--snr-db", "true"], True),
+        # the streams take the seed modulo 2^64: 2^64 + 1 would draw what 1 draws
+        ("seed", ["--seed=-1"], -1),
+        ("seed", ["--seed", "18446744073709551617"], 2**64 + 1),
     ], ids=["format-xml", "protocol-FG", "trials-fraction", "trials-bool", "seed-fraction-bool",
-            "workers-bool", "snr_db-bool"])
+            "workers-bool", "snr_db-bool", "seed-negative", "seed-2**64+1"])
     def test_rejected_value_exits_2(self, monkeypatch, tmp_path, capsys, source, key, flag, value):
         code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)
         assert code == 2 and seen == []
-        assert f"{key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {key!r}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key,flag,value,expected", [
         ("trials", ["--trials", "1e5"], "1e5", 100_000),
         ("trials", ["--trials", "100000"], 1e5, 100_000),
         ("seed", ["--seed", "12345678901234567891"], 12345678901234567891, 12345678901234567891),
+        ("seed", ["--seed", "18446744073709551615"], 2**64 - 1, 2**64 - 1),
         ("clip_s", ["--clip-s", "Infinity"], "Infinity", math.inf),
         ("clip_r", ["--clip-r", "INF"], "INF", math.inf),
         ("snr_db", ["--snr-db", "40"], 40, 40.0),
         ("protocol", ["--protocol", "fg"], "fg", "fg"),
         ("format", ["--format", "json"], "json", "json"),
-    ], ids=["trials-1e5-str", "trials-1e5-num", "seed-big", "clip_s-Infinity", "clip_r-INF",
-            "snr_db-int", "protocol", "format"])
+    ], ids=["trials-1e5-str", "trials-1e5-num", "seed-big", "seed-2**64-1", "clip_s-Infinity",
+            "clip_r-INF", "snr_db-int", "protocol", "format"])
     def test_accepted_value_same_from_flag_and_file(self, monkeypatch, tmp_path, source, key,
                                                     flag, value, expected):
         code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)

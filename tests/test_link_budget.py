@@ -4,6 +4,7 @@ Frozen numbers come from the pre-build oracle pass: limiter triples from the
 2e8-sample Monte Carlo / closed form, budget-level values by composing them.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -12,15 +13,8 @@ import numpy as np
 import pytest
 
 from afrelay.errors import DomainError
-from afrelay.link_budget import (
-    NetworkConfig,
-    asymptotic_sndr,
-    build_budget,
-    gain_fg,
-    gain_vg,
-    normalized_sndr_coeffs,
-    sndr,
-)
+from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr, threshold
+from afrelay.outage import outage_floor
 
 # mu1 = mu2 = n0 = 1, P_S = P_R = 1, clip ratios 5 (source) and 8 (relay).
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
@@ -171,19 +165,20 @@ class TestSndr:
         assert np.all(np.diff(vals) > -1e-15)
 
     def test_noise_free_limit_matches_asymptotic(self):
+        # the SNDR at vanishing noise tends to the one at zero noise
         cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, n0=1e-12)
-        b = build_budget(cfg)
+        b, b0 = build_budget(cfg), build_budget(replace(cfg, n0=0.0))
         for proto in ("fg", "vg"):
             for x, y in [(0.5, 1.2), (2.0, 0.3), (1.0, 1.0)]:
                 lam = sndr(proto, x, y, b)
-                assert lam == pytest.approx(asymptotic_sndr(proto, x, b), rel=1e-6, abs=0.0)
+                assert lam == pytest.approx(sndr(proto, x, y, b0), rel=1e-6, abs=0.0)
 
     def test_vg_limit_uniform_over_random_draws(self):
         # keep draws away from the degenerate near-zero corner where the
         # residual noise floor is no longer negligible against 1e-10
         cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, n0=1e-10)
         b = build_budget(cfg)
-        limit = asymptotic_sndr("vg", 1.0, b)
+        limit = threshold("vg", b)
         rng = np.random.default_rng(77)
         draws = rng.exponential(1.0, (200, 2))
         draws = draws[np.all(draws > 1e-2, axis=1)]
@@ -264,95 +259,131 @@ def test_one_gain_rule_at_every_entry(protocol, bad):
         lambda: sndr(protocol, 1.0, bad, b),
         lambda: gain_vg(b, bad),
         lambda: gain_vg(b, np.array([1.0, bad])),
-        lambda: asymptotic_sndr(protocol, bad, b),
-        lambda: normalized_sndr_coeffs(protocol, bad, 1.0, b),
-        lambda: normalized_sndr_coeffs(protocol, 1.0, bad, b),
     ]
     for entry in entries:
         with pytest.raises(DomainError, match="^channel gains must be"):
             entry()
 
 
-class TestNormalizedSndr:
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(17)
-        b = build_budget(FIG2_CFG)
-        worst = 0.0
-        for _ in range(1000):
-            x, y = rng.exponential(1.0, 2)
-            proto = "fg" if rng.random() < 0.5 else "vg"
-            a, lc, q, scale = normalized_sndr_coeffs(proto, x, y, b)
-            recon = scale / (a + lc * b.eps_star + q * b.eps_star**2)
-            direct = sndr(proto, x, y, b)
-            worst = max(worst, abs(recon / direct - 1.0))
-        assert worst < 1e-10
+# the four clip configurations (source, relay) that test_analytic_pins.py pins
+CLIPS = ((5.0, 8.0), (math.inf, 5.0), (5.0, math.inf), (8.0, 5.0))
 
-    def test_reconstruction_other_configs(self):
-        rng = np.random.default_rng(18)
-        for cfg in [
-            FIG3_CFG,
-            NetworkConfig(mu1=2.0, mu2=0.5, n0=0.1, p_s=5.0, p_ratio=0.8, clip_ratio_s=2.0, clip_ratio_r=4.0),
-        ]:
-            b = build_budget(cfg)
-            for _ in range(200):
-                x, y = rng.exponential(1.0, 2)
-                for proto in ("fg", "vg"):
-                    a, lc, q, scale = normalized_sndr_coeffs(proto, x, y, b)
-                    recon = scale / (a + lc * b.eps_star + q * b.eps_star**2)
-                    assert recon == pytest.approx(sndr(proto, x, y, b), rel=1e-10, abs=0.0)
 
-    def test_eps_to_zero_limit(self):
-        b = build_budget(FIG2_CFG)
-        a, lc, q, scale = normalized_sndr_coeffs("vg", 1.3, 0.6, b)
-        assert scale / a == pytest.approx(asymptotic_sndr("vg", 1.3, b), rel=1e-12, abs=0.0)
+def noisy_and_noiseless(cfg):
+    return build_budget(cfg), build_budget(replace(cfg, n0=0.0))
 
-    def test_fg_lcoef_large_h2(self):
-        b = build_budget(FIG2_CFG)
-        _, lc, q, _ = normalized_sndr_coeffs("fg", 1.0, 1e12, b)
-        assert lc == pytest.approx(b.config.p_ratio / b.config.mu1, rel=1e-9, abs=0.0)
-        assert q < 1e-12
 
-    def test_linear_network_rejected(self):
-        with pytest.raises(DomainError):
-            normalized_sndr_coeffs("vg", 1.0, 1.0, linear_budget())
-
-    @pytest.mark.parametrize("protocol,h1,h2", [
-        ("fg", 1.0, 0.0), ("vg", 0.0, 1.0), ("vg", 1.0, 0.0), ("fg", math.nan, 1.0),
-        ("vg", 1.0, -1.0),
-    ], ids=["fg-h2-zero", "vg-h1-zero", "vg-h2-zero", "fg-h1-nan", "vg-h2-negative"])
-    def test_gain_it_divides_by_rejected(self, protocol, h1, h2):
-        with pytest.raises(DomainError, match="^channel gains must be positive"):
-            normalized_sndr_coeffs(protocol, h1, h2, build_budget(FIG2_CFG))
-
-    def test_fg_zero_first_hop_gain_has_zero_scale(self):
-        b = build_budget(FIG2_CFG)
-        a, lc, q, scale = normalized_sndr_coeffs("fg", 0.0, 1.0, b)
-        assert scale == 0.0 and a > 0.0
-        assert sndr("fg", 0.0, 1.0, b) == 0.0
+def exp_gains(seed, n=1000):
+    return np.random.default_rng(seed).exponential(1.0, (2, n))
 
 
 class TestAsymptoticSndr:
+    """The distortion-limited SNDR (n0 -> 0 at fixed clip ratios) is sndr on a zero-noise budget."""
+
     def test_vg_deterministic(self):
-        b = build_budget(FIG2_CFG)
-        vals = {asymptotic_sndr("vg", h, b) for h in (0.1, 1.0, 10.0)}
-        assert len(vals) == 1
+        # a relay gain that tracks h1 cancels it: every draw sits on threshold("vg")
+        x, y = exp_gains(77)
+        for clip_s, clip_r in CLIPS:
+            b, b0 = noisy_and_noiseless(NetworkConfig(clip_ratio_s=clip_s, clip_ratio_r=clip_r))
+            th = threshold("vg", b)
+            assert threshold("vg", b0) == th
+            np.testing.assert_allclose(sndr("vg", x, y, b0), th, rtol=1e-15, atol=0.0)
 
     def test_vg_reference_value(self):
-        # equals the variable-gain critical threshold by construction
-        assert asymptotic_sndr("vg", 1.0, build_budget(FIG2_CFG)) == pytest.approx(
+        assert sndr("vg", 1.0, 1.0, build_budget(replace(FIG2_CFG, n0=0.0))) == pytest.approx(
             1844.246194, rel=1e-8, abs=0.0
         )
-        assert asymptotic_sndr("vg", 1.0, build_budget(FIG3_CFG)) == pytest.approx(
+        assert sndr("vg", 1.0, 1.0, build_budget(replace(FIG3_CFG, n0=0.0))) == pytest.approx(
             1907.188685, rel=1e-8, abs=0.0
         )
 
+    def test_fg_does_not_depend_on_h2(self):
+        x, y = exp_gains(78)
+        for clip_s, clip_r in CLIPS:
+            _, b0 = noisy_and_noiseless(NetworkConfig(clip_ratio_s=clip_s, clip_ratio_r=clip_r))
+            lam = sndr("fg", x, 1.0, b0)
+            for h2 in (y, 1e-3, 1e3):
+                np.testing.assert_allclose(sndr("fg", x, h2, b0), lam, rtol=1e-15, atol=0.0)
+
     def test_fg_source_only_clipping_h1_independent(self):
         cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=math.inf)
-        b = build_budget(cfg)
+        b, b0 = noisy_and_noiseless(cfg)
         ref = b.tilde_signal_s / b.tilde_eta_s
         for h in (0.1, 1.0, 10.0):
-            assert asymptotic_sndr("fg", h, b) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert sndr("fg", h, 1.0, b0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_linear_network_rejected(self):
-        with pytest.raises(DomainError):
-            asymptotic_sndr("vg", 1.0, linear_budget())
+    def test_fg_floor_is_its_cdf(self):
+        # the floor at gamma is P(limit <= gamma) over h1 ~ Exp(mu1), h2 aside; with a
+        # linear relay the limit is one value, and the floor a step there
+        n = 200_000
+        for clip_s, clip_r in CLIPS:
+            b, b0 = noisy_and_noiseless(NetworkConfig(clip_ratio_s=clip_s, clip_ratio_r=clip_r))
+            lam = sndr("fg", np.random.default_rng(79).exponential(b.config.mu1, n), 1.0, b0)
+            for gamma in np.outer(np.quantile(lam, (0.1, 0.5, 0.9)), (0.999, 1.001)).flat:
+                p_floor = outage_floor("fg", float(gamma), b)
+                sigma = math.sqrt(p_floor * (1.0 - p_floor) / n)
+                assert abs(np.mean(lam <= gamma) - p_floor) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_linear_network_is_infinite(self, protocol):
+        # no noise and no distortion: every gain > 0 gets through perfectly
+        _, b0 = noisy_and_noiseless(NetworkConfig())
+        x, y = exp_gains(81, 20)
+        assert threshold(protocol, b0) == math.inf
+        assert np.all(sndr(protocol, x, y, b0) == math.inf)
+
+
+def parabola_at(t, n0s, values):
+    """The quadratic through (n0s[i], values[i]), i < 3, evaluated at t."""
+    (a, b, c), (va, vb, vc) = n0s, values
+    return (va * (t - b) * (t - c) / ((a - b) * (a - c))
+            + vb * (t - a) * (t - c) / ((b - a) * (b - c))
+            + vc * (t - a) * (t - b) / ((c - a) * (c - b)))
+
+
+def inverse_sndr(protocol, x, y, cfg, n0s):
+    return [1.0 / sndr(protocol, x, y, build_budget(replace(cfg, n0=n0))) for n0 in n0s]
+
+
+class TestNormalizedSndr:
+    """At fixed gains 1/sndr is a quadratic in n0, so in eps_star = n0/eta_max: that
+    is the whole of the eps_star-normalized SNDR."""
+
+    def test_reconstruction_identity(self):
+        # the parabola through three noise powers predicts a fourth
+        x, y = exp_gains(17, 200)
+        for (clip_s, clip_r), protocol in itertools.product(CLIPS, ("fg", "vg")):
+            cfg = NetworkConfig(clip_ratio_s=clip_s, clip_ratio_r=clip_r)
+            inv = inverse_sndr(protocol, x, y, cfg, (0.0, 1.0, 3.0, 10.0))
+            np.testing.assert_allclose(parabola_at(10.0, (0.0, 1.0, 3.0), inv[:3]), inv[3],
+                                       rtol=1e-10, atol=0.0)
+            # and the n0^2 term matters: the line through the first two misses
+            assert np.min(np.abs((inv[0] + 10.0 * (inv[1] - inv[0])) / inv[3] - 1.0)) > 1e-3
+
+    def test_reconstruction_other_configs(self):
+        x, y = exp_gains(18, 200)
+        cfg = NetworkConfig(mu1=2.0, mu2=0.5, n0=0.1, p_s=5.0, p_ratio=0.8,
+                            clip_ratio_s=2.0, clip_ratio_r=4.0)
+        for protocol in ("fg", "vg"):
+            inv = inverse_sndr(protocol, x, y, cfg, (0.1, 0.2, 0.4, 0.05))
+            np.testing.assert_allclose(parabola_at(0.05, (0.1, 0.2, 0.4), inv[:3]), inv[3],
+                                       rtol=1e-10, atol=0.0)
+
+    def test_eps_to_zero_limit(self):
+        # the parabola through budgets whose noise still dominates (1/sndr is ~600 times
+        # its limit) meets the zero-noise SNDR at n0 = 0, for variable gain the threshold
+        x, y = exp_gains(19, 200)
+        for protocol in ("fg", "vg"):
+            inv = inverse_sndr(protocol, x, y, FIG2_CFG, (1e-3, 2e-3, 3e-3, 0.0))
+            np.testing.assert_allclose(parabola_at(0.0, (1e-3, 2e-3, 3e-3), inv[:3]), inv[3],
+                                       rtol=1e-10, atol=0.0)
+            if protocol == "vg":
+                np.testing.assert_allclose(1.0 / inv[3], threshold("vg", build_budget(FIG2_CFG)),
+                                           rtol=1e-15, atol=0.0)
+
+    def test_fg_zero_first_hop_gain_has_zero_scale(self):
+        # the numerator vanishes with h1 for fixed gain, whose relay gain does not:
+        # the SNDR is 0 at every noise power, zero included
+        for n0 in (0.0, 1e-3, 1.0):
+            b = build_budget(replace(FIG2_CFG, n0=n0))
+            assert sndr("fg", 0.0, np.array([1e-3, 1.0, 1e3]), b).tolist() == [0.0] * 3

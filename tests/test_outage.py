@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from afrelay import cli
 from afrelay.errors import ConvergenceError, DomainError, RegimeError
-from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, sndr
+from afrelay.link_budget import NetworkConfig, build_budget, sndr
 from afrelay.outage import (
     diversity_fit,
     exact_outage,
@@ -338,7 +339,7 @@ class TestFgFloor:
         rng = np.random.Generator(np.random.Philox(key=[301, 0]))
         n = 1_000_000
         x = rng.exponential(b.config.mu1, n)
-        lam = asymptotic_sndr("fg", x, b)
+        lam = sndr("fg", x, 1.0, build_budget(replace(FIG2_CFG, n0=0.0)))
         for gamma in [500.0, 1000.0, 1500.0]:
             p_mc = float(np.mean(lam <= gamma))
             p_floor = outage_fg_floor(gamma, b)
@@ -347,7 +348,7 @@ class TestFgFloor:
 
     def test_vg_floor_is_step(self):
         b = build_budget(FIG2_CFG)
-        th = asymptotic_sndr("vg", 1.0, b)
+        th = sndr("vg", 1.0, 1.0, build_budget(replace(FIG2_CFG, n0=0.0)))
         assert outage_floor("vg", th * 0.999, b) == 0.0
         assert outage_floor("vg", th * 1.001, b) == 1.0
 

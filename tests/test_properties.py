@@ -4,9 +4,10 @@ Outage is a probability, it grows with the threshold, it is 1 past the
 critical threshold, the closed-form variable-gain outage agrees with its
 quadrature route, and the small-gamma expansion only returns probabilities
 and never falls as the threshold grows. Fixed and variable gain share one
-relay gain rule, so their gains, limits and floors agree bit for bit where
-the rule says they must. The floor is the exact outage at zero noise power,
-bit for bit, and the exact outage tends to it as the noise vanishes.
+relay gain rule, so their gains and floors agree bit for bit where the rule
+says they must, and the zero-noise variable-gain SNDR is its threshold. The
+floor is the exact outage at zero noise power, bit for bit, and the exact
+outage tends to it as the noise vanishes.
 Examples are derandomized so a tier-1 run is reproducible.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afrelay.errors import RegimeError
-from afrelay.link_budget import NetworkConfig, asymptotic_sndr, build_budget, gain_fg, gain_vg
+from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr
 from afrelay.outage import (
     exact_outage,
     outage_fg_floor,
@@ -111,14 +112,16 @@ gain_rule_budgets = st.builds(network, wide_clip_ratios, wide_clip_ratios, st.fl
 
 
 @settled(300)
-@given(budget=gain_rule_budgets, x=st.floats(0.0, 1e6), u=st.floats(0.0, 1.0),
-       g_db=st.floats(-60.0, 60.0))
-def test_one_relay_gain_rule(budget, x, u, g_db):
+@given(budget=gain_rule_budgets, x=st.floats(1e-100, 1e6), y=st.floats(1e-100, 1e6),
+       u=st.floats(0.0, 1.0), g_db=st.floats(-60.0, 60.0))
+def test_one_relay_gain_rule(budget, x, y, u, g_db):
     b = budget
     assert gain_fg(b) == gain_vg(b, b.config.mu1)
     th_vg = threshold("vg", b)
-    if th_vg < math.inf:  # a node clips
-        assert asymptotic_sndr("vg", x, b) == th_vg
+    # at zero noise a gain that tracks x cancels it: sndr is the threshold to a few
+    # ulps (inf for a linear network); gains stay off the underflow range
+    lam = sndr("vg", x, y, build_budget(replace(b.config, n0=0.0)))
+    assert math.isclose(lam, th_vg, rel_tol=1e-15, abs_tol=0.0)
     gamma = 10.0 ** (g_db / 10.0)
     assert outage_floor("fg", gamma, b) == outage_fg_floor(gamma, b)
     # the vg floor is 0 on 0 <= gamma < threshold("vg"), one float below it included
