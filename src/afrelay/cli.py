@@ -56,6 +56,10 @@ from .simulator import (
 # Grids beyond this are input errors: every published figure uses <= 121
 # points, and each point costs one exact-outage evaluation.
 _MAX_GRID_POINTS = 4096
+# Size flags whose memory grows with their value: validate's channel holds
+# n_subcarriers samples, and the Monte Carlo lists its 65 536-trial chunks up front.
+_MAX_SUBCARRIERS = 2**14
+_MAX_TRIALS = 10**10
 
 
 @dataclass
@@ -400,6 +404,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             _set_field(rc, key, value)
     if rc.trials < 0 or rc.workers < 1:
         raise ConfigError("trials must be >= 0 and workers >= 1")
+    for key, cap in (("n_subcarriers", _MAX_SUBCARRIERS), ("trials", _MAX_TRIALS)):
+        if getattr(rc, key) > cap:
+            raise ConfigError(f"{key} must be at most {cap}, got {getattr(rc, key)}")
     return rc
 
 

@@ -2,9 +2,9 @@
 
 When the noise-to-distortion ratio eps_star is small, the outage probability
 jumps between a small value and one across a critical protection threshold.
-This module reports those thresholds (link_budget.threshold), the gap between
-them and the leading-order ordinate of the drop. Inside the gap variable gain
-is in sure outage, so fixed gain's edge there is 1 - exact_outage("fg", ...),
+This module reports those thresholds, the gap between them (both from
+link_budget) and the leading-order ordinate of the drop. Inside the gap variable
+gain is in sure outage, so fixed gain's edge there is 1 - exact_outage("fg", ...),
 or 1 - outage_floor("fg", ...) in the distortion limit.
 """
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .link_budget import LinkBudget, normalize_protocol, threshold
+from .link_budget import LinkBudget, normalize_protocol, threshold, threshold_gap
 from .outage import _series, exact_outage
 
 # "Just below" the critical threshold, where ordinate and report's
@@ -36,15 +36,6 @@ class PhaseTransitionReport:
 
 def _to_db(x: float) -> float:
     return 10.0 * math.log10(x) if 0.0 < x < math.inf else math.inf
-
-
-def threshold_gap(budget: LinkBudget) -> float:
-    """threshold(fg) - threshold(vg) in closed form; needs source distortion."""
-    b = budget
-    if b.tilde_eta_s <= 0.0:
-        raise DomainError("threshold gap is undefined for a distortion-free source")
-    den = b.tilde_eta_s * (b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s)
-    return b.tilde_signal_s * b.tilde_eta_r / den
 
 
 def ordinate(protocol: str, budget: LinkBudget) -> float:
@@ -74,9 +65,10 @@ def report(budget: LinkBudget, include_exact_outage: bool = False) -> dict:
     the ordinate is taken at, is attached for direct comparison with it.
     """
     out = {}
-    gap = None
-    if budget.tilde_eta_s > 0.0:
+    try:
         gap = threshold_gap(budget)
+    except DomainError:
+        gap = None
     for proto in ("fg", "vg"):
         th = threshold(proto, budget)
         try:

@@ -9,7 +9,7 @@ Everything downstream (outage, critical thresholds) consumes the LinkBudget.
 
 Conventions: gamma values and channel gains are linear, powers in watts.
 Under fixed clip ratios all node powers scale with the source power p_s, so
-the tilde fields (quantities divided by p_s) are scale invariants.
+each node's signal and distortion powers over p_s (_scaled_powers) are invariant.
 """
 
 from __future__ import annotations
@@ -85,25 +85,11 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Every derived symbol of a configured network.
-
-    eps_s/eps_r are the noise-to-distortion ratios per node (inf for a linear
-    node, 0 at zero noise power), eps_star their minimum. Per node,
-    tilde_signal = sigma_sq * zeta^2 / p_s and tilde_eta = eta / p_s are its
-    signal and distortion powers over p_s, both scale invariant. Nothing here
-    divides by n0, so zero noise is an ordinary budget.
-    """
+    """A configured network and its two limiters; nothing here divides by n0, which may be 0."""
 
     config: NetworkConfig
     sel_s: SelParams
     sel_r: SelParams
-    eps_s: float
-    eps_r: float
-    eps_star: float
-    tilde_signal_s: float
-    tilde_signal_r: float
-    tilde_eta_s: float
-    tilde_eta_r: float
 
     @property
     def p_s(self) -> float:
@@ -113,37 +99,33 @@ class LinkBudget:
     def n0(self) -> float:
         return self.config.n0
 
+    @property
+    def eps_star(self) -> float:
+        """min over the nodes of n0/eta: inf for a linear network, 0 at zero noise power."""
+        return min(self.n0 / s.eta if s.eta > 0.0 else math.inf for s in (self.sel_s, self.sel_r))
+
 
 def build_budget(cfg: NetworkConfig) -> LinkBudget:
-    """Derive limiter triples and normalized quantities from a configuration.
+    """The limiter triples of a configuration.
 
     Each node's limiter input power is sized so its average transmit power
     hits the configured target (p_s at the source, p_ratio*p_s at the relay).
     """
-    p_r = cfg.p_ratio * cfg.p_s
     sels = []
     for node, p_target, ratio in (("source", cfg.p_s, cfg.clip_ratio_s),
-                                  ("relay", p_r, cfg.clip_ratio_r)):
+                                  ("relay", cfg.p_ratio * cfg.p_s, cfg.clip_ratio_r)):
         sigma_sq = sigma_for_target_power(p_target, ratio)
         # an overflowing clip power would silently make a clipping node linear
         if ratio < math.inf and ratio * sigma_sq == math.inf:
             raise DomainError(f"{node} clip power overflows at clip ratio {ratio!r}")
         sels.append(sel_params(sigma_sq, ratio * sigma_sq))
-    sel_s, sel_r = sels
-    eps_s = cfg.n0 / sel_s.eta if sel_s.eta > 0.0 else math.inf
-    eps_r = cfg.n0 / sel_r.eta if sel_r.eta > 0.0 else math.inf
-    return LinkBudget(
-        config=cfg,
-        sel_s=sel_s,
-        sel_r=sel_r,
-        eps_s=eps_s,
-        eps_r=eps_r,
-        eps_star=min(eps_s, eps_r),
-        tilde_signal_s=sel_s.sigma_sq / cfg.p_s * sel_s.zeta**2,
-        tilde_signal_r=sel_r.sigma_sq / cfg.p_s * sel_r.zeta**2,
-        tilde_eta_s=sel_s.eta / cfg.p_s,
-        tilde_eta_r=sel_r.eta / cfg.p_s,
-    )
+    return LinkBudget(cfg, *sels)
+
+
+def _scaled_powers(budget: LinkBudget) -> tuple[float, float, float, float]:
+    """(T_S, T_R, E_S, E_R): per node, signal power sigma_sq zeta^2 and distortion eta, over p_s."""
+    p_s, s, r = budget.config.p_s, budget.sel_s, budget.sel_r
+    return (s.sigma_sq / p_s * s.zeta**2, r.sigma_sq / p_s * r.zeta**2, s.eta / p_s, r.eta / p_s)
 
 
 def _gain_line(protocol: str, budget: LinkBudget) -> tuple[float, float]:
@@ -162,9 +144,17 @@ def threshold(protocol: str, budget: LinkBudget) -> float:
     coefficient whose sign decides outage in the distortion limit.
     """
     alpha, _ = _gain_line(protocol, budget)
-    b = budget
-    den = alpha * b.tilde_eta_r + b.tilde_signal_r * b.tilde_eta_s
-    return b.tilde_signal_s * b.tilde_signal_r / den if den > 0.0 else math.inf
+    t_s, t_r, e_s, e_r = _scaled_powers(budget)
+    den = alpha * e_r + t_r * e_s
+    return t_s * t_r / den if den > 0.0 else math.inf
+
+
+def threshold_gap(budget: LinkBudget) -> float:
+    """threshold(fg) - threshold(vg) in closed form; needs source distortion."""
+    t_s, t_r, e_s, e_r = _scaled_powers(budget)
+    if e_s <= 0.0:
+        raise DomainError("threshold gap is undefined for a distortion-free source")
+    return t_s * e_r / (e_s * (e_r + t_r * e_s))
 
 
 def gain_fg(budget: LinkBudget) -> float:
@@ -185,6 +175,25 @@ def gain_vg(budget: LinkBudget, h1_gain):
     return float(out) if out.ndim == 0 else out
 
 
+def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget):
+    s, r = budget.sel_s, budget.sel_r
+    n0 = budget.config.n0
+    zr2 = r.zeta**2
+    # sndr = num / den, den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built
+    # in place in the order of that expression, so the rounding is the same
+    den = s.eta * x
+    den += n0
+    den = y * den
+    den *= zr2
+    relay = y * r.eta
+    relay += n0
+    inv_g2 = budget.config.p_s * (x if alpha else beta)
+    inv_g2 += n0
+    inv_g2 /= r.sigma_sq
+    den += relay * inv_g2
+    return s.sigma_sq * s.zeta**2 * zr2 * x * y, den
+
+
 def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     """Instantaneous per-subcarrier SNDR for given channel gains.
 
@@ -197,27 +206,15 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     """
     alpha, beta = _gain_line(protocol, budget)
     x, y = check_gains(h1_gain, h2_gain)
-    s, r = budget.sel_s, budget.sel_r
-    n0 = budget.config.n0
-    zr2 = r.zeta**2
-    # den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built in place
-    # in the order of that expression, so the rounding is the same
-    den = s.eta * x
-    den += n0
-    den = y * den
-    den *= zr2
-    relay = y * r.eta
-    relay += n0
-    inv_g2 = budget.config.p_s * (x if alpha else beta)
-    inv_g2 += n0
-    inv_g2 /= r.sigma_sq
-    den += relay * inv_g2
-    num = s.sigma_sq * s.zeta**2 * zr2 * x * y
+    num, den = _num_den(alpha, beta, x, y, budget)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(num / den)
-    # den = 0 means a noiseless, distortion-free path: infinite SNDR when any
-    # signal gets through, 0 for the all-zero degenerate case.
-    if not np.all(den > 0.0):
-        out = np.where(den > 0.0, out, np.where(num > 0.0, np.inf, 0.0))
+        if not np.all(ok := den > 0.0):
+            # den = 0: a zero gain (0), a noiseless, distortion-free path (inf) or an
+            # underflow. At n0 = 0 num and den are linear in y, and in x unless a fixed-gain
+            # relay distorts: such gains are redone in [1, 2), where num > 0 iff both are.
+            if budget.config.n0 == 0.0:  # a power-of-two scale moves no bit of num / den
+                xs = 2.0 * np.frexp(x)[0] if alpha or budget.sel_r.eta == 0.0 else x
+                num, den = _num_den(alpha, beta, xs, 2.0 * np.frexp(y)[0], budget)
+            out = np.where(ok, out, np.where(num > 0.0, num / den, 0.0))
     return float(out) if out.ndim == 0 else out
-

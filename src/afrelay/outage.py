@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .link_budget import (LinkBudget, NetworkConfig, _gain_line, build_budget, check_threshold,
-                          normalize_protocol, threshold)
+from .link_budget import (LinkBudget, NetworkConfig, _gain_line, _scaled_powers, build_budget,
+                          check_threshold, normalize_protocol, threshold)
 from .special_math import integrate_semi_infinite, one_minus_x_k1
 
 
@@ -128,7 +128,7 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
     Independent of the closed form (no Bessel evaluation); used to cross
     check it. Raises ConvergenceError if the quadrature budget runs out.
     At zero noise power it returns outage_floor: the quadrature is then
-    empty and its own sure-outage test (d_inf <= 0, in tilde units) alone
+    empty and its own sure-outage test (d_inf <= 0, in powers over p_s) alone
     decides the step, which rounds differently from threshold() within a
     float of gamma_th = threshold("vg"), so the two would differ by 1 there.
     """
@@ -137,20 +137,20 @@ def outage_vg_quadrature(gamma_th: float, budget: LinkBudget, tol: float = 1e-10
         return OutagePoint(0.0, 0.0)
     if budget.n0 == 0.0:
         return OutagePoint(gamma_th, outage_floor("vg", gamma_th, budget))
-    b = budget
-    mu1, mu2 = b.config.mu1, b.config.mu2
-    nu = b.n0 / b.p_s
-    s_slope = b.tilde_signal_s - gamma_th * b.tilde_eta_s
+    mu1, mu2 = budget.config.mu1, budget.config.mu2
+    nu = budget.n0 / budget.p_s
+    t_s, t_r, e_s, e_r = _scaled_powers(budget)
+    s_slope = t_s - gamma_th * e_s
     # conditional coefficient of |h2|^2 over p_s: W(x) = T_R (x s_slope - g nu)/(x + nu) - g E_R
-    d_inf = b.tilde_signal_r * s_slope - gamma_th * b.tilde_eta_r
+    d_inf = t_r * s_slope - gamma_th * e_r
     if d_inf <= 0.0:
         return OutagePoint(gamma_th, 1.0)
-    x0 = gamma_th * nu * (b.tilde_signal_r + b.tilde_eta_r) / d_inf
+    x0 = gamma_th * nu * (t_r + e_r) / d_inf
     g_nu = gamma_th * nu
 
     def knee(u):
         x = x0 + np.maximum(u, 0.0)
-        w = b.tilde_signal_r * (x * s_slope - g_nu) / (x + nu) - gamma_th * b.tilde_eta_r
+        w = t_r * (x * s_slope - g_nu) / (x + nu) - gamma_th * e_r
         w = np.maximum(w, 1e-320)
         with np.errstate(over="ignore"):  # g_nu / (mu2 w) = inf: the factor is 1
             return np.exp(-x / mu1) / mu1 * -np.expm1(-g_nu / (mu2 * w))

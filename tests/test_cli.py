@@ -544,14 +544,31 @@ class TestConfigHandling:
         ("snr_db", ["--snr-db", "40"], 40, 40.0),
         ("protocol", ["--protocol", "fg"], "fg", "fg"),
         ("format", ["--format", "json"], "json", "json"),
+        ("n_subcarriers", ["--n", "16384"], 16384, 16384),
+        ("trials", ["--trials", "1e10"], 1e10, 10**10),
     ], ids=["trials-1e5-str", "trials-1e5-num", "seed-big", "seed-2**64-1", "clip_s-Infinity",
-            "clip_r-INF", "snr_db-int", "protocol", "format"])
+            "clip_r-INF", "snr_db-int", "protocol", "format", "n-at-cap", "trials-at-cap"])
     def test_accepted_value_same_from_flag_and_file(self, monkeypatch, tmp_path, source, key,
                                                     flag, value, expected):
         code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)
         assert code == 0
         got = getattr(seen[0], key)
         assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,flag,value", [
+        ("n_subcarriers", ["--n", "16385"], 16385),
+        ("n_subcarriers", ["--n", "1099511627776"], 2**40),
+        ("trials", ["--trials", "10000000001"], 10**10 + 1),
+        ("trials", ["--trials", "1e15"], 1e15),
+    ], ids=["n-past-cap", "n-2**40", "trials-past-cap", "trials-1e15"])
+    def test_oversized_value_exits_2(self, monkeypatch, tmp_path, capsys, source, key, flag,
+                                     value):
+        # refused before any allocation that grows with the value
+        code, seen = self._thresholds_run_config(monkeypatch, tmp_path, source, flag, key, value)
+        assert code == 2 and seen == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be at most ") and err.count("\n") == 1
 
     def test_bad_grid_spec(self):
         assert main(["outage-sweep", "--gamma-db", "5:-1:0"]) == 2

@@ -7,13 +7,14 @@ Frozen numbers come from the pre-build oracle pass: limiter triples from the
 import itertools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from afrelay.errors import DomainError
-from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr, threshold
+from afrelay.link_budget import (LinkBudget, NetworkConfig, _scaled_powers, build_budget, gain_fg,
+                                  gain_vg, sndr, threshold, threshold_gap)
 from afrelay.outage import outage_floor
 
 # mu1 = mu2 = n0 = 1, P_S = P_R = 1, clip ratios 5 (source) and 8 (relay).
@@ -50,9 +51,12 @@ class TestNetworkConfig:
 class TestBuildBudget:
     def test_linear_network(self):
         b = linear_budget()
-        assert b.eps_s == math.inf and b.eps_r == math.inf and b.eps_star == math.inf
-        assert b.tilde_eta_s == 0.0 and b.tilde_eta_r == 0.0
+        assert b.sel_s.eta == 0.0 and b.sel_r.eta == 0.0 and b.eps_star == math.inf
+        assert _scaled_powers(b)[2:] == (0.0, 0.0)
         assert b.sel_s.zeta == 1.0 and b.sel_r.zeta == 1.0
+
+    def test_budget_is_its_config_and_limiters(self):
+        assert [f.name for f in fields(LinkBudget)] == ["config", "sel_s", "sel_r"]
 
     def test_overflowing_clip_power_rejected(self):
         # clip_ratio * sigma_sq = inf would make the clipping source linear
@@ -67,27 +71,44 @@ class TestBuildBudget:
         assert b.sel_r.sigma_sq == pytest.approx(1.0003355753, rel=1e-9, abs=0.0)
         assert b.sel_s.eta == pytest.approx(5.240571898e-4, rel=1e-8, abs=0.0)
         assert b.sel_r.eta == pytest.approx(1.788528852e-5, rel=1e-8, abs=0.0)
-        assert b.eps_s == pytest.approx(1908.188685, rel=1e-8, abs=0.0)
-        assert b.eps_r == pytest.approx(55911.874105, rel=1e-8, abs=0.0)
-        assert b.eps_star == pytest.approx(1908.188685, rel=1e-8, abs=0.0)
+        assert FIG2_CFG.n0 / b.sel_s.eta == pytest.approx(1908.188685, rel=1e-9, abs=0.0)
+        assert FIG2_CFG.n0 / b.sel_r.eta == pytest.approx(55911.874105, rel=1e-9, abs=0.0)
+        assert b.eps_star == FIG2_CFG.n0 / b.sel_s.eta
 
     def test_budget_invariants(self):
         for cfg in [FIG2_CFG, FIG3_CFG, NetworkConfig(p_s=4.0, p_ratio=2.5, clip_ratio_s=3.0, clip_ratio_r=6.0, n0=0.3)]:
             b = build_budget(cfg)
-            if b.sel_s.eta > 0:
-                assert b.eps_s == pytest.approx(cfg.n0 / b.sel_s.eta, rel=1e-14, abs=0.0)
-            assert b.eps_star == min(b.eps_s, b.eps_r)
-            assert b.tilde_eta_s * cfg.p_s == pytest.approx(b.sel_s.eta, rel=1e-12, abs=0.0)
-            assert b.tilde_eta_r * cfg.p_s == pytest.approx(b.sel_r.eta, rel=1e-12, abs=0.0)
+            eps = [cfg.n0 / sel.eta if sel.eta > 0 else math.inf for sel in (b.sel_s, b.sel_r)]
+            assert b.eps_star == min(eps)
+            t_s, t_r, e_s, e_r = _scaled_powers(b)
+            assert e_s * cfg.p_s == pytest.approx(b.sel_s.eta, rel=1e-15, abs=0.0)
+            assert e_r * cfg.p_s == pytest.approx(b.sel_r.eta, rel=1e-15, abs=0.0)
+            assert t_s * cfg.p_s == pytest.approx(b.sel_s.sigma_sq * b.sel_s.zeta**2, rel=1e-15,
+                                                  abs=0.0)
+            assert t_r * cfg.p_s == pytest.approx(b.sel_r.sigma_sq * b.sel_r.zeta**2, rel=1e-15,
+                                                  abs=0.0)
             assert b.sel_s.p_avg == pytest.approx(cfg.p_s, rel=1e-12, abs=0.0)
             assert b.sel_r.p_avg == pytest.approx(cfg.p_ratio * cfg.p_s, rel=1e-12, abs=0.0)
 
     def test_doubling_power_halves_eps(self):
         b1 = build_budget(FIG2_CFG)
         b2 = build_budget(NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0, p_s=2.0))
-        assert b2.eps_s == pytest.approx(b1.eps_s / 2.0, rel=1e-12, abs=0.0)
-        assert b2.eps_r == pytest.approx(b1.eps_r / 2.0, rel=1e-12, abs=0.0)
+        for sel1, sel2 in ((b1.sel_s, b2.sel_s), (b1.sel_r, b2.sel_r)):
+            assert b2.n0 / sel2.eta == pytest.approx(b1.n0 / sel1.eta / 2.0, rel=1e-12, abs=0.0)
         assert b2.eps_star == pytest.approx(b1.eps_star / 2.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg", [FIG2_CFG, FIG3_CFG, NetworkConfig(
+        p_s=0.3, p_ratio=2.5, clip_ratio_s=3.0, clip_ratio_r=6.0, n0=0.7)])
+    def test_quadrupling_power_keeps_thresholds(self, cfg):
+        # under fixed clip ratios every node power scales with p_s; by a power of two
+        # that is exact, so the thresholds (powers over p_s) keep every bit
+        b1, b4 = build_budget(cfg), build_budget(replace(cfg, p_s=4.0 * cfg.p_s))
+        assert _scaled_powers(b4) == _scaled_powers(b1)
+        for protocol in ("fg", "vg"):
+            assert threshold(protocol, b4) == threshold(protocol, b1)
+        if b1.sel_s.eta > 0.0:
+            assert threshold_gap(b4) == threshold_gap(b1)
+        assert b4.eps_star == b1.eps_star / 4.0
 
 
 class TestGains:
@@ -202,17 +223,29 @@ class TestSndr:
         corners = np.array([0.0, 1e-300, 0.5, 1.0, 7.0, 1e300])
         x, y = np.meshgrid(corners, corners)
         draws = np.random.default_rng(11).exponential(1.0, (2, 500))
-        for h1, h2 in ((x, y), (draws[0], draws[1]), (corners, 0.8), (0.8, corners)):
-            h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
+
+        def plain(h1, h2):
             if protocol == "fg":
                 inv_g2 = (b.config.p_s * b.config.mu1 + n0) / r.sigma_sq
             else:
                 inv_g2 = (b.config.p_s * h1 + n0) / r.sigma_sq
             zr2 = r.zeta**2
+            num = s.sigma_sq * s.zeta**2 * zr2 * h1 * h2
+            return num, h2 * (n0 + s.eta * h1) * zr2 + (h2 * r.eta + n0) * inv_g2
+
+        def big(h):  # gains below 1 times 2^1000: out of underflow's reach, bits kept
+            return h * np.where(h < 1.0, 2.0**1000, 1.0)
+
+        for h1, h2 in ((x, y), (draws[0], draws[1]), (corners, 0.8), (0.8, corners)):
+            h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
             with np.errstate(all="ignore"):
-                num = s.sigma_sq * s.zeta**2 * zr2 * h1 * h2
-                den = h2 * (n0 + s.eta * h1) * zr2 + (h2 * r.eta + n0) * inv_g2
-                ref = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
+                num, den = plain(h1, h2)
+                # where den = 0 at n0 = 0 (an underflow, or no noise and no distortion):
+                # num and den are linear in h2, and in h1 unless a fixed-gain relay distorts
+                num_big, den_big = (num, den) if n0 > 0.0 else plain(
+                    big(h1) if protocol == "vg" or r.eta == 0.0 else h1, big(h2))
+                ref = np.where(den > 0.0, num / den,
+                               np.where(num_big > 0.0, num_big / den_big, 0.0))
                 got = sndr(protocol, h1, h2, b)
             np.testing.assert_array_equal(got, ref)
             for i in range(0, ref.size, 7):
@@ -308,7 +341,8 @@ class TestAsymptoticSndr:
     def test_fg_source_only_clipping_h1_independent(self):
         cfg = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=math.inf)
         b, b0 = noisy_and_noiseless(cfg)
-        ref = b.tilde_signal_s / b.tilde_eta_s
+        t_s, _, e_s, _ = _scaled_powers(b)
+        ref = t_s / e_s
         for h in (0.1, 1.0, 10.0):
             assert sndr("fg", h, 1.0, b0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -331,6 +365,25 @@ class TestAsymptoticSndr:
         x, y = exp_gains(81, 20)
         assert threshold(protocol, b0) == math.inf
         assert np.all(sndr(protocol, x, y, b0) == math.inf)
+
+    def test_subnormal_gains_keep_the_limit(self):
+        # a gain so small that den's products underflow is redone at a power-of-two
+        # scale: the zero-noise SNDR is the one at gains 1, not inf
+        _, b0 = noisy_and_noiseless(FIG2_CFG)
+        for protocol, x, y in (("vg", 5e-324, 1.0), ("vg", 2.0**-600, 2.0**-600), ("fg", 1.0, 5e-324)):
+            assert sndr(protocol, x, y, b0) == sndr(protocol, 1.0, 1.0, b0)
+            assert sndr(protocol, x, y, b0) == pytest.approx(1844.246194, rel=1e-8, abs=0.0)
+        th = threshold("vg", b0)
+        lam = sndr("vg", np.array([0.0, 5e-324, 1e-200, 1.0]), 1.0, b0)
+        np.testing.assert_allclose(lam, [0.0, th, th, th], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_linear_network_is_infinite_at_tiny_gains(self, protocol):
+        # x y underflows to 0, but both gains pass: still no noise and no distortion
+        _, b0 = noisy_and_noiseless(NetworkConfig())
+        assert sndr(protocol, 1e-200, 1e-200, b0) == math.inf
+        assert sndr(protocol, 5e-324, 5e-324, b0) == math.inf
+        np.testing.assert_array_equal(sndr(protocol, [0.0, 1e-200], [1e-200, 0.0], b0), [0.0, 0.0])
 
 
 def parabola_at(t, n0s, values):
