@@ -26,6 +26,8 @@ from .errors import DomainError
 # Below this clip ratio the limiter passes essentially nothing and eta is a
 # difference of vanishing terms; treat as a zero clip.
 _TINY_CLIP_RATIO = 1e-12
+# sel_apply clips this many samples at a time: 1 MB of complex output
+_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,22 @@ def sel_apply(sample, p_max):
     """Clip the envelope of a complex sample (or array) to sqrt(p_max).
 
     Phase is preserved exactly: samples at or below the clip level pass
-    through unchanged.
+    through unchanged. Allocates the complex output; |.|, the mask and the
+    scale are formed one _SLICE of it at a time, so the temporaries stay
+    within _SLICE elements whatever the input's size. Each element sees the
+    same arithmetic as a whole-array pass.
     """
     if not (p_max >= 0.0):
         raise DomainError(f"clip power must be non-negative, got {p_max!r}")
     out = np.array(sample, dtype=complex)
-    mag = np.abs(out)
     limit = math.sqrt(p_max) if math.isfinite(p_max) else math.inf
-    over = mag > limit
-    out[over] *= limit / mag[over]
+    # out is a fresh dense array in C, F or another kept order: ravel(order="K") is a view of it
+    flat = out.ravel(order="K")
+    for start in range(0, flat.size, _SLICE):
+        part = flat[start:start + _SLICE]
+        mag = np.abs(part)
+        over = mag > limit
+        part[over] *= limit / mag[over]
     return complex(out) if out.ndim == 0 else out
 
 

@@ -231,7 +231,11 @@ def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, floa
     """Least-squares gain, residual power, and leftover correlation.
 
     The residual correlation is zero by construction of the projection and is
-    returned as a sanity figure.
+    returned as a sanity figure. Besides the flattened inputs this allocates
+    one float array of their size, |y - zeta x|^2; the residual itself is
+    formed _CHUNK samples at a time in one reused buffer. Only elementwise
+    work is chunked: the gain is one whole-array vdot and the residual power
+    one whole-array mean, so both keep the bits of a whole-array pass.
     """
     x = np.asarray(input_samples, dtype=complex).ravel()
     y = np.asarray(output_samples, dtype=complex).ravel()
@@ -241,13 +245,20 @@ def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, floa
     if px <= 0.0:
         raise DomainError("input power is zero")
     zeta_hat = complex(np.vdot(x, y)) / px
-    resid = zeta_hat * x
-    np.subtract(y, resid, out=resid)
-    resid_sq = np.abs(resid)
-    resid_sq *= resid_sq
+    resid_sq = np.empty(x.size)
+    buf = np.empty(min(x.size, _CHUNK), dtype=complex)
+    dot = 0j
+    for start in range(0, x.size, _CHUNK):
+        end = start + _CHUNK
+        xs, sq = x[start:end], resid_sq[start:end]
+        resid = np.multiply(zeta_hat, xs, out=buf[:xs.size])
+        np.subtract(y[start:end], resid, out=resid)
+        dot += np.vdot(xs, resid)
+        np.abs(resid, out=sq)
+        sq *= sq
     eta_hat = float(np.mean(resid_sq))
-    norm = np.linalg.norm(resid) * math.sqrt(px)
-    resid_corr = float(abs(np.vdot(x, resid)) / norm) if norm > 0.0 else 0.0
+    norm = math.sqrt(float(np.sum(resid_sq))) * math.sqrt(px)
+    resid_corr = float(abs(dot) / norm) if norm > 0.0 else 0.0
     return float(zeta_hat.real), eta_hat, resid_corr
 
 

@@ -48,6 +48,53 @@ class TestSelApply:
             sel_apply(1.0, -0.5)
 
 
+def sel_apply_whole(sample, p_max):
+    """sel_apply as one whole-array expression: the reference its slice loop must match."""
+    out = np.array(sample, dtype=complex)
+    mag = np.abs(out)
+    limit = math.sqrt(p_max) if math.isfinite(p_max) else math.inf
+    over = mag > limit
+    out[over] *= limit / mag[over]
+    return complex(out) if out.ndim == 0 else out
+
+
+SLICE_CASES = [1, 7, 65_535, 65_537, 2**17 + 5, 2**20, "0-d", "2-D", "F-order"]
+
+
+def slice_case(case):
+    """An input across the slice boundaries, a 0-d one, or a 2-D one in C or F order."""
+    gen = np.random.default_rng(24)
+    if case == "0-d":
+        return np.array(1.7 - 2.1j)
+    if isinstance(case, int):
+        return gen.standard_normal(case) + 1j * gen.standard_normal(case)
+    block = gen.standard_normal((3, 40_000)) + 1j * gen.standard_normal((3, 40_000))
+    # a fancy index on the last axis returns an F-ordered array, as the cyclic prefix does
+    return block if case == "2-D" else block[..., np.arange(-1001, 40_000) % 40_000]
+
+
+class TestSelApplySlices:
+    """sel_apply clips slice by slice: the same bits, shape and order as one whole-array pass."""
+
+    @pytest.mark.parametrize("case", SLICE_CASES, ids=str)
+    @pytest.mark.parametrize("p_max", [1.0, 2.0, 5.0, math.inf])
+    def test_same_bits_as_whole_array(self, case, p_max):
+        sample = slice_case(case)
+        got, ref = sel_apply(sample, p_max), sel_apply_whole(sample, p_max)
+        if case == "0-d":
+            assert type(got) is complex and got == ref
+            return
+        assert got.shape == ref.shape and got.strides == ref.strides
+        assert got.tobytes(order="A") == ref.tobytes(order="A")
+
+    def test_f_ordered_input_is_clipped_in_place_of_its_output(self):
+        sample = slice_case("F-order")
+        assert sample.flags.f_contiguous and not sample.flags.c_contiguous
+        out = sel_apply(sample, 1.0)
+        assert np.max(np.abs(out)) <= 1.0 + 1e-15
+        assert np.max(np.abs(sample)) > 2.0
+
+
 class TestSelParams:
     def test_no_clipping_limit(self):
         p = sel_params(1.0, math.inf)

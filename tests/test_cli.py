@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields
 
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 from afrelay import cli
+from afrelay.bussgang import sel_apply
 from afrelay.cli import (RunConfig, _build_run_config, _circular_gaussian, _db_to_lin,
                          _parse_grid, main)
 from afrelay.errors import ConfigError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.outage import diversity_fit
-from afrelay.simulator import Rng, generator, mc_outage_sweep
+from afrelay.simulator import Rng, estimate_bussgang, generator, mc_outage_sweep
 
 SWEEP_ARGS = [
     "outage-sweep", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
@@ -316,6 +318,54 @@ class TestValidateLimiterSampling:
             assert abs(np.mean(power > t) - math.exp(-t)) <= 1.0 / n
         assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
         assert np.var(x.real) / np.var(x.imag) == pytest.approx(1.0, abs=0.03)
+
+
+def circular_gaussian_whole(gen, n):
+    """_circular_gaussian with one expression per array: the reference for its in-place build."""
+    radius = np.sqrt(-np.log1p(-(np.arange(n) + gen.uniform(0.0, 1.0, n)) / n))
+    phase = gen.uniform(0.0, 2.0 * np.pi, n)
+    x = np.empty(n, dtype=complex)
+    np.multiply(radius, np.cos(phase), out=x.real)
+    np.multiply(radius, np.sin(phase), out=x.imag)
+    return x
+
+
+class TestLimiterCheckMemory:
+    """The limiter check holds its samples, their clipped copy and one float array."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("n", [1, 7, 65_535, 65_537, 2**17 + 5, 2**20])
+    def test_samples_same_bits_as_one_expression(self, n):
+        got = _circular_gaussian(generator(Rng(5, 11)), n)
+        assert got.tobytes() == circular_gaussian_whole(generator(Rng(5, 11)), n).tobytes()
+
+    def test_one_limiter_stage_peak(self):
+        # 16n bytes each for x and its clipped copy, 8n for |resid|^2 and _CHUNK-sized
+        # temporaries: 2.5625 x 16n. A whole residual and |resid|^2 made it 3.5
+        gen = generator(Rng(1, 11))
+        tracemalloc.start()
+        try:
+            x = _circular_gaussian(gen, self.N)
+            estimate_bussgang(x, sel_apply(x, 5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 16 * self.N
+
+    def test_validate_peak(self, capsys):
+        # both limiters, the SNDR model and the Monte Carlo at small sizes: the first
+        # limiter's samples are freed before the second limiter's are drawn
+        args = ["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2",
+                "--blocks", "100", "--trials", "1e4", "--n", "64", "--taps", "16"]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("-> ok") == 6
+        assert peak <= 2.75 * 16 * self.N
 
 
 class TestPinnedOutput:

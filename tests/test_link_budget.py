@@ -254,6 +254,23 @@ class TestSndr:
                                np.broadcast_to(h2, ref.shape).flat[i], b)
                 assert one == ref.flat[i] or (math.isnan(one) and math.isnan(ref.flat[i]))
 
+    @pytest.mark.parametrize("cfg, value", [
+        (NetworkConfig(n0=1e-170), 0.3333333333333333),
+        (NetworkConfig(n0=1e-170, clip_ratio_s=5.0, clip_ratio_r=8.0), 0.33309251767735193),
+    ], ids=["linear", "fig2-clip"])
+    def test_vg_underflow_with_noise_is_redone_at_scale(self, cfg, value):
+        # with noise den = 0 is an underflow; vg's num and den are homogeneous of degree 2
+        # in (x, y, n0), so the value is the one at all three scaled by a power of two
+        k = 2.0**560
+        b, big = build_budget(cfg), build_budget(replace(cfg, n0=cfg.n0 * k))
+        assert sndr("vg", 1e-170, 1e-170, b) == sndr("vg", 1e-170 * k, 1e-170 * k, big) == value
+        lam = sndr("vg", np.array([0.0, 1e-170, 1e-170]), np.array([1e-170, 1e-170, 0.0]), b)
+        np.testing.assert_array_equal(lam, [0.0, value, 0.0])
+        # fixed gain's den >= n0 (p_s mu1 + n0) / sigma_R^2 does not underflow: its 0 is
+        # num underflowing against it, a value near 1e-170
+        assert sndr("fg", 1e-170, 1e-170, b) == 0.0
+        assert 0.0 < sndr("fg", 1e-170 * k, 1e-170 * k, big) / k < 1e-160
+
     def test_degenerate_zero_case(self):
         b = linear_budget(n0=0.0)
         assert sndr("vg", 0.0, 0.0, b) == 0.0

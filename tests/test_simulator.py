@@ -263,6 +263,45 @@ class TestEstimateBussgang:
             estimate_bussgang(np.zeros(8), np.ones(8))
 
 
+def estimate_bussgang_whole(input_samples, output_samples):
+    """estimate_bussgang as whole-array expressions: the reference its chunk loop must match."""
+    x = np.asarray(input_samples, dtype=complex).ravel()
+    y = np.asarray(output_samples, dtype=complex).ravel()
+    px = float(np.vdot(x, x).real)
+    zeta_hat = complex(np.vdot(x, y)) / px
+    resid = zeta_hat * x
+    np.subtract(y, resid, out=resid)
+    resid_sq = np.abs(resid)
+    resid_sq *= resid_sq
+    norm = np.linalg.norm(resid) * math.sqrt(px)
+    return float(zeta_hat.real), float(np.mean(resid_sq)), float(abs(np.vdot(x, resid)) / norm)
+
+
+class TestEstimateBussgangChunks:
+    """The residual is formed _CHUNK samples at a time; zeta and eta keep their bits."""
+
+    @pytest.mark.parametrize("shape", [(7,), (65_535,), (65_537,), (2**17 + 5,), (2**20,),
+                                       (3, 40_000), "F"],
+                             ids=["7", "65535", "65537", "2^17+5", "2^20", "2-D", "F-order"])
+    def test_same_bits_as_whole_array(self, shape):
+        gen = generator(Rng(24))
+        if shape == "F":  # fancy-indexed on the last axis, as the cyclic prefix is: F order
+            block = _cgauss(gen, (3, 40_000), 1.0)
+            x = block[..., np.arange(-1001, 40_000) % 40_000]
+            assert x.flags.f_contiguous and not x.flags.c_contiguous
+        else:
+            x = _cgauss(gen, shape, 1.0)
+        y = sel_apply(x, 1.5)
+        zeta, eta, corr = estimate_bussgang(x, y)
+        zeta_ref, eta_ref, corr_ref = estimate_bussgang_whole(x, y)
+        assert (zeta, eta) == (zeta_ref, eta_ref)
+        assert abs(corr - corr_ref) <= 1e-12
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_bussgang(np.ones(1), np.ones(1))
+
+
 class TestMcOutage:
     def test_zero_gamma(self):
         b = build_budget(CLIPPED_CFG)
