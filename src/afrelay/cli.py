@@ -42,6 +42,7 @@ from .outage import (
     small_gamma_expansion,
 )
 from .simulator import (
+    _CHUNK,
     Rng,
     SimStats,
     estimate_bussgang,
@@ -248,28 +249,57 @@ def cmd_thresholds(rc: RunConfig) -> int:
     return 0
 
 
+def _philox_at(gen, words: int) -> np.random.Generator:
+    """A generator whose Philox state is gen's after `words` 64-bit draws; gen does not move.
+
+    A uniform double is one 64-bit word. Philox.advance(k) skips k 4-word
+    blocks, drops the block buffer and clears the 32-bit cache, so the rest
+    of gen's current block is read first, a partial last block is discarded
+    word by word with random_raw, and the cache is copied back.
+    """
+    state = gen.bit_generator.state
+    bg = np.random.Philox(0)
+    bg.state = state
+    head = min(words, 4 - state["buffer_pos"])
+    bg.random_raw(head)
+    if words > head:
+        bg.advance((words - head) // 4)
+        bg.random_raw((words - head) % 4)
+        bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return np.random.Generator(bg)
+
+
 def _circular_gaussian(gen, n: int) -> np.ndarray:
     """n CN(0, 1) samples from a stratified exponential radius and a uniform phase.
 
     Stratifying the radius removes most of the spread in the few clip events
-    a limiter's eta rests on. The radius is built in place in one float
-    buffer; cos and sin of the phase go straight into the output's real and
-    imaginary parts, which the radius then scales. Besides the 16n-byte
-    result this holds the radius and the phase, 8n bytes each.
+    a limiter's eta rests on. The radius doubles are gen's next n words and
+    the phase doubles the n after them, as two whole-array uniform draws
+    would take them, and gen is left after both. Both are read through
+    positioned views of gen's stream, _CHUNK samples at a time: per chunk the
+    radius is built in place in one float buffer, and cos and sin of the
+    phase go straight into the output's real and imaginary parts, which the
+    radius then scales. Every step is elementwise, so the samples have the
+    bits of whole-array draws; besides the 16n-byte result this holds two
+    _CHUNK-sample float buffers.
     """
-    radius = gen.uniform(0.0, 1.0, n)
-    radius += np.arange(n)
-    np.negative(radius, out=radius)
-    radius /= n
-    np.log1p(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    phase = gen.uniform(0.0, 2.0 * np.pi, n)
+    phase_gen = _philox_at(gen, n)
     x = np.empty(n, dtype=complex)
-    np.cos(phase, out=x.real)
-    np.sin(phase, out=x.imag)
-    x.real *= radius
-    x.imag *= radius
+    for start in range(0, n, _CHUNK):
+        part = x[start:start + _CHUNK]
+        radius = gen.uniform(0.0, 1.0, part.size)
+        radius += np.arange(start, start + part.size)
+        np.negative(radius, out=radius)
+        radius /= n
+        np.log1p(radius, out=radius)
+        np.negative(radius, out=radius)
+        np.sqrt(radius, out=radius)
+        phase = phase_gen.uniform(0.0, 2.0 * np.pi, part.size)
+        np.cos(phase, out=part.real)
+        np.sin(phase, out=part.imag)
+        part.real *= radius
+        part.imag *= radius
+    gen.bit_generator.state = phase_gen.bit_generator.state
     return x
 
 
@@ -277,11 +307,12 @@ def _limiter_check(gen, ratio: float) -> tuple[str, bool]:
     """One limiter's report line: zeta and eta from 2^20 clipped samples vs the closed form.
 
     A function of its own, so one limiter's samples are freed before the
-    next limiter's are drawn.
+    next limiter's are drawn. The limiter is applied per chunk inside
+    estimate_bussgang, so no clipped copy of the samples is ever whole.
     """
     p = sel_params(1.0, ratio)
     x = _circular_gaussian(gen, 1 << 20)
-    zeta_hat, eta_hat, _ = estimate_bussgang(x, sel_apply(x, ratio))
+    zeta_hat, eta_hat, _ = estimate_bussgang(x, functools.partial(sel_apply, p_max=ratio))
     ok = abs(zeta_hat - p.zeta) <= 2e-3 and abs(eta_hat - p.eta) <= 0.25 * p.eta
     return (f"zeta {zeta_hat:.6f} vs {p.zeta:.6f}, "
             f"eta {eta_hat:.3e} vs {p.eta:.3e} -> {'ok' if ok else 'FAIL'}"), ok
@@ -308,7 +339,10 @@ def cmd_validate(rc: RunConfig) -> int:
     # for the model plus two sigma of the block-limited estimator noise
     blocks = max(rc.blocks, 100)
     ch = gen_channel(rc.n_taps, rc.n_subcarriers, rc.mu1, rc.mu2, rng=Rng(rc.seed, 21))
-    lam_hat = measure_sndr(ch, budget, rc.protocol, blocks, Rng(rc.seed, 22))
+    # at most 2^17 samples a batch: 256 blocks up to n = 512, fewer above, so the
+    # batch's arrays do not grow with n
+    batch = max(1, min(256, 2**17 // rc.n_subcarriers))
+    lam_hat = measure_sndr(ch, budget, rc.protocol, blocks, Rng(rc.seed, 22), batch=batch)
     dev = np.abs(lam_hat / model_sndr(ch, budget, rc.protocol) - 1.0)
     p95 = float(np.percentile(dev, 95))
     tol = 0.10 + 2.0 * math.sqrt(2.0 / blocks)

@@ -175,17 +175,18 @@ def gain_vg(budget: LinkBudget, h1_gain):
     return float(out) if out.ndim == 0 else out
 
 
-def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget, n0):
+def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget, n0, n0_hop2=None):
     s, r = budget.sel_s, budget.sel_r
     zr2 = r.zeta**2
     # sndr = num / den, den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built
-    # in place in the order of that expression, so the rounding is the same
+    # in place in the order of that expression, so the rounding is the same; n0_hop2,
+    # if given, is the n0 of (y eta_R + n0), the second hop's noise
     den = s.eta * x
     den += n0
     den = y * den
     den *= zr2
     relay = y * r.eta
-    relay += n0
+    relay += n0 if n0_hop2 is None else n0_hop2
     inv_g2 = budget.config.p_s * (x if alpha else beta)
     inv_g2 += n0
     inv_g2 /= r.sigma_sq
@@ -206,17 +207,19 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     alpha, beta = _gain_line(protocol, budget)
     x, y = check_gains(h1_gain, h2_gain)
     n0 = budget.config.n0
-    num, den = _num_den(alpha, beta, x, y, budget, n0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num, den = _num_den(alpha, beta, x, y, budget, n0)
         out = np.asarray(num / den)
-        if not np.all(ok := den > 0.0):
+        if not np.all(ok := (den < math.inf) & (out < math.inf)):
             # den = 0: a zero gain (0), a noiseless, distortion-free path (inf) or an
-            # underflow; a power-of-two scale moves no bit of num / den. At n0 = 0 num and
-            # den are linear in y, and in x unless a fixed-gain relay distorts: such gains
-            # are redone in [1, 2), where num > 0 iff both are. With noise, variable gain's
-            # num and den are homogeneous of degree 2 in (x, y, n0): all three are scaled so
-            # that the largest lies in [0.5, 1). Fixed gain's den >= n0 (p_s mu1 + n0) /
-            # sigma_R^2 does not shrink with the gains, so its num / den stands.
+            # underflow; num or den = inf: an overflow at large gains. A power-of-two scale
+            # moves no bit of num / den. At n0 = 0 num and den are linear in y, and in x
+            # unless a fixed-gain relay distorts: such gains are redone in [1, 2), where
+            # num > 0 iff both are. With noise, variable gain's num and den are homogeneous
+            # of degree 2 in (x, y, n0): all three are scaled so that the largest lies in
+            # [0.5, 1). Fixed gain's are linear in y and the second hop's n0, which are
+            # scaled down so that y lies in [0.5, 1); its den >= n0 (p_s mu1 + n0) /
+            # sigma_R^2 does not shrink with the gains, so no small gain is scaled up.
             if n0 == 0.0:
                 xs = 2.0 * np.frexp(x)[0] if alpha or budget.sel_r.eta == 0.0 else x
                 num, den = _num_den(alpha, beta, xs, 2.0 * np.frexp(y)[0], budget, n0)
@@ -224,5 +227,8 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
                 e = -np.frexp(np.maximum(np.maximum(x, y), n0))[1]
                 num, den = _num_den(alpha, beta, np.ldexp(x, e), np.ldexp(y, e), budget,
                                     np.ldexp(n0, e))
+            else:
+                e = np.minimum(-np.frexp(y)[1], 0)
+                num, den = _num_den(alpha, beta, x, np.ldexp(y, e), budget, n0, np.ldexp(n0, e))
             out = np.where(ok, out, np.where(num > 0.0, num / den, 0.0))
     return float(out) if out.ndim == 0 else out

@@ -224,28 +224,41 @@ class TestSndr:
         x, y = np.meshgrid(corners, corners)
         draws = np.random.default_rng(11).exponential(1.0, (2, 500))
 
-        def plain(h1, h2):
+        def plain(h1, h2, n0=n0, n0_hop2=n0):
             if protocol == "fg":
                 inv_g2 = (b.config.p_s * b.config.mu1 + n0) / r.sigma_sq
             else:
                 inv_g2 = (b.config.p_s * h1 + n0) / r.sigma_sq
             zr2 = r.zeta**2
             num = s.sigma_sq * s.zeta**2 * zr2 * h1 * h2
-            return num, h2 * (n0 + s.eta * h1) * zr2 + (h2 * r.eta + n0) * inv_g2
+            return num, h2 * (n0 + s.eta * h1) * zr2 + (h2 * r.eta + n0_hop2) * inv_g2
 
-        def big(h):  # gains below 1 times 2^1000: out of underflow's reach, bits kept
-            return h * np.where(h < 1.0, 2.0**1000, 1.0)
+        def big(h):  # gains below 1 times 2^1000, above 2^500 times 2^-1000: bits kept
+            return h * np.where(h < 1.0, 2.0**1000, np.where(h > 2.0**500, 2.0**-1000, 1.0))
+
+        def at_scale(h1, h2):
+            """num and den moved by powers of two out of underflow's and overflow's reach.
+
+            At n0 = 0 they are linear in h2, and in h1 unless a fixed-gain relay distorts.
+            With noise only overflow is in reach, at h1 = h2 = 1e300: vg's are homogeneous
+            of degree 2 in (h1, h2, n0), fg's linear in h2 and the second hop's n0.
+            """
+            if n0 == 0.0:
+                return plain(big(h1) if protocol == "vg" or r.eta == 0.0 else h1, big(h2))
+            k = 2.0**-1000
+            if protocol == "vg":
+                return plain(h1 * k, h2 * k, n0 * k, n0 * k)
+            return plain(h1, h2 * k, n0, n0 * k)
 
         for h1, h2 in ((x, y), (draws[0], draws[1]), (corners, 0.8), (0.8, corners)):
             h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
             with np.errstate(all="ignore"):
                 num, den = plain(h1, h2)
-                # where den = 0 at n0 = 0 (an underflow, or no noise and no distortion):
-                # num and den are linear in h2, and in h1 unless a fixed-gain relay distorts
-                num_big, den_big = (num, den) if n0 > 0.0 else plain(
-                    big(h1) if protocol == "vg" or r.eta == 0.0 else h1, big(h2))
-                ref = np.where(den > 0.0, num / den,
-                               np.where(num_big > 0.0, num_big / den_big, 0.0))
+                # where den = 0 (an underflow, or no noise and no distortion) or num or
+                # den overflows, the value is the one at scale
+                num_s, den_s = at_scale(h1, h2)
+                ok = (den < math.inf) & (num / den < math.inf)
+                ref = np.where(ok, num / den, np.where(num_s > 0.0, num_s / den_s, 0.0))
                 got = sndr(protocol, h1, h2, b)
             np.testing.assert_array_equal(got, ref)
             for i in range(0, ref.size, 7):

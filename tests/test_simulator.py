@@ -1,6 +1,9 @@
 """Simulator tests: chain identities, moment checks, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from multiprocessing.pool import ThreadPool
 
@@ -264,21 +267,23 @@ class TestEstimateBussgang:
 
 
 def estimate_bussgang_whole(input_samples, output_samples):
-    """estimate_bussgang as whole-array expressions: the reference its chunk loop must match."""
+    """estimate_bussgang as whole-array reductions: the reference its chunk loop must match.
+
+    Every sum is one np.add.reduce over the flattened arrays, |z|^2 summed over z's
+    float64 words squared.
+    """
     x = np.asarray(input_samples, dtype=complex).ravel()
     y = np.asarray(output_samples, dtype=complex).ravel()
-    px = float(np.vdot(x, x).real)
-    zeta_hat = complex(np.vdot(x, y)) / px
-    resid = zeta_hat * x
-    np.subtract(y, resid, out=resid)
-    resid_sq = np.abs(resid)
-    resid_sq *= resid_sq
-    norm = np.linalg.norm(resid) * math.sqrt(px)
-    return float(zeta_hat.real), float(np.mean(resid_sq)), float(abs(np.vdot(x, resid)) / norm)
+    px = float(np.add.reduce(np.square(x.view(float))))
+    zeta_hat = complex(np.add.reduce(np.conj(x) * y)) / px
+    resid = y - zeta_hat * x
+    rr = float(np.add.reduce(np.square(resid.view(float))))
+    norm = math.sqrt(rr) * math.sqrt(px)
+    return float(zeta_hat.real), rr / x.size, float(abs(np.add.reduce(np.conj(x) * resid)) / norm)
 
 
 class TestEstimateBussgangChunks:
-    """The residual is formed _CHUNK samples at a time; zeta and eta keep their bits."""
+    """Both passes run _CHUNK samples at a time; zeta and eta keep the bits of whole-array sums."""
 
     @pytest.mark.parametrize("shape", [(7,), (65_535,), (65_537,), (2**17 + 5,), (2**20,),
                                        (3, 40_000), "F"],
@@ -292,14 +297,35 @@ class TestEstimateBussgangChunks:
         else:
             x = _cgauss(gen, shape, 1.0)
         y = sel_apply(x, 1.5)
-        zeta, eta, corr = estimate_bussgang(x, y)
         zeta_ref, eta_ref, corr_ref = estimate_bussgang_whole(x, y)
-        assert (zeta, eta) == (zeta_ref, eta_ref)
-        assert abs(corr - corr_ref) <= 1e-12
+        # the output as an array, and as the limiter applied to each flattened chunk
+        for output in (y, lambda chunk: sel_apply(chunk, 1.5)):
+            zeta, eta, corr = estimate_bussgang(x, output)
+            assert (zeta, eta) == (zeta_ref, eta_ref)
+            assert abs(corr - corr_ref) <= 1e-12
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # np.vdot's bits follow OpenBLAS's thread count; numpy's own reductions do not
+        code = ("import functools; from afrelay.bussgang import sel_apply; "
+                "from afrelay.cli import _circular_gaussian; "
+                "from afrelay.simulator import Rng, estimate_bussgang, generator; "
+                "x = _circular_gaussian(generator(Rng(1, 11)), 1 << 20); "
+                "print(repr(estimate_bussgang(x, functools.partial(sel_apply, p_max=5.0))[:2]))")
+        src = os.path.dirname(os.path.dirname(simulator.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": path,
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] != ""
 
     def test_single_sample_rejected(self):
         with pytest.raises(DomainError):
             estimate_bussgang(np.ones(1), np.ones(1))
+
+    def test_mismatched_output_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_bussgang(np.ones(8), np.ones(9))
 
 
 class TestMcOutage:
