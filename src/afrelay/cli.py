@@ -7,6 +7,9 @@ Subcommands:
   thresholds     phase-transition report for both protocols (JSON)
   validate       limiter / waveform-model / closed-form consistency suites
 
+validate checks each limiter on a stratified radius alone (_limiter_check):
+an envelope limiter's zeta and eta depend on |x| only, so no phase is drawn.
+
 Configuration comes from a flat JSON file (--config) with explicit flags
 taking precedence. Sweep math is linear internally; dB appears only at this
 boundary. Outputs are byte identical for identical config and seed, also
@@ -249,69 +252,59 @@ def cmd_thresholds(rc: RunConfig) -> int:
     return 0
 
 
-def _philox_at(gen, words: int) -> np.random.Generator:
-    """A generator whose Philox state is gen's after `words` 64-bit draws; gen does not move.
+def _skip_words(gen, words: int) -> None:
+    """Move gen past `words` 64-bit draws without drawing them.
 
     A uniform double is one 64-bit word. Philox.advance(k) skips k 4-word
     blocks, drops the block buffer and clears the 32-bit cache, so the rest
-    of gen's current block is read first, a partial last block is discarded
-    word by word with random_raw, and the cache is copied back.
+    of gen's current block is read first, the last block (whole or partial)
+    is read word by word with random_raw, which leaves the block buffer as a
+    draw would, and the cache is put back.
     """
-    state = gen.bit_generator.state
-    bg = np.random.Philox(0)
-    bg.state = state
+    bg = gen.bit_generator
+    state = bg.state
     head = min(words, 4 - state["buffer_pos"])
     bg.random_raw(head)
-    if words > head:
-        bg.advance((words - head) // 4)
-        bg.random_raw((words - head) % 4)
+    if rest := words - head:
+        bg.advance((rest - 1) // 4)
+        bg.random_raw((rest - 1) % 4 + 1)
         bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
-    return np.random.Generator(bg)
 
 
-def _circular_gaussian(gen, n: int) -> np.ndarray:
-    """n CN(0, 1) samples from a stratified exponential radius and a uniform phase.
+def _stratified_radius(gen, n: int) -> np.ndarray:
+    """n samples of |x| for x ~ CN(0, 1), as complex numbers with imaginary part +0.
 
-    Stratifying the radius removes most of the spread in the few clip events
-    a limiter's eta rests on. The radius doubles are gen's next n words and
-    the phase doubles the n after them, as two whole-array uniform draws
-    would take them, and gen is left after both. Both are read through
-    positioned views of gen's stream, _CHUNK samples at a time: per chunk the
-    radius is built in place in one float buffer, and cos and sin of the
-    phase go straight into the output's real and imaginary parts, which the
-    radius then scales. Every step is elementwise, so the samples have the
-    bits of whole-array draws; besides the 16n-byte result this holds two
-    _CHUNK-sample float buffers.
+    Sample i is the stratified exponential radius sqrt(-log1p(-(i + u_i)/n)),
+    which removes most of the spread in the few clip events a limiter's eta
+    rests on. The u_i are gen's next n words, read _CHUNK at a time into one
+    float buffer; gen then skips the n words a uniform phase would take, so
+    it is left where whole-array radius and phase draws leave it. Besides
+    the 16n-byte result this holds one _CHUNK-sample buffer.
     """
-    phase_gen = _philox_at(gen, n)
-    x = np.empty(n, dtype=complex)
+    x = np.zeros(n, dtype=complex)
     for start in range(0, n, _CHUNK):
-        part = x[start:start + _CHUNK]
-        radius = gen.uniform(0.0, 1.0, part.size)
-        radius += np.arange(start, start + part.size)
-        np.negative(radius, out=radius)
-        radius /= n
+        radius = gen.uniform(0.0, 1.0, min(_CHUNK, n - start))
+        radius += np.arange(start, start + radius.size)
+        radius /= -n
         np.log1p(radius, out=radius)
         np.negative(radius, out=radius)
-        np.sqrt(radius, out=radius)
-        phase = phase_gen.uniform(0.0, 2.0 * np.pi, part.size)
-        np.cos(phase, out=part.real)
-        np.sin(phase, out=part.imag)
-        part.real *= radius
-        part.imag *= radius
-    gen.bit_generator.state = phase_gen.bit_generator.state
+        np.sqrt(radius, out=x.real[start:start + radius.size])
+    _skip_words(gen, n)
     return x
 
 
 def _limiter_check(gen, ratio: float) -> tuple[str, bool]:
     """One limiter's report line: zeta and eta from 2^20 clipped samples vs the closed form.
 
-    A function of its own, so one limiter's samples are freed before the
-    next limiter's are drawn. The limiter is applied per chunk inside
-    estimate_bussgang, so no clipped copy of the samples is ever whole.
+    An envelope limiter maps x to x s(|x|), so zeta = sum |x|^2 s / sum |x|^2
+    and eta = sum |x|^2 (s - zeta)^2 / N depend on |x| alone (circular
+    symmetry): the samples are _stratified_radius's, with no phase. A function
+    of its own, so one limiter's samples are freed before the next limiter's
+    are drawn; estimate_bussgang applies sel_apply per chunk, so no clipped
+    copy is ever whole.
     """
     p = sel_params(1.0, ratio)
-    x = _circular_gaussian(gen, 1 << 20)
+    x = _stratified_radius(gen, 1 << 20)
     zeta_hat, eta_hat, _ = estimate_bussgang(x, functools.partial(sel_apply, p_max=ratio))
     ok = abs(zeta_hat - p.zeta) <= 2e-3 and abs(eta_hat - p.eta) <= 0.25 * p.eta
     return (f"zeta {zeta_hat:.6f} vs {p.zeta:.6f}, "

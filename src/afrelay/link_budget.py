@@ -133,8 +133,14 @@ def _gain_line(protocol: str, budget: LinkBudget) -> tuple[float, float]:
 
     The one place fixed gain (0, mu1) and variable gain (1, 0) differ. Read
     x if alpha else beta, never alpha x: at x = inf that is NaN for fixed gain.
+    A fixed gain whose p_s * mu1 overflows has no finite gain rule and is refused.
     """
-    return (0.0, budget.config.mu1) if normalize_protocol(protocol) == "fg" else (1.0, 0.0)
+    if normalize_protocol(protocol) == "vg":
+        return 1.0, 0.0
+    cfg = budget.config
+    if not cfg.p_s * cfg.mu1 < math.inf:
+        raise DomainError(f"fixed gain needs a finite p_s * mu1, got {cfg.p_s!r} * {cfg.mu1!r}")
+    return 0.0, cfg.mu1
 
 
 def threshold(protocol: str, budget: LinkBudget) -> float:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from afrelay import cli
-from afrelay.cli import (RunConfig, _build_run_config, _circular_gaussian, _db_to_lin,
-                         _parse_grid, main)
+from afrelay.cli import (RunConfig, _build_run_config, _db_to_lin, _parse_grid,
+                         _stratified_radius, main)
 from afrelay.errors import ConfigError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.outage import diversity_fit
@@ -63,6 +63,18 @@ class TestOutageSweep:
             parts = ln.split(",")
             po, lo, hi = float(parts[1]), float(parts[5]), float(parts[6])
             assert lo <= po <= hi
+
+    def test_fg_gain_rule_overflow_exits_2(self, capsys):
+        # p_s * mu1 = 1e310: fixed gain has no finite gain rule. It exited 2 naming an
+        # internal kernel (one_minus_x_k1 got a NaN); variable gain keeps its table
+        args = ["--mu1", "1e300", "--snr-db", "100", "--trials", "20000", "--gamma-db", "0:10:10"]
+        assert main(["outage-sweep", "--protocol", "fg", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "p_s * mu1" in captured.err
+        assert main(["outage-sweep", "--protocol", "vg", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+            "7a000c1f59fe5463ca0a45c5eff07ce96d2ffc1376ae883639215afdfbfa52a8")
 
     def test_golden_file(self, tmp_path):
         # Frozen after the first oracle-validated run (all 121 rows had the
@@ -339,25 +351,38 @@ class TestValidateLimiterSampling:
         assert "validate: PASS" in capsys.readouterr().out
 
     def test_samples_are_circular_gaussian(self):
+        # the magnitudes of CN(0, 1) samples; the phase is not drawn
         n = 1 << 16
-        x = _circular_gaussian(generator(Rng(3)), n)
+        x = _stratified_radius(generator(Rng(3)), n)
         power = np.abs(x) ** 2
         # stratified exponential radius: every tail fraction is exact to 1/n
         for t in (0.5, 2.0, 8.0):
             assert abs(np.mean(power > t) - math.exp(-t)) <= 1.0 / n
-        assert abs(np.mean(x)) <= 4.0 / math.sqrt(n)
-        assert np.var(x.real) / np.var(x.imag) == pytest.approx(1.0, abs=0.03)
+        assert np.all(x.real > 0.0)
+        assert not np.any(x.imag) and not np.any(np.signbit(x.imag))
+
+
+def radius_and_phase_whole(gen, n):
+    """The stratified exponential radius and the uniform phase as two whole-array draws,
+    one expression each."""
+    radius = np.sqrt(-np.log1p(-(np.arange(n) + gen.uniform(0.0, 1.0, n)) / n))
+    return radius, gen.uniform(0.0, 2.0 * np.pi, n)
 
 
 def circular_gaussian_whole(gen, n):
-    """_circular_gaussian as two whole-array draws and one expression per array: the
-    reference for its chunked, in-place build."""
-    radius = np.sqrt(-np.log1p(-(np.arange(n) + gen.uniform(0.0, 1.0, n)) / n))
-    phase = gen.uniform(0.0, 2.0 * np.pi, n)
+    """CN(0, 1) samples from radius_and_phase_whole: the limiter check's samples before
+    it dropped the phase, and the reference its lines are checked against."""
+    radius, phase = radius_and_phase_whole(gen, n)
     x = np.empty(n, dtype=complex)
     np.multiply(radius, np.cos(phase), out=x.real)
     np.multiply(radius, np.sin(phase), out=x.imag)
     return x
+
+
+def stratified_radius_whole(gen, n):
+    """_stratified_radius from whole-array draws: the reference for its chunked build."""
+    radius, _ = radius_and_phase_whole(gen, n)
+    return radius.astype(complex)
 
 
 def philox_state(gen):
@@ -365,6 +390,20 @@ def philox_state(gen):
     state = gen.bit_generator.state
     return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
             "buffer": state["buffer"].tolist()}
+
+
+class TestLimiterCheckPhaseFree:
+    """An envelope limiter's zeta and eta depend on |x| alone: the radius-only samples
+    print the line that circular Gaussian samples of the same radius print."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, 5.0, 8.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_line_as_circular_gaussian(self, monkeypatch, seed, ratio):
+        got_gen, ref_gen = generator(Rng(seed, 11)), generator(Rng(seed, 11))
+        got = cli._limiter_check(got_gen, ratio)
+        monkeypatch.setattr(cli, "_stratified_radius", circular_gaussian_whole)
+        assert got == cli._limiter_check(ref_gen, ratio)
+        assert philox_state(got_gen) == philox_state(ref_gen)
 
 
 class TestLimiterCheckMemory:
@@ -375,22 +414,22 @@ class TestLimiterCheckMemory:
     @pytest.mark.parametrize("n", [1, 7, 65_535, 65_537, 2**17 + 5, 2**20])
     def test_samples_same_bits_as_one_expression(self, n):
         got_gen, ref_gen = generator(Rng(5, 11)), generator(Rng(5, 11))
-        got = _circular_gaussian(got_gen, n)
-        assert got.tobytes() == circular_gaussian_whole(ref_gen, n).tobytes()
+        got = _stratified_radius(got_gen, n)
+        assert got.tobytes() == stratified_radius_whole(ref_gen, n).tobytes()
         assert philox_state(got_gen) == philox_state(ref_gen)
 
     @pytest.mark.parametrize("n", [1, 3, 5, 65_537])
     @pytest.mark.parametrize("drawn", [1, 3, 6], ids=["1-word", "3-words", "6-words-uint32"])
     def test_samples_same_bits_from_any_stream_position(self, n, drawn):
-        # the stream is read through positioned views: from any place in Philox's 4-word
-        # block, the samples and gen's state after them are those of whole-array draws
+        # the phase words are skipped, not drawn: from any place in Philox's 4-word block,
+        # the samples and gen's state after them are those of whole-array draws
         got_gen, ref_gen = generator(Rng(5, 11)), generator(Rng(5, 11))
         for gen in (got_gen, ref_gen):
             gen.random(drawn)
             if drawn == 6:  # a cached 32-bit half word is carried over too
                 gen.integers(0, 2**32, dtype=np.uint32)
-        got = _circular_gaussian(got_gen, n)
-        assert got.tobytes() == circular_gaussian_whole(ref_gen, n).tobytes()
+        got = _stratified_radius(got_gen, n)
+        assert got.tobytes() == stratified_radius_whole(ref_gen, n).tobytes()
         assert philox_state(got_gen) == philox_state(ref_gen)
 
     def test_one_limiter_stage_peak(self):
@@ -443,6 +482,9 @@ class TestPinnedOutput:
         (["validate", "--protocol", "vg", *FIG2, "--snr-db", "25", "--seed", "2", "--blocks", "100",
           "--trials", "1e4", "--n", "64", "--taps", "16"],
          "3fad3040153b59ea1bcd754f2bc4e9783234e696cb00aa396af53b5bb0a922ed"),
+        (["validate", "--protocol", "vg", "--clip-s", "2", "--clip-r", "3", "--snr-db", "25",
+          "--seed", "1", "--blocks", "100", "--trials", "1e4", "--n", "64", "--taps", "16"],
+         "e8dee942d487b442391a1bf7f2f8fd7d0426dce14dbcb19339bd77e3d0672203"),
         # n0 != 1: 0 dB stands for n0, so these pin the dB-to-power base as well
         (["outage-sweep", "--n0", "0.3", "--snr-db", "47.5", "--protocol", "fg", *FIG2,
           "--gamma-db", "0:5:30", "--trials", "1e4", "--seed", "3"],
@@ -451,8 +493,8 @@ class TestPinnedOutput:
           "--gamma-db", "0"],
          "299990087169571be1e340fb789b53c47b5cc7f3357ddf4ed458e3905635417b"),
     ], ids=["outage-sweep-json", "power-sweep-csv", "power-sweep-json", "thresholds-clipped",
-            "thresholds-linear", "thresholds-n0-0", "validate", "outage-sweep-n0-0.3",
-            "power-sweep-n0-1e-3"])
+            "thresholds-linear", "thresholds-n0-0", "validate", "validate-clip-2-3",
+            "outage-sweep-n0-0.3", "power-sweep-n0-1e-3"])
     def test_stdout_sha256(self, capsys, argv, digest):
         assert main(argv) == 0
         captured = capsys.readouterr()

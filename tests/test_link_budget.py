@@ -15,7 +15,8 @@ import pytest
 from afrelay.errors import DomainError
 from afrelay.link_budget import (LinkBudget, NetworkConfig, _scaled_powers, build_budget, gain_fg,
                                   gain_vg, sndr, threshold, threshold_gap)
-from afrelay.outage import outage_floor
+from afrelay.outage import exact_outage, outage_floor
+from afrelay.simulator import Rng, mc_outage_sweep
 
 # mu1 = mu2 = n0 = 1, P_S = P_R = 1, clip ratios 5 (source) and 8 (relay).
 FIG2_CFG = NetworkConfig(clip_ratio_s=5.0, clip_ratio_r=8.0)
@@ -326,6 +327,30 @@ def test_one_gain_rule_at_every_entry(protocol, bad):
     for entry in entries:
         with pytest.raises(DomainError, match="^channel gains must be"):
             entry()
+
+
+class TestFixedGainOverflow:
+    """p_s * mu1 = 1e310 leaves fixed gain no finite gain rule, so it is refused by name
+    rather than giving a NaN SNDR, or an exact outage of 1.0 against a Monte Carlo 0.0176.
+    p_s * mu2 is not refused (test_cli.py, test_huge_mean_gains_count_every_trial)."""
+
+    BIG_MU1 = NetworkConfig(mu1=1e300, p_s=1e10, clip_ratio_r=8.0)
+
+    def test_sndr_refused(self):
+        budget = build_budget(self.BIG_MU1)
+        with pytest.raises(DomainError, match=r"p_s \* mu1"):
+            sndr("fg", 1e300, 1.0, budget)
+        assert sndr("vg", 1e300, 1.0, budget) == 55910.56149819016
+
+    def test_outage_refused_both_ways(self):
+        budget = build_budget(replace(self.BIG_MU1, clip_ratio_s=5.0))
+        with pytest.raises(DomainError, match=r"p_s \* mu1"):
+            exact_outage("fg", 1.0, budget)
+        with pytest.raises(DomainError, match=r"p_s \* mu1"):
+            mc_outage_sweep("fg", [1.0], budget, 20_000, Rng(1))
+        assert sndr("vg", 1e300, 1.0, budget) == 1844.2458532908906
+        assert exact_outage("vg", 1.0, budget) == 1.0010850422014066e-10
+        assert mc_outage_sweep("vg", [1.0], budget, 20_000, Rng(1))[0].n_outages == 0
 
 
 # the four clip configurations (source, relay) that test_analytic_pins.py pins

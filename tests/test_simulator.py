@@ -307,9 +307,9 @@ class TestEstimateBussgangChunks:
     def test_same_bits_at_any_blas_thread_count(self):
         # np.vdot's bits follow OpenBLAS's thread count; numpy's own reductions do not
         code = ("import functools; from afrelay.bussgang import sel_apply; "
-                "from afrelay.cli import _circular_gaussian; "
+                "from afrelay.cli import _stratified_radius; "
                 "from afrelay.simulator import Rng, estimate_bussgang, generator; "
-                "x = _circular_gaussian(generator(Rng(1, 11)), 1 << 20); "
+                "x = _stratified_radius(generator(Rng(1, 11)), 1 << 20); "
                 "print(repr(estimate_bussgang(x, functools.partial(sel_apply, p_max=5.0))[:2]))")
         src = os.path.dirname(os.path.dirname(simulator.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
