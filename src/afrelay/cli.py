@@ -7,8 +7,9 @@ Subcommands:
   thresholds     phase-transition report for both protocols (JSON)
   validate       limiter / waveform-model / closed-form consistency suites
 
-validate checks each limiter on a stratified radius alone (_limiter_check):
-an envelope limiter's zeta and eta depend on |x| only, so no phase is drawn.
+validate checks each limiter on a float stratified radius alone
+(_limiter_check): an envelope limiter's zeta and eta depend on |x| only, so
+no phase is drawn, and both are sums over that radius.
 
 Configuration comes from a flat JSON file (--config) with explicit flags
 taking precedence. Sweep math is linear internally; dB appears only at this
@@ -33,7 +34,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .bussgang import sel_apply, sel_params
+from .bussgang import sel_params
 from .epsilon_critical import _to_db, report as phase_report, threshold
 from .errors import ConfigError, DomainError, RegimeError
 from .link_budget import PROTOCOLS, NetworkConfig, build_budget
@@ -48,7 +49,6 @@ from .simulator import (
     _CHUNK,
     Rng,
     SimStats,
-    estimate_bussgang,
     fg_stationarity_check,
     gen_channel,
     generator,
@@ -252,60 +252,50 @@ def cmd_thresholds(rc: RunConfig) -> int:
     return 0
 
 
-def _skip_words(gen, words: int) -> None:
-    """Move gen past `words` 64-bit draws without drawing them.
-
-    A uniform double is one 64-bit word. Philox.advance(k) skips k 4-word
-    blocks, drops the block buffer and clears the 32-bit cache, so the rest
-    of gen's current block is read first, the last block (whole or partial)
-    is read word by word with random_raw, which leaves the block buffer as a
-    draw would, and the cache is put back.
-    """
-    bg = gen.bit_generator
-    state = bg.state
-    head = min(words, 4 - state["buffer_pos"])
-    bg.random_raw(head)
-    if rest := words - head:
-        bg.advance((rest - 1) // 4)
-        bg.random_raw((rest - 1) % 4 + 1)
-        bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
-
-
 def _stratified_radius(gen, n: int) -> np.ndarray:
-    """n samples of |x| for x ~ CN(0, 1), as complex numbers with imaginary part +0.
+    """n samples of |x| for x ~ CN(0, 1), as float64.
 
     Sample i is the stratified exponential radius sqrt(-log1p(-(i + u_i)/n)),
     which removes most of the spread in the few clip events a limiter's eta
-    rests on. The u_i are gen's next n words, read _CHUNK at a time into one
-    float buffer; gen then skips the n words a uniform phase would take, so
-    it is left where whole-array radius and phase draws leave it. Besides
-    the 16n-byte result this holds one _CHUNK-sample buffer.
+    rests on. The u_i are gen's next n words, drawn _CHUNK at a time into the
+    result, which is built in place.
     """
-    x = np.zeros(n, dtype=complex)
+    r = np.empty(n)
     for start in range(0, n, _CHUNK):
-        radius = gen.uniform(0.0, 1.0, min(_CHUNK, n - start))
-        radius += np.arange(start, start + radius.size)
-        radius /= -n
-        np.log1p(radius, out=radius)
-        np.negative(radius, out=radius)
-        np.sqrt(radius, out=x.real[start:start + radius.size])
-    _skip_words(gen, n)
-    return x
+        part = r[start:start + _CHUNK]
+        gen.random(out=part)
+        part += np.arange(start, start + part.size)
+        part /= -n
+        np.log1p(part, out=part)
+        np.negative(part, out=part)
+        np.sqrt(part, out=part)
+    return r
 
 
-def _limiter_check(gen, ratio: float) -> tuple[str, bool]:
+def _limiter_check(seed: int, earlier: int, ratio: float) -> tuple[str, bool]:
     """One limiter's report line: zeta and eta from 2^20 clipped samples vs the closed form.
 
-    An envelope limiter maps x to x s(|x|), so zeta = sum |x|^2 s / sum |x|^2
-    and eta = sum |x|^2 (s - zeta)^2 / N depend on |x| alone (circular
-    symmetry): the samples are _stratified_radius's, with no phase. A function
-    of its own, so one limiter's samples are freed before the next limiter's
-    are drawn; estimate_bussgang applies sel_apply per chunk, so no clipped
-    copy is ever whole.
+    An envelope limiter maps x to x min(|x|, a)/|x|, a = sqrt(ratio), so with
+    r = |x| its zeta = sum r min(r, a) / sum r^2 and eta = sum (min(r, a) -
+    zeta r)^2 / N depend on r alone (circular symmetry): r is
+    _stratified_radius's and no phase is drawn. Its words follow those of the
+    `earlier` clipping limiters before it on stream (seed, 11), each of which
+    took 2N words (a radius and a phase per sample), N/2 Philox blocks. Each
+    sum is an np.add.reduce per _CHUNK slice, the slice sums added exactly
+    by math.fsum, so no BLAS call (whose bits follow its thread count) is made.
     """
+    n = 1 << 20
+    gen = generator(Rng(seed, 11))
+    gen.bit_generator.advance(earlier * n // 2)
+    r = _stratified_radius(gen, n)
+    a = math.sqrt(ratio)
+
+    def total(term) -> float:
+        return math.fsum(np.add.reduce(term(r[i:i + _CHUNK])) for i in range(0, n, _CHUNK))
+
+    zeta_hat = total(lambda s: s * np.minimum(s, a)) / total(np.square)
+    eta_hat = total(lambda s: np.square(np.minimum(s, a) - zeta_hat * s)) / n
     p = sel_params(1.0, ratio)
-    x = _stratified_radius(gen, 1 << 20)
-    zeta_hat, eta_hat, _ = estimate_bussgang(x, functools.partial(sel_apply, p_max=ratio))
     ok = abs(zeta_hat - p.zeta) <= 2e-3 and abs(eta_hat - p.eta) <= 0.25 * p.eta
     return (f"zeta {zeta_hat:.6f} vs {p.zeta:.6f}, "
             f"eta {eta_hat:.3e} vs {p.eta:.3e} -> {'ok' if ok else 'FAIL'}"), ok
@@ -318,12 +308,13 @@ def cmd_validate(rc: RunConfig) -> int:
     budget = build_budget(rc.network())
 
     # limiter coefficients vs sampled clipped Gaussians
-    gen = generator(Rng(rc.seed, 11))
+    earlier = 0
     for label, ratio in (("source", rc.clip_s), ("relay", rc.clip_r)):
         if math.isinf(ratio):
             lines.append(f"limiter[{label}]: linear node, skipped")
             continue
-        line, ok = _limiter_check(gen, ratio)
+        line, ok = _limiter_check(rc.seed, earlier, ratio)
+        earlier += 1
         lines.append(f"limiter[{label}]: {line}")
         if not ok:
             failures.append(f"limiter[{label}]")

@@ -216,16 +216,17 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num, den = _num_den(alpha, beta, x, y, budget, n0)
         out = np.asarray(num / den)
-        if not np.all(ok := (den < math.inf) & (out < math.inf)):
+        if not np.all(ok := (den >= np.finfo(float).tiny) & (den < math.inf) & (out < math.inf)):
             # den = 0: a zero gain (0), a noiseless, distortion-free path (inf) or an
-            # underflow; num or den = inf: an overflow at large gains. A power-of-two scale
-            # moves no bit of num / den. At n0 = 0 num and den are linear in y, and in x
-            # unless a fixed-gain relay distorts: such gains are redone in [1, 2), where
-            # num > 0 iff both are. With noise, variable gain's num and den are homogeneous
-            # of degree 2 in (x, y, n0): all three are scaled so that the largest lies in
-            # [0.5, 1). Fixed gain's are linear in y and the second hop's n0, which are
-            # scaled down so that y lies in [0.5, 1); its den >= n0 (p_s mu1 + n0) /
-            # sigma_R^2 does not shrink with the gains, so no small gain is scaled up.
+            # underflow; a subnormal den: an underflow that lost bits; num or den = inf:
+            # an overflow at large gains. A power-of-two scale moves no bit of num / den.
+            # At n0 = 0 num and den are linear in y, and in x unless a fixed-gain relay
+            # distorts: such gains are redone in [1, 2), where num > 0 iff both are. With
+            # noise, variable gain's num and den are homogeneous of degree 2 in (x, y, n0):
+            # all three are scaled so that the largest lies in [0.5, 1). Fixed gain's are
+            # linear in y and the second hop's n0, which are scaled down so that y lies in
+            # [0.5, 1); its den >= n0 (p_s mu1 + n0) / sigma_R^2 does not shrink with the
+            # gains, so no small gain is scaled up.
             if n0 == 0.0:
                 xs = 2.0 * np.frexp(x)[0] if alpha or budget.sel_r.eta == 0.0 else x
                 num, den = _num_den(alpha, beta, xs, 2.0 * np.frexp(y)[0], budget, n0)

@@ -227,74 +227,26 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     return y
 
 
-def _pairwise(n: int, lo: int, leaf):
-    """leaf's sums over samples [lo, lo + n), added up in numpy's pairwise-summation tree.
-
-    np.add.reduce sums a contiguous float64 or complex128 array by halving it
-    at a multiple of 8 float64 words until a part is short, so the halving
-    point of n complex samples (2n words) is sample 4 (n // 8). Cut at the
-    nodes of that tree with at most _CHUNK samples, each leaf is reduced by
-    numpy exactly as the whole-array reduce reduces that node, and the leaves
-    are added as the tree adds them: the total has the bits of one whole-array
-    np.add.reduce, whatever the chunking.
-    """
-    if n <= _CHUNK:
-        return leaf(lo, lo + n)
-    half = 4 * (n // 8)
-    return _pairwise(half, lo, leaf) + _pairwise(n - half, lo + half, leaf)
-
-
 def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, float]:
     """Least-squares gain, residual power, and leftover correlation.
 
-    output_samples is the output array, or the limiter: a function that maps
-    a chunk of the flattened input to its output chunk. The residual
-    correlation is zero by construction of the projection and is returned as
-    a sanity figure. Two passes walk the input in the chunks of _pairwise:
-    the first sums |x|^2 and conj(x) y, the second forms y - zeta x per chunk
-    (re-applying the limiter) and sums |y - zeta x|^2 and conj(x) (y - zeta x).
-    Each |z|^2 is summed over z's float64 words squared. Every sum is an
-    np.add.reduce per chunk, the chunks combined in numpy's own tree, so
-    zeta and eta have the bits of whole-array reductions and no BLAS call
-    (whose bits follow its thread count) is made. Besides the flattened input
-    (and the output array, if given) this holds _CHUNK-sample temporaries.
+    The residual correlation is zero by construction of the projection and
+    is returned as a sanity figure. Every sum is one np.add.reduce over the
+    flattened arrays, each |z|^2 summed over z's float64 words squared, so no
+    BLAS call (whose bits follow its thread count) is made.
     """
     x = np.asarray(input_samples, dtype=complex).ravel()
-    if callable(output_samples):
-        limiter = output_samples
-    else:
-        y = np.asarray(output_samples, dtype=complex).ravel()
-        if y.shape != x.shape:
-            raise DomainError("need two equal-length sample vectors of size >= 2")
-        limiter = None
-    if x.size < 2:
+    y = np.asarray(output_samples, dtype=complex).ravel()
+    if x.size < 2 or y.shape != x.shape:
         raise DomainError("need two equal-length sample vectors of size >= 2")
-
-    def output(lo, hi):
-        return limiter(x[lo:hi]) if limiter else y[lo:hi]
-
-    def sums(sq, xs, z):
-        """[sum |sq|^2, sum conj(xs) z] over one chunk, through one temporary."""
-        tmp = np.empty_like(xs)
-        sq_sum = np.add.reduce(np.square(sq.view(float), out=tmp.view(float)))
-        np.conj(xs, out=tmp)
-        tmp *= z
-        return np.array([sq_sum, np.add.reduce(tmp)])
-
-    px, xy = _pairwise(x.size, 0, lambda lo, hi: sums(x[lo:hi], x[lo:hi], output(lo, hi)))
-    px = float(px.real)
+    px = float(np.add.reduce(np.square(x.view(float))))
     if px <= 0.0:
         raise DomainError("input power is zero")
-    zeta_hat = complex(xy) / px
-
-    def pass2(lo, hi):
-        r = output(lo, hi) - zeta_hat * x[lo:hi]
-        return sums(r, x[lo:hi], r)
-
-    rr, dot = _pairwise(x.size, 0, pass2)
-    rr = float(rr.real)
+    zeta_hat = complex(np.add.reduce(np.conj(x) * y)) / px
+    resid = y - zeta_hat * x
+    rr = float(np.add.reduce(np.square(resid.view(float))))
     norm = math.sqrt(rr) * math.sqrt(px)
-    resid_corr = float(abs(dot) / norm) if norm > 0.0 else 0.0
+    resid_corr = float(abs(np.add.reduce(np.conj(x) * resid)) / norm) if norm > 0.0 else 0.0
     return float(zeta_hat.real), rr / x.size, resid_corr
 
 

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from afrelay import cli
+from afrelay.bussgang import sel_apply, sel_params
 from afrelay.cli import (RunConfig, _build_run_config, _db_to_lin, _parse_grid,
                          _stratified_radius, main)
 from afrelay.errors import ConfigError, RegimeError
 from afrelay.link_budget import NetworkConfig, build_budget
 from afrelay.outage import diversity_fit
-from afrelay.simulator import Rng, generator, mc_outage_sweep
+from afrelay.simulator import Rng, estimate_bussgang, generator, mc_outage_sweep
 
 SWEEP_ARGS = [
     "outage-sweep", "--protocol", "vg", "--clip-s", "5", "--clip-r", "8",
@@ -353,13 +354,11 @@ class TestValidateLimiterSampling:
     def test_samples_are_circular_gaussian(self):
         # the magnitudes of CN(0, 1) samples; the phase is not drawn
         n = 1 << 16
-        x = _stratified_radius(generator(Rng(3)), n)
-        power = np.abs(x) ** 2
+        r = _stratified_radius(generator(Rng(3)), n)
         # stratified exponential radius: every tail fraction is exact to 1/n
         for t in (0.5, 2.0, 8.0):
-            assert abs(np.mean(power > t) - math.exp(-t)) <= 1.0 / n
-        assert np.all(x.real > 0.0)
-        assert not np.any(x.imag) and not np.any(np.signbit(x.imag))
+            assert abs(np.mean(r * r > t) - math.exp(-t)) <= 1.0 / n
+        assert r.dtype == np.float64 and np.all(r > 0.0)
 
 
 def radius_and_phase_whole(gen, n):
@@ -379,71 +378,60 @@ def circular_gaussian_whole(gen, n):
     return x
 
 
-def stratified_radius_whole(gen, n):
-    """_stratified_radius from whole-array draws: the reference for its chunked build."""
-    radius, _ = radius_and_phase_whole(gen, n)
-    return radius.astype(complex)
-
-
-def philox_state(gen):
-    """gen's full Philox state, arrays as lists, so that == compares it."""
-    state = gen.bit_generator.state
-    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-            "buffer": state["buffer"].tolist()}
-
-
 class TestLimiterCheckPhaseFree:
-    """An envelope limiter's zeta and eta depend on |x| alone: the radius-only samples
-    print the line that circular Gaussian samples of the same radius print."""
+    """An envelope limiter's zeta and eta depend on |x| alone: the radial sums print the
+    line that estimate_bussgang prints on circular Gaussian samples of the same radius."""
+
+    N = 1 << 20
 
     @pytest.mark.parametrize("ratio", [0.5, 2.0, 5.0, 8.0])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_same_line_as_circular_gaussian(self, monkeypatch, seed, ratio):
-        got_gen, ref_gen = generator(Rng(seed, 11)), generator(Rng(seed, 11))
-        got = cli._limiter_check(got_gen, ratio)
-        monkeypatch.setattr(cli, "_stratified_radius", circular_gaussian_whole)
-        assert got == cli._limiter_check(ref_gen, ratio)
-        assert philox_state(got_gen) == philox_state(ref_gen)
+    def test_same_line_as_circular_gaussian(self, seed, ratio):
+        p = sel_params(1.0, ratio)
+        gen = generator(Rng(seed, 11))
+        # a first limiter, then one after a limiter's whole radius and phase draws
+        for earlier in (0, 1):
+            x = circular_gaussian_whole(gen, self.N)
+            zeta_hat, eta_hat, _ = estimate_bussgang(x, sel_apply(x, ratio))
+            line, _ = cli._limiter_check(seed, earlier, ratio)
+            assert line.startswith(f"zeta {zeta_hat:.6f} vs {p.zeta:.6f}, "
+                                   f"eta {eta_hat:.3e} vs {p.eta:.3e} -> ")
 
 
 class TestLimiterCheckMemory:
-    """The limiter check holds its samples and _CHUNK-sample temporaries."""
+    """The limiter check holds its float radius and _CHUNK-sample temporaries."""
 
     N = 1 << 20
 
     @pytest.mark.parametrize("n", [1, 7, 65_535, 65_537, 2**17 + 5, 2**20])
     def test_samples_same_bits_as_one_expression(self, n):
-        got_gen, ref_gen = generator(Rng(5, 11)), generator(Rng(5, 11))
-        got = _stratified_radius(got_gen, n)
-        assert got.tobytes() == stratified_radius_whole(ref_gen, n).tobytes()
-        assert philox_state(got_gen) == philox_state(ref_gen)
+        got = _stratified_radius(generator(Rng(5, 11)), n)
+        ref, _ = radius_and_phase_whole(generator(Rng(5, 11)), n)
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 5, 65_537])
     @pytest.mark.parametrize("drawn", [1, 3, 6], ids=["1-word", "3-words", "6-words-uint32"])
     def test_samples_same_bits_from_any_stream_position(self, n, drawn):
-        # the phase words are skipped, not drawn: from any place in Philox's 4-word block,
-        # the samples and gen's state after them are those of whole-array draws
+        # from any place in Philox's 4-word block, the samples are whole-array draws'
         got_gen, ref_gen = generator(Rng(5, 11)), generator(Rng(5, 11))
         for gen in (got_gen, ref_gen):
             gen.random(drawn)
-            if drawn == 6:  # a cached 32-bit half word is carried over too
+            if drawn == 6:  # and with a cached 32-bit half word
                 gen.integers(0, 2**32, dtype=np.uint32)
         got = _stratified_radius(got_gen, n)
-        assert got.tobytes() == stratified_radius_whole(ref_gen, n).tobytes()
-        assert philox_state(got_gen) == philox_state(ref_gen)
+        ref, _ = radius_and_phase_whole(ref_gen, n)
+        assert got.tobytes() == ref.tobytes()
 
     def test_one_limiter_stage_peak(self):
-        # 16n bytes for x, the chunk's clipped copy and one chunk temporary: 1.125 x 16n.
-        # The whole clipped copy and |resid|^2 made it 2.5625
-        gen = generator(Rng(1, 11))
+        # 8n bytes for the float radius and _CHUNK-sample temporaries: under 0.75 x 16n
         tracemalloc.start()
         try:
-            line, ok = cli._limiter_check(gen, 5.0)
+            line, ok = cli._limiter_check(1, 0, 5.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert ok, line
-        assert peak <= 1.25 * 16 * self.N
+        assert peak <= 0.75 * 16 * self.N
 
     def test_validate_peak(self, capsys):
         # both limiters, the SNDR model and the Monte Carlo at small sizes: the first
@@ -457,7 +445,7 @@ class TestLimiterCheckMemory:
         finally:
             tracemalloc.stop()
         assert capsys.readouterr().out.count("-> ok") == 6
-        assert peak <= 1.25 * 16 * self.N
+        assert peak <= 0.75 * 16 * self.N
 
 
 class TestPinnedOutput:
@@ -485,6 +473,10 @@ class TestPinnedOutput:
         (["validate", "--protocol", "vg", "--clip-s", "2", "--clip-r", "3", "--snr-db", "25",
           "--seed", "1", "--blocks", "100", "--trials", "1e4", "--n", "64", "--taps", "16"],
          "e8dee942d487b442391a1bf7f2f8fd7d0426dce14dbcb19339bd77e3d0672203"),
+        # a linear source: the relay's limiter is the first on its stream
+        (["validate", "--protocol", "vg", "--clip-s", "inf", "--clip-r", "8", "--snr-db", "25",
+          "--seed", "1", "--blocks", "100", "--trials", "1e4", "--n", "64", "--taps", "16"],
+         "11c39e0507db04f96d217de4dcb5576befcb338bf3d3579541310bb3fcc6e28a"),
         # n0 != 1: 0 dB stands for n0, so these pin the dB-to-power base as well
         (["outage-sweep", "--n0", "0.3", "--snr-db", "47.5", "--protocol", "fg", *FIG2,
           "--gamma-db", "0:5:30", "--trials", "1e4", "--seed", "3"],
@@ -494,7 +486,7 @@ class TestPinnedOutput:
          "299990087169571be1e340fb789b53c47b5cc7f3357ddf4ed458e3905635417b"),
     ], ids=["outage-sweep-json", "power-sweep-csv", "power-sweep-json", "thresholds-clipped",
             "thresholds-linear", "thresholds-n0-0", "validate", "validate-clip-2-3",
-            "outage-sweep-n0-0.3", "power-sweep-n0-1e-3"])
+            "validate-relay-only", "outage-sweep-n0-0.3", "power-sweep-n0-1e-3"])
     def test_stdout_sha256(self, capsys, argv, digest):
         assert main(argv) == 0
         captured = capsys.readouterr()

@@ -432,6 +432,19 @@ class TestAsymptoticSndr:
         lam = sndr("vg", np.array([0.0, 5e-324, 1e-200, 1.0]), 1.0, b0)
         np.testing.assert_allclose(lam, [0.0, th, th, th], rtol=1e-15, atol=0.0)
 
+    def test_subnormal_denominator_keeps_the_limit(self):
+        # den subnormal but not 0 has lost bits to underflow: it is redone at scale too
+        _, b0 = noisy_and_noiseless(FIG2_CFG)
+        th = threshold("vg", b0)
+        np.testing.assert_allclose(sndr("vg", [1e-310, 1e-320], 1.0, b0), th, rtol=1e-15, atol=0.0)
+        # so the Monte Carlo at a subnormal mean gain counts as the closed form does
+        b = build_budget(replace(FIG2_CFG, n0=0.0, mu1=1e-310, p_s=1000.0))
+        th = threshold("vg", b)
+        for gamma, p in ((th * (1.0 - 1e-9), 0.0), (th * (1.0 + 1e-12), 1.0)):
+            assert exact_outage("vg", gamma, b) == p
+            (stats,) = mc_outage_sweep("vg", [gamma], b, 200_000, Rng(1))
+            assert stats.p_hat == p
+
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     def test_linear_network_is_infinite_at_tiny_gains(self, protocol):
         # x y underflows to 0, but both gains pass: still no noise and no distortion

@@ -267,7 +267,7 @@ class TestEstimateBussgang:
 
 
 def estimate_bussgang_whole(input_samples, output_samples):
-    """estimate_bussgang as whole-array reductions: the reference its chunk loop must match.
+    """estimate_bussgang as whole-array reductions, written out: the reference it must match.
 
     Every sum is one np.add.reduce over the flattened arrays, |z|^2 summed over z's
     float64 words squared.
@@ -283,7 +283,7 @@ def estimate_bussgang_whole(input_samples, output_samples):
 
 
 class TestEstimateBussgangChunks:
-    """Both passes run _CHUNK samples at a time; zeta and eta keep the bits of whole-array sums."""
+    """zeta and eta keep the bits of whole-array np.add.reduce sums, at any size and layout."""
 
     @pytest.mark.parametrize("shape", [(7,), (65_535,), (65_537,), (2**17 + 5,), (2**20,),
                                        (3, 40_000), "F"],
@@ -298,19 +298,16 @@ class TestEstimateBussgangChunks:
             x = _cgauss(gen, shape, 1.0)
         y = sel_apply(x, 1.5)
         zeta_ref, eta_ref, corr_ref = estimate_bussgang_whole(x, y)
-        # the output as an array, and as the limiter applied to each flattened chunk
-        for output in (y, lambda chunk: sel_apply(chunk, 1.5)):
-            zeta, eta, corr = estimate_bussgang(x, output)
-            assert (zeta, eta) == (zeta_ref, eta_ref)
-            assert abs(corr - corr_ref) <= 1e-12
+        zeta, eta, corr = estimate_bussgang(x, y)
+        assert (zeta, eta) == (zeta_ref, eta_ref)
+        assert abs(corr - corr_ref) <= 1e-12
 
     def test_same_bits_at_any_blas_thread_count(self):
         # np.vdot's bits follow OpenBLAS's thread count; numpy's own reductions do not
-        code = ("import functools; from afrelay.bussgang import sel_apply; "
-                "from afrelay.cli import _stratified_radius; "
-                "from afrelay.simulator import Rng, estimate_bussgang, generator; "
-                "x = _stratified_radius(generator(Rng(1, 11)), 1 << 20); "
-                "print(repr(estimate_bussgang(x, functools.partial(sel_apply, p_max=5.0))[:2]))")
+        code = ("from afrelay.bussgang import sel_apply; "
+                "from afrelay.simulator import Rng, _cgauss, estimate_bussgang, generator; "
+                "x = _cgauss(generator(Rng(1, 11)), 1 << 20, 1.0); "
+                "print(repr(estimate_bussgang(x, sel_apply(x, 5.0))[:2]))")
         src = os.path.dirname(os.path.dirname(simulator.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
