@@ -45,20 +45,30 @@ class SelParams:
     p_avg: float
 
 
-def sel_apply(sample, p_max):
+def sel_apply(sample, p_max, out=None):
     """Clip the envelope of a complex sample (or array) to sqrt(p_max).
 
     Phase is preserved exactly: samples at or below the clip level pass
-    through unchanged. Allocates the complex output; |.|, the mask and the
-    scale are formed one _SLICE of it at a time, so the temporaries stay
+    through unchanged. With out=None the result is a fresh complex array (a
+    complex number for a scalar sample). Otherwise out, a C- or F-contiguous
+    complex array of the sample's shape, receives it and is returned; out may
+    be the sample itself, which is then clipped in place. |.|, the mask and
+    the scale are formed one _SLICE of it at a time, so the temporaries stay
     within _SLICE elements whatever the input's size. Each element sees the
-    same arithmetic as a whole-array pass.
+    same arithmetic as a whole-array pass, in place or not.
     """
     if not (p_max >= 0.0):
         raise DomainError(f"clip power must be non-negative, got {p_max!r}")
-    out = np.array(sample, dtype=complex)
+    if out is None:
+        out = np.array(sample, dtype=complex)
+    else:
+        if (out.dtype != complex or out.shape != np.shape(sample)
+                or not (out.flags.c_contiguous or out.flags.f_contiguous)):
+            raise DomainError("out must be a contiguous complex array of the sample's shape")
+        if out is not sample:
+            np.copyto(out, sample)
     limit = math.sqrt(p_max) if math.isfinite(p_max) else math.inf
-    # out is a fresh dense array in C, F or another kept order: ravel(order="K") is a view of it
+    # out is dense in C, F or another kept order: ravel(order="K") is a view of it
     flat = out.ravel(order="K")
     for start in range(0, flat.size, _SLICE):
         part = flat[start:start + _SLICE]

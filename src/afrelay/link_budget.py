@@ -110,7 +110,11 @@ def build_budget(cfg: NetworkConfig) -> LinkBudget:
 
     Each node's limiter input power is sized so its average transmit power
     hits the configured target (p_s at the source, p_ratio*p_s at the relay).
+    A relay target outside the float range is refused, naming p_ratio * p_s.
     """
+    if not (0.0 < cfg.p_ratio * cfg.p_s < math.inf):
+        raise DomainError(f"the relay power p_ratio * p_s must be positive and finite, got "
+                          f"{cfg.p_ratio!r} * {cfg.p_s!r}")
     sels = []
     for node, p_target, ratio in (("source", cfg.p_s, cfg.clip_ratio_s),
                                   ("relay", cfg.p_ratio * cfg.p_s, cfg.clip_ratio_r)):

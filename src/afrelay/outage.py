@@ -85,6 +85,9 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
     0 for vg), and z^2/4 = k0 + k1 has a linear k0 and a quadratic k1 (alpha x0
     is 0, as alpha beta = 0). small_gamma orders both in gamma instead: a taken
     at gamma = 0 puts all of q in q1, and k1 keeps only the gamma^2 term alpha x1.
+    Noise terms past the float range, a mu2 underflowing included, are the sure
+    outage. At zero noise an underflowing a mu2 leaves the form without its
+    scale: a DomainError names p_s * mu2 rather than a value being guessed.
     """
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
@@ -99,11 +102,20 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
         return math.inf, 0.0, 0.0, 0.0  # q is past the float range: sure outage
     x0 = gamma_th * r.eta * beta / a
     x1 = gamma_th * n0 * (zr2 + r.eta / r.sigma_sq) / a
-    g_n0 = gamma_th * n0 / (a * cfg.mu2)
-    if not (x1 < math.inf and g_n0 < math.inf):  # the noise terms are past the float range
+    a_mu2 = a * cfg.mu2
+    if a_mu2 > 0.0:
+        g_n0 = gamma_th * n0 / a_mu2
+    elif gamma_th == 0.0:
+        g_n0 = 0.0
+    elif n0 == 0.0:
+        raise DomainError(f"the zero-noise outage (the floor) underflows at the scale "
+                          f"p_s * mu2 = {cfg.p_s!r} * {cfg.mu2!r}")
+    else:
+        g_n0 = math.inf
+    k = g_n0 / cfg.mu1
+    if not (x1 < math.inf and k < math.inf):  # the noise terms are past the float range
         return x0 / cfg.mu1, math.inf, math.inf, 0.0  # sure outage, and no series
     q0, q1 = x0 / cfg.mu1, x1 / cfg.mu1 + g_n0 * alpha
-    k = g_n0 / cfg.mu1
     if small_gamma:
         return 0.0, q0 + q1, k * (beta + n0 / r.sigma_sq), k * (alpha * x1)
     return q0, q1, k * beta, k * (alpha * x1 + n0 / r.sigma_sq)

@@ -172,28 +172,47 @@ def _qpsk(gen, shape, sigma_sq):
 
 
 def _faded(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float) -> np.ndarray:
-    """One hop without its noise, frequency domain in and out.
+    """One hop without its noise, frequency domain in and out, in place.
 
     A cyclic prefix longer than the channel in front of a memoryless limiter
     makes the receive window's convolution circular, so the limiter clips
     each time-domain sample and the channel is a per-subcarrier multiply by
-    freq_h.
+    freq_h. x_freq, a contiguous complex array, is transformed, clipped and
+    multiplied where it lies, and returned.
     """
-    y = unitary_dft(sel_apply(unitary_idft(x_freq), p_max))
-    y *= freq_h
+    unitary_idft(x_freq, out=x_freq)
+    sel_apply(x_freq, p_max, out=x_freq)
+    unitary_dft(x_freq, out=x_freq)
+    x_freq *= freq_h
+    return x_freq
+
+
+def _add_noise(y: np.ndarray, n0: float, gen: np.random.Generator) -> np.ndarray:
+    """y += CN(0, n0) noise, in place; returns y.
+
+    The draws of _cgauss(gen, y.shape, n0), all real parts and then all
+    imaginary parts, each scaled in one float scratch array and added to its
+    half of y. At n0 = 0 nothing is drawn.
+    """
+    if n0 == 0.0:
+        return y
+    scale = math.sqrt(n0 / 2.0)
+    tmp = np.empty(y.shape)
+    for part in (y.real, y.imag):
+        gen.standard_normal(out=tmp)
+        tmp *= scale
+        part += tmp
     return y
 
 
 def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
          gen: np.random.Generator) -> np.ndarray:
-    """One hop with its noise.
+    """One hop with its noise, into a fresh array: x_freq is left as it was.
 
     The unitary DFT of the window's white CN(0, n0) noise is again white
     CN(0, n0), so the noise is drawn per subcarrier.
     """
-    y = _faded(x_freq, freq_h, p_max)
-    y += _cgauss(gen, y.shape, n0)
-    return y
+    return _add_noise(_faded(np.array(x_freq, dtype=complex, order="C"), freq_h, p_max), n0, gen)
 
 
 def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
@@ -223,8 +242,7 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     gain) between the hops, the standard idealized per-subcarrier model.
     """
     y = _noiseless_last_hop(x_freq, channel, budget, normalize_protocol(protocol), gen)
-    y += _cgauss(gen, y.shape, budget.config.n0)
-    return y
+    return _add_noise(y, budget.config.n0, gen)
 
 
 def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, float]:
@@ -255,7 +273,10 @@ def measure_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
     """Per-subcarrier SNDR of a fixed channel, measured over n_blocks blocks.
 
     Splits each subcarrier's received symbols into a projection onto the sent
-    symbols (signal) and the residual (noise plus distortion).
+    symbols (signal) and the residual (noise plus distortion). A batch holds
+    its sent and received blocks and one float scratch array for |x|^2 and
+    |y|^2; the cross term conj(x) y is formed in x, which is no longer needed,
+    and the batch's arrays are dropped before the next batch is drawn.
     """
     if n_blocks < 100:
         raise DomainError("need at least 100 blocks for a stable split")
@@ -273,9 +294,15 @@ def measure_sndr(channel: ChannelRealization, budget: LinkBudget, protocol: str,
         gen = generator(substream(rng, idx))
         x = _qpsk(gen, (b, n), sigma_sq)
         y = waveform_chain(x, channel, budget, protocol, gen)
-        acc_xy += np.sum(np.conj(x) * y, axis=0)
-        acc_xx += np.sum(np.abs(x) ** 2, axis=0)
-        acc_yy += np.sum(np.abs(y) ** 2, axis=0)
+        power = np.abs(x)
+        power *= power
+        acc_xx += np.sum(power, axis=0)
+        np.abs(y, out=power)
+        power *= power
+        acc_yy += np.sum(power, axis=0)
+        np.multiply(np.conjugate(x, out=x), y, out=x)
+        acc_xy += np.sum(x, axis=0)
+        del x, y, power
         done += b
         idx += 1
     c = acc_xy / acc_xx
@@ -394,11 +421,12 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocols: tupl
         gen.bit_generator.state = state
         gains = _relay_gains(budget, channel, protocol)
         c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
-        # the last protocol may scale the shared relay input in place
-        relay = relay_in if k == len(protocols) - 1 else relay_in.copy()
+        # the last protocol may overwrite the shared relay input and sent blocks
+        last = k == len(protocols) - 1
+        relay = relay_in if last else relay_in.copy()
         relay *= gains
         e = _faded(relay, channel.freq_h2, budget.sel_r.p_max)
-        e -= c * x
+        e -= np.multiply(c, x, out=x if last else None)
         energy = np.abs(e)
         energy *= energy
         resid = _residual_energy(np.sum(energy, axis=0), n_blocks, budget.config.n0, gen)
@@ -493,12 +521,19 @@ def _relay_input_power(l: int, budget: LinkBudget, rng: Rng, realizations: range
         idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
         if cfg.n0:
             gen.standard_normal(out=noise[row])
-    freq_h1 = unitary_dft(_complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
+    freq_h1 = _complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l)
+    unitary_dft(freq_h1, out=freq_h1)
     y = _faded(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
     if cfg.n0:
-        y += _complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
+        # the noise's two halves, scaled where they lie, as _add_noise adds them
+        noise *= math.sqrt(cfg.n0 / 2.0)
+        y.real += noise[:, :n]
+        y.imag += noise[:, n:]
+    y *= gain_fg(budget)
     # by Parseval the mean power over subcarriers is the window's mean power
-    return np.mean(np.abs(gain_fg(budget) * y) ** 2, axis=1)
+    power = np.abs(y)
+    power *= power
+    return np.mean(power, axis=1)
 
 
 def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: Rng) -> float:

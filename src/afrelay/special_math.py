@@ -2,8 +2,9 @@
 
 The first-order modified Bessel function of the second kind and adaptive
 quadrature on the half line are written here; the unitary DFT pair is
-numpy's FFT behind a length check. All are pure functions with no shared
-mutable state, so they are safe to call concurrently.
+numpy's FFT behind a length check, writing a fresh array or one passed as
+out. None keeps shared mutable state, so all are safe to call concurrently
+on distinct arrays.
 """
 
 from __future__ import annotations
@@ -112,22 +113,27 @@ def _check_pow2_length(n: int) -> None:
         raise DomainError(f"transform length must be a power of two, got {n}")
 
 
-def unitary_dft(v) -> np.ndarray:
-    """Unitary DFT along the last axis; length must be a power of two."""
+def unitary_dft(v, out=None) -> np.ndarray:
+    """Unitary DFT along the last axis; length must be a power of two.
+
+    out, a complex array of v's shape, receives the transform and is
+    returned; it may be v itself. Written in place or not, the bits are
+    those of a fresh transform.
+    """
     v = np.asarray(v)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise DomainError("unitary_dft requires a non-empty vector")
     _check_pow2_length(v.shape[-1])
-    return np.fft.fft(v, norm="ortho")
+    return np.fft.fft(v, norm="ortho", out=out)
 
 
-def unitary_idft(v) -> np.ndarray:
-    """Inverse of :func:`unitary_dft`."""
+def unitary_idft(v, out=None) -> np.ndarray:
+    """Inverse of :func:`unitary_dft`, with the same out= (v itself allowed)."""
     v = np.asarray(v)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise DomainError("unitary_idft requires a non-empty vector")
     _check_pow2_length(v.shape[-1])
-    return np.fft.ifft(v, norm="ortho")
+    return np.fft.ifft(v, norm="ortho", out=out)
 
 
 # -- adaptive quadrature on [0, inf) -----------------------------------------

@@ -95,6 +95,42 @@ class TestSelApplySlices:
         assert np.max(np.abs(sample)) > 2.0
 
 
+class TestSelApplyOut:
+    """sel_apply(x, p, out=...) clips into out, x itself included, with the bits of a copy."""
+
+    @pytest.mark.parametrize("case", [7, 65_537, "2-D", "F-order"], ids=str)
+    @pytest.mark.parametrize("p_max", [1.0, 5.0, math.inf])
+    def test_in_place_same_bits_as_copy(self, case, p_max):
+        sample = slice_case(case)
+        ref = sel_apply(sample, p_max)
+        x = sample.copy(order="K")
+        assert sel_apply(x, p_max, out=x) is x
+        assert x.strides == ref.strides
+        assert x.tobytes(order="A") == ref.tobytes(order="A")
+
+    @pytest.mark.parametrize("case", [65_537, "F-order"], ids=str)
+    def test_into_another_array_leaves_the_sample(self, case):
+        sample = slice_case(case)
+        kept = sample.copy(order="K")
+        out = np.empty_like(sample)
+        assert sel_apply(sample, 1.0, out=out) is out
+        assert out.tobytes(order="A") == sel_apply(kept, 1.0).tobytes(order="A")
+        assert sample.tobytes(order="A") == kept.tobytes(order="A")
+
+    def test_copy_leaves_the_sample(self):
+        sample = slice_case(65_537)
+        kept = sample.copy()
+        sel_apply(sample, 1.0)
+        assert sample.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(8), np.empty(4, dtype=complex),
+                                     np.empty(16, dtype=complex)[::2]],
+                             ids=["float", "short", "strided"])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(DomainError, match="^out must be"):
+            sel_apply(np.ones(8, dtype=complex), 1.0, out=out)
+
+
 class TestSelParams:
     def test_no_clipping_limit(self):
         p = sel_params(1.0, math.inf)

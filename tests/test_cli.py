@@ -556,10 +556,43 @@ class TestConfigHandling:
         (["outage-sweep", "--snr-db", "1e6", "--gamma-db", "10", "--trials", "0"], "snr_db"),
         (["thresholds", "--n0", "1e300", "--snr-db", "300"], "p_s"),
         (["thresholds", "--clip-s", "5", "--clip-r", "8", "--snr-db", "3079"], "source"),
-    ], ids=["snr_db-overflow", "p_s-inf", "clip-power-overflow"])
+        (["thresholds", "--snr-db", "3000", "--p-ratio", "1e10"], "the relay power p_ratio * p_s"),
+    ], ids=["snr_db-overflow", "p_s-inf", "clip-power-overflow", "relay-power-overflow"])
     def test_overflowing_power_exits_2(self, capsys, argv, name):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    NOISY_TINY = ["--n0", "1", "--snr-db", "-3000", "--mu2", "1e-300", "--clip-s", "5",
+                  "--trials", "0", "--gamma-db", "0:10:10"]
+    NOISELESS_TINY = ["--n0", "0", "--snr-db", "-3000", "--mu1", "1e-300", "--mu2", "1e-300",
+                      "--clip-s", "5", "--clip-r", "8", "--trials", "0", "--gamma-db", "0:10:10"]
+
+    @pytest.mark.parametrize("argv", [
+        ["outage-sweep", *NOISY_TINY],
+        ["outage-sweep", *NOISELESS_TINY],
+        ["thresholds", *NOISELESS_TINY],
+    ], ids=["sweep-floor", "sweep-noiseless", "thresholds-noiseless"])
+    def test_underflowing_zero_noise_outage_exits_2(self, capsys, argv):
+        # a * mu2 underflowed to 0 and gamma n0 / (a mu2) ended the run in a ZeroDivisionError
+        # traceback; at zero noise the outage is refused in one line naming its scale
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the zero-noise outage (the floor) underflows at the scale " \
+                               "p_s * mu2 = 1e-300 * 1e-300\n"
+
+    def test_underflowing_noisy_outage_is_sure(self, capsys):
+        assert main(["thresholds", *self.NOISY_TINY]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fg"]["exact_outage_below"] == report["vg"]["exact_outage_below"] == 1.0
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_overflowing_noise_term_is_sure_outage(self, capsys, protocol):
+        # variable gain exited 2 with "one_minus_x_k1 requires x >= 0, got nan"
+        assert main(["outage-sweep", "--protocol", protocol, "--mu1", "1e-200", "--mu2", "1e-200",
+                     "--trials", "1000", "--gamma-db", "0:10:10"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert [(r[1], r[4]) for r in rows] == [("1", "1"), ("1", "1")]
 
     @pytest.mark.parametrize("argv,name", [
         (["outage-sweep", "--clip-s", "1e-13", "--clip-r", "8"], "clip_ratio_s"),

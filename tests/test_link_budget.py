@@ -66,6 +66,13 @@ class TestBuildBudget:
         b = build_budget(NetworkConfig(p_s=7.9e300, clip_ratio_s=5.0, clip_ratio_r=8.0))
         assert b.eps_star == pytest.approx(2.4e-298, rel=0.02, abs=0.0)
 
+    @pytest.mark.parametrize("p_s,p_ratio", [(1e300, 1e10), (1e-300, 1e-100)],
+                             ids=["overflow", "underflow"])
+    def test_relay_power_outside_float_range_rejected(self, p_s, p_ratio):
+        # it was refused as "input power must be positive and finite, got inf"
+        with pytest.raises(DomainError, match=r"^the relay power p_ratio \* p_s must be"):
+            build_budget(NetworkConfig(p_s=p_s, p_ratio=p_ratio))
+
     def test_clipped_reference_values(self):
         b = build_budget(FIG2_CFG)
         assert b.sel_s.sigma_sq == pytest.approx(1.0067836549, rel=1e-9, abs=0.0)

@@ -151,6 +151,43 @@ class TestOutageVg:
                                   abs=0.0)
 
 
+class TestScaleEdges:
+    """Noise terms past the float range are the sure outage; a zero-noise K1 form whose
+    scale p_s * mu2 underflows is refused by name rather than guessed."""
+
+    TINY = NetworkConfig(n0=1.0, p_s=1e-300, mu2=1e-300, clip_ratio_s=5.0)
+    TINY_NOISELESS = replace(TINY, n0=0.0, mu1=1e-300, clip_ratio_r=8.0)
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_underflowing_scale_with_noise_is_sure_outage(self, protocol):
+        # a mu2 ~ p_s mu2 = 1e-600 is 0: gamma n0 / (a mu2) raised ZeroDivisionError
+        b = build_budget(self.TINY)
+        assert [exact_outage(protocol, g, b) for g in (0.0, 1.0, 10.0)] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("cfg", [TINY, TINY_NOISELESS], ids=["noisy", "noiseless"])
+    def test_underflowing_zero_noise_form_refused(self, protocol, cfg):
+        b = build_budget(cfg)
+        with pytest.raises(DomainError, match=r"p_s \* mu2 = 1e-300 \* 1e-300$"):
+            outage_floor(protocol, 1.0, b)
+        assert outage_floor(protocol, 0.0, b) == 0.0
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_underflowing_scale_at_zero_noise_refused(self, protocol):
+        b = build_budget(self.TINY_NOISELESS)
+        with pytest.raises(DomainError, match=r"p_s \* mu2"):
+            exact_outage(protocol, 10.0, b)
+        assert exact_outage(protocol, 0.0, b) == 0.0
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_overflowing_noise_term_is_sure_outage(self, protocol):
+        # gamma n0 / (a mu2 mu1) overflows; for variable gain its product with beta = 0
+        # was NaN, which one_minus_x_k1 refused
+        b = build_budget(NetworkConfig(mu1=1e-200, mu2=1e-200))
+        assert [exact_outage(protocol, g, b) for g in (0.0, 1.0, 10.0)] == [0.0, 1.0, 1.0]
+        assert outage_asymptotic(protocol, 1.0, [1.0], b.config)[0].p_outage is None
+
+
 class TestOutageVgQuadrature:
     def test_matches_closed_form(self):
         for cfg in [GOLDEN_CFG, FIG2_CFG, scaled_cfg(FIG2_CFG, 300.0)]:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from multiprocessing.pool import ThreadPool
 
@@ -15,6 +16,7 @@ from afrelay.bussgang import sel_apply
 from afrelay.errors import DomainError
 from afrelay.link_budget import NetworkConfig, build_budget, gain_fg, gain_vg, sndr
 from afrelay.outage import outage_vg
+from afrelay.special_math import unitary_dft, unitary_idft
 from afrelay.simulator import (
     ChannelRealization,
     Rng,
@@ -22,10 +24,13 @@ from afrelay.simulator import (
     _SLICE,
     _cgauss,
     _chunk_counts,
+    _complex_normal,
     _hop,
     _noiseless_last_hop,
     _pilot_sndr,
     _qpsk,
+    _qpsk_symbols,
+    _relay_gains,
     _residual_energy,
     _t975,
     estimate_bussgang,
@@ -706,3 +711,193 @@ class TestDeterminism:
         a = measure_sndr(ch, b, "fg", 200, Rng(30))
         c = measure_sndr(ch, b, "fg", 200, Rng(30))
         assert np.array_equal(a, c)
+
+
+# -- the copying chain: every stage into a fresh array ------------------------
+# The waveform chain as it was before it worked in place; the in-place chain
+# must reproduce its bytes.
+
+
+def faded_copying(x_freq, freq_h, p_max):
+    y = unitary_dft(sel_apply(unitary_idft(x_freq), p_max))
+    y *= freq_h
+    return y
+
+
+def hop_copying(x_freq, freq_h, p_max, n0, gen):
+    y = faded_copying(x_freq, freq_h, p_max)
+    y += _cgauss(gen, y.shape, n0)
+    return y
+
+
+def chain_copying(x_freq, channel, budget, protocol, gen):
+    relay_in = hop_copying(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    relay_in *= _relay_gains(budget, channel, protocol)
+    y = faded_copying(relay_in, channel.freq_h2, budget.sel_r.p_max)
+    y += _cgauss(gen, y.shape, budget.config.n0)
+    return y
+
+
+def measure_sndr_copying(channel, budget, protocol, n_blocks, rng, batch=256):
+    n = channel.freq_h1.shape[0]
+    sigma_sq = budget.sel_s.sigma_sq
+    acc_xy = np.zeros(n, dtype=complex)
+    acc_xx = np.zeros(n)
+    acc_yy = np.zeros(n)
+    done = 0
+    idx = 0
+    while done < n_blocks:
+        b = min(batch, n_blocks - done)
+        gen = generator(substream(rng, idx))
+        x = _qpsk(gen, (b, n), sigma_sq)
+        y = chain_copying(x, channel, budget, protocol, gen)
+        acc_xy += np.sum(np.conj(x) * y, axis=0)
+        acc_xx += np.sum(np.abs(x) ** 2, axis=0)
+        acc_yy += np.sum(np.abs(y) ** 2, axis=0)
+        done += b
+        idx += 1
+    c = acc_xy / acc_xx
+    resid_power = (acc_yy - np.abs(c) ** 2 * acc_xx) / (n_blocks - 1)
+    resid_power = np.maximum(resid_power, 1e-300)
+    return np.abs(c) ** 2 * sigma_sq / resid_power
+
+
+def pilot_sndr_copying(channel, budget, protocols, n_blocks, rng):
+    n = channel.freq_h1.shape[0]
+    gen = generator(rng)
+    sigma_sq = budget.sel_s.sigma_sq
+    x = _qpsk(gen, (n_blocks, n), sigma_sq)
+    relay_in = hop_copying(x, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    state = gen.bit_generator.state
+    out = []
+    for protocol in protocols:
+        gen.bit_generator.state = state
+        gains = _relay_gains(budget, channel, protocol)
+        c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
+        e = faded_copying(relay_in * gains, channel.freq_h2, budget.sel_r.p_max)
+        e -= c * x
+        energy = np.abs(e)
+        energy *= energy
+        resid = _residual_energy(np.sum(energy, axis=0), n_blocks, budget.config.n0, gen)
+        resid = np.maximum(resid, 1e-300)
+        out.append(np.abs(c) ** 2 * sigma_sq * n_blocks / resid)
+    return out
+
+
+def relay_input_power_copying(l, budget, rng, realizations, gen):
+    cfg = budget.config
+    n, m = cfg.n_subcarriers, len(realizations)
+    taps = np.zeros((m, 2 * n))
+    idx = np.empty((m, n), dtype=np.int64)
+    noise = np.empty((m, 2 * n))
+    for row, i in enumerate(realizations):
+        r = substream(rng, i)
+        reseed(gen, substream(r, 0))
+        gen.standard_normal(out=taps[row, :l])
+        gen.standard_normal(out=taps[row, n:n + l])
+        idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
+        if cfg.n0:
+            gen.standard_normal(out=noise[row])
+    freq_h1 = unitary_dft(_complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
+    y = faded_copying(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
+    if cfg.n0:
+        y += _complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
+    return np.mean(np.abs(gain_fg(budget) * y) ** 2, axis=1)
+
+
+CHAIN_CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
+                          n_taps=4)
+CHAIN_CASES = {
+    "clipped": CHAIN_CFG,
+    "clipped-n0=0": replace(CHAIN_CFG, n0=0.0),
+    "linear": replace(CHAIN_CFG, clip_ratio_s=math.inf, clip_ratio_r=math.inf),
+    "linear-n0=0": replace(CHAIN_CFG, n0=0.0, clip_ratio_s=math.inf, clip_ratio_r=math.inf),
+    "linear-source": replace(CHAIN_CFG, clip_ratio_s=math.inf),
+}
+
+
+class TestInPlaceChain:
+    """The in-place chain keeps every byte of the copying one and leaves its inputs alone."""
+
+    @pytest.fixture(params=list(CHAIN_CASES), ids=str)
+    def budget(self, request):
+        return build_budget(CHAIN_CASES[request.param])
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("shape", [(64,), (5, 64)], ids=["1-D", "2-D"])
+    def test_waveform_chain_bytes(self, budget, protocol, shape):
+        ch = gen_channel(4, 64, 1.0, 1.0, rng=Rng(120))
+        x = _qpsk(generator(Rng(121)), shape, budget.sel_s.sigma_sq)
+        kept = x.copy()
+        y = waveform_chain(x, ch, budget, protocol, generator(Rng(122)))
+        assert y.tobytes() == chain_copying(kept, ch, budget, protocol, generator(Rng(122))).tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("n_blocks,batch", [(100, 256), (300, 128), (257, 64)])
+    def test_measure_sndr_bytes(self, budget, protocol, n_blocks, batch):
+        ch = gen_channel(4, 64, 1.0, 1.0, rng=Rng(123))
+        got = measure_sndr(ch, budget, protocol, n_blocks, Rng(124), batch=batch)
+        ref = measure_sndr_copying(ch, budget, protocol, n_blocks, Rng(124), batch=batch)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("protocols", [("vg",), ("fg",), ("vg", "fg"), ("fg", "vg")])
+    def test_waveform_outage_bytes(self, budget, monkeypatch, protocols):
+        ch = gen_channel(4, 64, 1.0, 1.0, rng=Rng(125))
+        got = _pilot_sndr(ch, budget, protocols, 20, Rng(126))
+        ref = pilot_sndr_copying(ch, budget, protocols, 20, Rng(126))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        stats = waveform_outage(protocols, [1.0, 10.0, 30.0], budget, 3, 20, Rng(127))
+        monkeypatch.setattr(simulator, "_pilot_sndr", pilot_sndr_copying)
+        assert stats == waveform_outage(protocols, [1.0, 10.0, 30.0], budget, 3, 20, Rng(127))
+
+    @pytest.mark.parametrize("l", [1, 3, 64])
+    def test_fg_stationarity_bytes(self, budget, monkeypatch, l):
+        cv = fg_stationarity_check(l, budget, 40, Rng(128, l))
+        monkeypatch.setattr(simulator, "_relay_input_power", relay_input_power_copying)
+        assert cv == fg_stationarity_check(l, budget, 40, Rng(128, l))
+
+    @pytest.mark.parametrize("shape", [(64,), (5, 64)], ids=["1-D", "2-D"])
+    def test_hop_leaves_its_input(self, budget, shape):
+        ch = gen_channel(4, 64, 1.0, 1.0, rng=Rng(129))
+        x = _qpsk(generator(Rng(130)), shape, budget.sel_s.sigma_sq)
+        kept = x.copy()
+        y = _hop(x, ch.freq_h1, budget.sel_s.p_max, budget.config.n0, generator(Rng(131)))
+        ref = hop_copying(kept, ch.freq_h1, budget.sel_s.p_max, budget.config.n0,
+                          generator(Rng(131)))
+        assert y.tobytes() == ref.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWaveformMemory:
+    """A batch holds its sent and received blocks and one float scratch array: under 3 of
+    its 16 b n-byte complex block arrays, where the copying chain peaked at 4.5 to 5.5."""
+
+    N = 256
+    BUDGET = build_budget(NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0,
+                                        n_subcarriers=256, n_taps=16))
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("n_blocks", [256, 700], ids=["one-batch", "three-batches"])
+    def test_measure_sndr_peak(self, protocol, n_blocks):
+        ch = gen_channel(16, self.N, 1.0, 1.0, rng=Rng(140))
+        peak = traced_peak(lambda: measure_sndr(ch, self.BUDGET, protocol, n_blocks, Rng(141),
+                                                batch=256))
+        assert peak <= 3 * 16 * 256 * self.N
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_waveform_outage_draw_peak(self, protocol):
+        blocks = 256
+        peak = traced_peak(lambda: waveform_outage(protocol, [1.0, 10.0], self.BUDGET, 1, blocks,
+                                                   Rng(142)))
+        assert peak <= 3 * 16 * blocks * self.N

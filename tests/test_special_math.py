@@ -195,6 +195,20 @@ class TestUnitaryDft:
         with pytest.raises(DomainError):
             unitary_dft(np.zeros(12))
 
+    @pytest.mark.parametrize("transform", [unitary_dft, unitary_idft])
+    @pytest.mark.parametrize("layout", ["1-D", "C", "F"])
+    def test_out_keeps_the_bits_of_a_fresh_transform(self, transform, layout):
+        rng = np.random.default_rng(16)
+        v = rng.standard_normal((6, 256)) + 1j * rng.standard_normal((6, 256))
+        v = v[0] if layout == "1-D" else np.asfortranarray(v) if layout == "F" else v
+        fresh = transform(v)
+        other = np.empty_like(v)
+        assert transform(v, out=other) is other
+        assert other.tobytes(order="A") == fresh.tobytes(order="A")
+        inplace = v.copy(order="A")
+        assert transform(inplace, out=inplace) is inplace
+        assert inplace.tobytes(order="A") == fresh.tobytes(order="A")
+
 
 def trapezoid_oracle(f, hi, n):
     x = np.linspace(0.0, hi, n)
