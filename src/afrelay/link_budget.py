@@ -228,9 +228,10 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
             # distorts: such gains are redone in [1, 2), where num > 0 iff both are. With
             # noise, variable gain's num and den are homogeneous of degree 2 in (x, y, n0):
             # all three are scaled so that the largest lies in [0.5, 1). Fixed gain's are
-            # linear in y and the second hop's n0, which are scaled down so that y lies in
-            # [0.5, 1); its den >= n0 (p_s mu1 + n0) / sigma_R^2 does not shrink with the
-            # gains, so no small gain is scaled up.
+            # linear in (y, the second hop's n0) and, its gain line p_s mu1 + n0 scaling
+            # with them, in (x, mu1, the relay's n0): each group is scaled down so that y,
+            # or the larger of x and mu1, lies in [0.5, 1); its den >= n0 (p_s mu1 + n0) /
+            # sigma_R^2 does not shrink with the gains, so no small gain is scaled up.
             if n0 == 0.0:
                 xs = 2.0 * np.frexp(x)[0] if alpha or budget.sel_r.eta == 0.0 else x
                 num, den = _num_den(alpha, beta, xs, 2.0 * np.frexp(y)[0], budget, n0)
@@ -239,7 +240,9 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
                 num, den = _num_den(alpha, beta, np.ldexp(x, e), np.ldexp(y, e), budget,
                                     np.ldexp(n0, e))
             else:
-                e = np.minimum(-np.frexp(y)[1], 0)
-                num, den = _num_den(alpha, beta, x, np.ldexp(y, e), budget, n0, np.ldexp(n0, e))
+                e1 = np.minimum(-np.frexp(np.maximum(x, beta))[1], 0)
+                e2 = np.minimum(-np.frexp(y)[1], 0)
+                num, den = _num_den(alpha, np.ldexp(beta, e1), np.ldexp(x, e1), np.ldexp(y, e2),
+                                    budget, np.ldexp(n0, e1), np.ldexp(n0, e2))
             out = np.where(ok, out, np.where(num > 0.0, num / den, 0.0))
     return float(out) if out.ndim == 0 else out

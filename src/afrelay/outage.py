@@ -70,6 +70,9 @@ def outage_fg(gamma_th: float, budget: LinkBudget) -> OutagePoint:
     return OutagePoint(gamma_th, exact_outage("fg", gamma_th, budget))
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
 def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
              small_gamma: bool = False) -> tuple[float, float, float, float]:
     """(q0, q1, k0, k1) of the outage 1 - e^{-q} z K1(z) at noise power n0, below the threshold.
@@ -92,7 +95,11 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
     alpha, beta = _gain_line(protocol, budget)
-    alpha, beta = cfg.p_s * alpha / r.sigma_sq, cfg.p_s * beta / r.sigma_sq
+    # a subnormal product keeps few bits, or none: where p_s mu1 or gamma eta_R beta is
+    # one, beta or x0 is formed in an order that keeps it; elsewhere no bit moves
+    alpha = cfg.p_s * alpha / r.sigma_sq
+    beta = (beta * (cfg.p_s / r.sigma_sq) if 0.0 < beta and cfg.p_s * beta < _TINY
+            else cfg.p_s * beta / r.sigma_sq)
     zr2 = r.zeta**2
     g_a = 0.0 if small_gamma else gamma_th
     a = zr2 * (s.sigma_sq * s.zeta**2 - g_a * s.eta) - g_a * (r.eta * alpha)
@@ -100,7 +107,8 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
         if n0 == 0.0 and r.eta * beta == 0.0:
             return 0.0, 0.0, 0.0, 0.0  # q and kappa have a zero factor: no outage
         return math.inf, 0.0, 0.0, 0.0  # q is past the float range: sure outage
-    x0 = gamma_th * r.eta * beta / a
+    x0 = gamma_th * r.eta * beta
+    x0 = gamma_th * r.eta / a * beta if 0.0 < beta and x0 < _TINY else x0 / a
     x1 = gamma_th * n0 * (zr2 + r.eta / r.sigma_sq) / a
     a_mu2 = a * cfg.mu2
     if a_mu2 > 0.0:

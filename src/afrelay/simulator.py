@@ -26,7 +26,7 @@ from .bussgang import sel_apply
 from .errors import DomainError
 from .link_budget import (LinkBudget, _gain_line, check_threshold, gain_fg, gain_vg,
                           normalize_protocol, sndr)
-from .special_math import unitary_dft, unitary_idft
+from .special_math import _check_pow2_length, unitary_dft, unitary_idft
 
 _CHUNK = 1 << 16
 # SNDRs are computed this many trials at a time: 64 KB float64 temporaries
@@ -123,26 +123,40 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _complex_normal(re, im, var):
-    """CN(0, var) samples from standard normal real and imaginary parts."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    out *= math.sqrt(var / 2.0)
-    return out
+def _add_cn(y: np.ndarray, var: float, gen: np.random.Generator) -> np.ndarray:
+    """y += CN(0, var) samples drawn from gen, in place; returns y.
 
-
-def _cgauss(gen, shape, var):
+    All real parts are drawn and then all imaginary parts, each scaled in one
+    float scratch array and added to its half of y. At var = 0 nothing is drawn.
+    """
     if var == 0.0:
-        return np.zeros(shape, dtype=complex)
-    return _complex_normal(gen.standard_normal(shape), gen.standard_normal(shape), var)
+        return y
+    scale = math.sqrt(var / 2.0)
+    tmp = np.empty(y.shape)
+    for part in (y.real, y.imag):
+        gen.standard_normal(out=tmp)
+        tmp *= scale
+        part += tmp
+    return y
+
+
+def _add_cn_rows(y: np.ndarray, rows: np.ndarray, var: float) -> np.ndarray:
+    """y += CN(0, var) from standard normals drawn before, in place; returns y.
+
+    Each row of rows holds the real parts of y's row and then its imaginary
+    parts; rows is scaled where it lies.
+    """
+    n = y.shape[-1]
+    rows *= math.sqrt(var / 2.0)
+    y.real += rows[..., :n]
+    y.imag += rows[..., n:]
+    return y
 
 
 def _check_taps(l: int, n: int) -> None:
     if not (1 <= l <= n):
         raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if n & (n - 1):
-        raise DomainError(f"n must be a power of two, got {n}")
+    _check_pow2_length(n)
 
 
 def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelRealization:
@@ -155,7 +169,7 @@ def gen_channel(l: int, n: int, mu1: float, mu2: float, rng: Rng) -> ChannelReal
     gen = generator(rng)
     taps = np.zeros((2, n), dtype=complex)
     for row, mu in zip(taps, (mu1, mu2)):
-        row[:l] = _cgauss(gen, l, n * mu / l)
+        _add_cn(row[:l], n * mu / l, gen)
     freqs = unitary_dft(taps)
     return ChannelRealization(freqs[0], freqs[1])
 
@@ -187,24 +201,6 @@ def _faded(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float) -> np.ndarray:
     return x_freq
 
 
-def _add_noise(y: np.ndarray, n0: float, gen: np.random.Generator) -> np.ndarray:
-    """y += CN(0, n0) noise, in place; returns y.
-
-    The draws of _cgauss(gen, y.shape, n0), all real parts and then all
-    imaginary parts, each scaled in one float scratch array and added to its
-    half of y. At n0 = 0 nothing is drawn.
-    """
-    if n0 == 0.0:
-        return y
-    scale = math.sqrt(n0 / 2.0)
-    tmp = np.empty(y.shape)
-    for part in (y.real, y.imag):
-        gen.standard_normal(out=tmp)
-        tmp *= scale
-        part += tmp
-    return y
-
-
 def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
          gen: np.random.Generator) -> np.ndarray:
     """One hop with its noise, into a fresh array: x_freq is left as it was.
@@ -212,7 +208,7 @@ def _hop(x_freq: np.ndarray, freq_h: np.ndarray, p_max: float, n0: float,
     The unitary DFT of the window's white CN(0, n0) noise is again white
     CN(0, n0), so the noise is drawn per subcarrier.
     """
-    return _add_noise(_faded(np.array(x_freq, dtype=complex, order="C"), freq_h, p_max), n0, gen)
+    return _add_cn(_faded(np.array(x_freq, dtype=complex, order="C"), freq_h, p_max), n0, gen)
 
 
 def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str):
@@ -221,14 +217,13 @@ def _relay_gains(budget: LinkBudget, channel: ChannelRealization, protocol: str)
     return gain_vg(budget, np.abs(channel.freq_h1) ** 2 if alpha else beta)
 
 
-def _noiseless_last_hop(x_freq: np.ndarray, channel: ChannelRealization, budget: LinkBudget,
-                        protocol: str, gen: np.random.Generator) -> np.ndarray:
-    """The two-hop chain up to, not including, the destination's noise.
+def _relay_stage(relay_in: np.ndarray, gains, channel: ChannelRealization,
+                 budget: LinkBudget) -> np.ndarray:
+    """The relay's gains, its limiter and the second hop, in place on relay_in; draws nothing.
 
-    Draws only the first hop's noise from gen.
+    The destination's noise is left to the caller.
     """
-    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
-    relay_in *= _relay_gains(budget, channel, protocol)
+    relay_in *= gains
     return _faded(relay_in, channel.freq_h2, budget.sel_r.p_max)
 
 
@@ -241,8 +236,9 @@ def waveform_chain(x_freq: np.ndarray, channel: ChannelRealization, budget: Link
     subcarrier. The relay applies its gain per subcarrier (a scalar for fixed
     gain) between the hops, the standard idealized per-subcarrier model.
     """
-    y = _noiseless_last_hop(x_freq, channel, budget, normalize_protocol(protocol), gen)
-    return _add_noise(y, budget.config.n0, gen)
+    gains = _relay_gains(budget, channel, protocol)
+    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    return _add_cn(_relay_stage(relay_in, gains, channel, budget), budget.config.n0, gen)
 
 
 def estimate_bussgang(input_samples, output_samples) -> tuple[float, float, float]:
@@ -423,9 +419,7 @@ def _pilot_sndr(channel: ChannelRealization, budget: LinkBudget, protocols: tupl
         c = budget.sel_s.zeta * budget.sel_r.zeta * gains * channel.freq_h1 * channel.freq_h2
         # the last protocol may overwrite the shared relay input and sent blocks
         last = k == len(protocols) - 1
-        relay = relay_in if last else relay_in.copy()
-        relay *= gains
-        e = _faded(relay, channel.freq_h2, budget.sel_r.p_max)
+        e = _relay_stage(relay_in if last else relay_in.copy(), gains, channel, budget)
         e -= np.multiply(c, x, out=x if last else None)
         energy = np.abs(e)
         energy *= energy
@@ -521,14 +515,11 @@ def _relay_input_power(l: int, budget: LinkBudget, rng: Rng, realizations: range
         idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
         if cfg.n0:
             gen.standard_normal(out=noise[row])
-    freq_h1 = _complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l)
+    freq_h1 = _add_cn_rows(np.zeros((m, n), dtype=complex), taps, n * cfg.mu1 / l)
     unitary_dft(freq_h1, out=freq_h1)
     y = _faded(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
     if cfg.n0:
-        # the noise's two halves, scaled where they lie, as _add_noise adds them
-        noise *= math.sqrt(cfg.n0 / 2.0)
-        y.real += noise[:, :n]
-        y.imag += noise[:, n:]
+        _add_cn_rows(y, noise, cfg.n0)
     y *= gain_fg(budget)
     # by Parseval the mean power over subcarriers is the window's mean power
     power = np.abs(y)

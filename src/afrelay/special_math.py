@@ -107,10 +107,19 @@ def one_minus_x_k1(x: float) -> float:
 
 
 def _check_pow2_length(n: int) -> None:
+    """The one transform-length check: n must be a power of two."""
     if n < 1:
         raise DomainError("transform length must be at least 1")
     if n & (n - 1):
         raise DomainError(f"transform length must be a power of two, got {n}")
+
+
+def _unitary(fft, v, out) -> np.ndarray:
+    v = np.asarray(v)
+    if v.ndim == 0:
+        raise DomainError("a unitary transform requires a vector, got a scalar")
+    _check_pow2_length(v.shape[-1])
+    return fft(v, norm="ortho", out=out)
 
 
 def unitary_dft(v, out=None) -> np.ndarray:
@@ -120,20 +129,12 @@ def unitary_dft(v, out=None) -> np.ndarray:
     returned; it may be v itself. Written in place or not, the bits are
     those of a fresh transform.
     """
-    v = np.asarray(v)
-    if v.ndim == 0 or v.shape[-1] == 0:
-        raise DomainError("unitary_dft requires a non-empty vector")
-    _check_pow2_length(v.shape[-1])
-    return np.fft.fft(v, norm="ortho", out=out)
+    return _unitary(np.fft.fft, v, out)
 
 
 def unitary_idft(v, out=None) -> np.ndarray:
     """Inverse of :func:`unitary_dft`, with the same out= (v itself allowed)."""
-    v = np.asarray(v)
-    if v.ndim == 0 or v.shape[-1] == 0:
-        raise DomainError("unitary_idft requires a non-empty vector")
-    _check_pow2_length(v.shape[-1])
-    return np.fft.ifft(v, norm="ortho", out=out)
+    return _unitary(np.fft.ifft, v, out)
 
 
 # -- adaptive quadrature on [0, inf) -----------------------------------------

@@ -65,6 +65,15 @@ class TestOutageSweep:
             po, lo, hi = float(parts[1]), float(parts[5]), float(parts[6])
             assert lo <= po <= hi
 
+    def test_fg_huge_first_hop_gains_count_every_outage(self, tmp_path):
+        # eta_S x overflowed for 16 287 of the 1e5 first-hop draws: those SNDRs were inf,
+        # never counted, and po_mc read 0.83302 where the closed form gives 1
+        out = tmp_path / "sweep.csv"
+        assert main(["outage-sweep", "--protocol", "fg", "--mu1", "1e298", "--snr-db", "100",
+                     *FIG2, "--gamma-db", "33:1:35", "--trials", "1e5", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in read_lines(out)[2:]]
+        assert [(r[1], r[4]) for r in rows] == [("1", "1")] * 3
+
     def test_fg_gain_rule_overflow_exits_2(self, capsys):
         # p_s * mu1 = 1e310: fixed gain has no finite gain rule. It exited 2 naming an
         # internal kernel (one_minus_x_k1 got a NaN); variable gain keeps its table

@@ -6,6 +6,7 @@ Frozen numbers come from the pre-build oracle pass: limiter triples from the
 
 import itertools
 import math
+from fractions import Fraction
 import warnings
 from dataclasses import fields, replace
 
@@ -358,6 +359,33 @@ class TestFixedGainOverflow:
         assert sndr("vg", 1e300, 1.0, budget) == 1844.2458532908906
         assert exact_outage("vg", 1.0, budget) == 1.0010850422014066e-10
         assert mc_outage_sweep("vg", [1.0], budget, 20_000, Rng(1))[0].n_outages == 0
+
+
+def exact_fg_sndr(x, y, budget):
+    """Fixed gain's SNDR at gains x and y in exact rational arithmetic on the budget's floats."""
+    s, r, cfg = budget.sel_s, budget.sel_r, budget.config
+    f = Fraction
+    x, y, n0, zr2 = f(x), f(y), f(cfg.n0), f(r.zeta) ** 2
+    num = f(s.sigma_sq) * f(s.zeta) ** 2 * zr2 * x * y
+    inv_g2 = (f(cfg.p_s) * f(cfg.mu1) + n0) / f(r.sigma_sq)
+    return num / (y * (n0 + f(s.eta) * x) * zr2 + (y * f(r.eta) + n0) * inv_g2)
+
+
+class TestFixedGainFirstHopRescue:
+    """Fixed gain's num and den scale with (x, mu1, the relay's n0) as well as with
+    (y, the destination's n0); a first-hop gain past the overflow of eta_S x is redone
+    at scale too. It gave NaN and inf, and a Monte Carlo outage of 0.833 against 1."""
+
+    # at y = 1e-320 against n0 = 1 the rescaled num is about 8.6e-311, a subnormal whose
+    # last bit is 5.7e-14 of it; no power-of-two scale of either group lifts it
+    @pytest.mark.parametrize("x, y, rel", [(1e307, 1e-300, 1e-14), (1e300, 1e-320, 1e-13)])
+    def test_huge_first_hop_gain_matches_exact_value(self, x, y, rel):
+        b = build_budget(NetworkConfig(p_s=1e10, clip_ratio_s=5.0, clip_ratio_r=8.0))
+        got, exact = sndr("fg", x, y, b), exact_fg_sndr(x, y, b)
+        assert math.isfinite(got)
+        assert abs(Fraction(got) - exact) <= Fraction(rel) * exact
+        np.testing.assert_array_equal(sndr("fg", np.array([x, 1.0]), np.array([y, 1.0]), b),
+                                      [got, sndr("fg", 1.0, 1.0, b)])
 
 
 # the four clip configurations (source, relay) that test_analytic_pins.py pins

@@ -179,6 +179,14 @@ class TestScaleEdges:
             exact_outage(protocol, 10.0, b)
         assert exact_outage(protocol, 0.0, b) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-160])
+    def test_zero_noise_fg_outage_is_scale_invariant(self, scale):
+        # p_s mu1 = 1e-320 is subnormal: beta and x0 formed through it gave 0.002085
+        cfg = NetworkConfig(n0=0.0, clip_ratio_s=5.0, clip_ratio_r=8.0)
+        unit = exact_outage("fg", 100.0, build_budget(cfg))
+        small = build_budget(replace(cfg, mu1=scale, mu2=scale, p_s=scale))
+        assert exact_outage("fg", 100.0, small) == pytest.approx(unit, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     def test_overflowing_noise_term_is_sure_outage(self, protocol):
         # gamma n0 / (a mu2 mu1) overflows; for variable gain its product with beta = 0

@@ -22,15 +22,13 @@ from afrelay.simulator import (
     Rng,
     _QPSK_POINTS,
     _SLICE,
-    _cgauss,
     _chunk_counts,
-    _complex_normal,
     _hop,
-    _noiseless_last_hop,
     _pilot_sndr,
     _qpsk,
     _qpsk_symbols,
     _relay_gains,
+    _relay_stage,
     _residual_energy,
     _t975,
     estimate_bussgang,
@@ -60,6 +58,28 @@ def qpsk(n, sigma_sq, rng):
     return _qpsk(generator(rng), (n,), sigma_sq)
 
 
+def complex_normal(re, im, var):
+    """CN(0, var) samples from standard normal real and imaginary parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    out *= math.sqrt(var / 2.0)
+    return out
+
+
+def cgauss(gen, shape, var):
+    """CN(0, var) samples: all real parts drawn, then all imaginary parts."""
+    if var == 0.0:
+        return np.zeros(shape, dtype=complex)
+    return complex_normal(gen.standard_normal(shape), gen.standard_normal(shape), var)
+
+
+def noiseless_last_hop(x_freq, channel, budget, protocol, gen):
+    """The two-hop chain up to, not including, the destination's noise."""
+    relay_in = _hop(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
+    return _relay_stage(relay_in, _relay_gains(budget, channel, protocol), channel, budget)
+
+
 class TestChannels:
     def test_statistical_moment(self):
         # mean per-subcarrier power equals mu within 1%
@@ -85,7 +105,7 @@ class TestChannels:
         gen = generator(Rng(4, l))
         for mu, freq in ((2.0, ch.freq_h1), (0.5, ch.freq_h2)):
             pad = np.zeros(n, dtype=complex)
-            pad[:l] = _cgauss(gen, l, n * mu / l)
+            pad[:l] = cgauss(gen, l, n * mu / l)
             assert np.array_equal(freq, np.fft.fft(pad, norm="ortho"))
 
     @pytest.mark.parametrize("l,n,seed", [(1, 8, 0), (3, 16, 1), (16, 256, 2), (32, 32, 3),
@@ -94,7 +114,7 @@ class TestChannels:
         # the former build: stack both hops' taps, zero-pad them to n, one DFT
         ch = gen_channel(l, n, 2.0, 0.5, rng=Rng(seed))
         gen = generator(Rng(seed))
-        taps = [_cgauss(gen, l, n * mu / l) for mu in (2.0, 0.5)]
+        taps = [cgauss(gen, l, n * mu / l) for mu in (2.0, 0.5)]
         freqs = np.fft.fft(np.pad(np.stack(taps), ((0, 0), (0, n - l))), norm="ortho")
         assert ch.freq_h1.tobytes() == freqs[0].tobytes()
         assert ch.freq_h2.tobytes() == freqs[1].tobytes()
@@ -296,11 +316,11 @@ class TestEstimateBussgangChunks:
     def test_same_bits_as_whole_array(self, shape):
         gen = generator(Rng(24))
         if shape == "F":  # fancy-indexed on the last axis, as the cyclic prefix is: F order
-            block = _cgauss(gen, (3, 40_000), 1.0)
+            block = cgauss(gen, (3, 40_000), 1.0)
             x = block[..., np.arange(-1001, 40_000) % 40_000]
             assert x.flags.f_contiguous and not x.flags.c_contiguous
         else:
-            x = _cgauss(gen, shape, 1.0)
+            x = cgauss(gen, shape, 1.0)
         y = sel_apply(x, 1.5)
         zeta_ref, eta_ref, corr_ref = estimate_bussgang_whole(x, y)
         zeta, eta, corr = estimate_bussgang(x, y)
@@ -310,8 +330,9 @@ class TestEstimateBussgangChunks:
     def test_same_bits_at_any_blas_thread_count(self):
         # np.vdot's bits follow OpenBLAS's thread count; numpy's own reductions do not
         code = ("from afrelay.bussgang import sel_apply; "
-                "from afrelay.simulator import Rng, _cgauss, estimate_bussgang, generator; "
-                "x = _cgauss(generator(Rng(1, 11)), 1 << 20, 1.0); "
+                "from afrelay.simulator import Rng, _add_cn, estimate_bussgang, generator; "
+                "import numpy as np; "
+                "x = _add_cn(np.zeros(1 << 20, dtype=complex), 1.0, generator(Rng(1, 11))); "
                 "print(repr(estimate_bussgang(x, sel_apply(x, 5.0))[:2]))")
         src = os.path.dirname(os.path.dirname(simulator.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -461,7 +482,7 @@ class TestStationarity:
 
     @pytest.mark.parametrize("l,n,message", [
         (65, 64, "need 1 <= l <= n, got l=65, n=64"),
-        (2, 48, "n must be a power of two, got 48"),
+        (2, 48, "transform length must be a power of two, got 48"),
     ])
     def test_channel_domain_errors(self, l, n, message):
         b = build_budget(NetworkConfig(n_subcarriers=n, n_taps=1))
@@ -537,7 +558,7 @@ class TestResidualClosedForm:
         x = _qpsk(gen, (self.BLOCKS, 16), budget.sel_s.sigma_sq)
         c = (budget.sel_s.zeta * budget.sel_r.zeta * gain_vg(budget, np.abs(ch.freq_h1) ** 2)
              * ch.freq_h1 * ch.freq_h2)
-        return _noiseless_last_hop(x, ch, budget, "vg", gen) - c * x
+        return noiseless_last_hop(x, ch, budget, "vg", gen) - c * x
 
     def _assert_exact_moments(self, r, energy):
         # R = (n0/2) chi'^2(k, lam) has cumulants (n0/2)^j 2^(j-1) (j-1)! (k + j lam)
@@ -552,7 +573,7 @@ class TestResidualClosedForm:
     def test_explicit_noise_has_exact_moments(self):
         e = self._fixed_residual()
         gen = generator(Rng(62))
-        r = np.array([np.sum(np.abs(e + _cgauss(gen, e.shape, self.N0)) ** 2, axis=0)
+        r = np.array([np.sum(np.abs(e + cgauss(gen, e.shape, self.N0)) ** 2, axis=0)
                       for _ in range(self.DRAWS)])
         self._assert_exact_moments(r, np.sum(np.abs(e) ** 2, axis=0))
 
@@ -726,7 +747,7 @@ def faded_copying(x_freq, freq_h, p_max):
 
 def hop_copying(x_freq, freq_h, p_max, n0, gen):
     y = faded_copying(x_freq, freq_h, p_max)
-    y += _cgauss(gen, y.shape, n0)
+    y += cgauss(gen, y.shape, n0)
     return y
 
 
@@ -734,7 +755,7 @@ def chain_copying(x_freq, channel, budget, protocol, gen):
     relay_in = hop_copying(x_freq, channel.freq_h1, budget.sel_s.p_max, budget.config.n0, gen)
     relay_in *= _relay_gains(budget, channel, protocol)
     y = faded_copying(relay_in, channel.freq_h2, budget.sel_r.p_max)
-    y += _cgauss(gen, y.shape, budget.config.n0)
+    y += cgauss(gen, y.shape, budget.config.n0)
     return y
 
 
@@ -798,10 +819,10 @@ def relay_input_power_copying(l, budget, rng, realizations, gen):
         idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
         if cfg.n0:
             gen.standard_normal(out=noise[row])
-    freq_h1 = unitary_dft(_complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
+    freq_h1 = unitary_dft(complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
     y = faded_copying(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
     if cfg.n0:
-        y += _complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
+        y += complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
     return np.mean(np.abs(gain_fg(budget) * y) ** 2, axis=1)
 
 
