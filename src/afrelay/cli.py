@@ -225,8 +225,10 @@ def cmd_power_sweep(rc: RunConfig) -> int:
         raise ConfigError("power-sweep expects a single gamma_db value")
     gamma = float(_db_to_lin(gamma_db, "gamma_db", rc.gamma_db)[0])
     ps_grid = rc.powers(ps_db, "ps_db", rc.ps_db)
-    fit = diversity_fit(rc.protocol, gamma, rc.network(), ps_grid)
-    asym = outage_asymptotic(rc.protocol, gamma, ps_grid, rc.network())
+    # the grid sets p_s: --snr-db is not read
+    cfg = rc.network(p_s=ps_grid[0])
+    fit = diversity_fit(rc.protocol, gamma, cfg, ps_grid)
+    asym = outage_asymptotic(rc.protocol, gamma, ps_grid, cfg)
     rows = []
     for p_db, p_s, a in zip(ps_db, ps_grid, asym):
         p_ex = exact_outage(rc.protocol, gamma, build_budget(rc.network(p_s=p_s)))

@@ -224,17 +224,25 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
             # den = 0: a zero gain (0), a noiseless, distortion-free path (inf) or an
             # underflow; a subnormal den: an underflow that lost bits; num or den = inf:
             # an overflow at large gains. A power-of-two scale moves no bit of num / den.
-            # At n0 = 0 num and den are linear in y, and in x unless a fixed-gain relay
-            # distorts: such gains are redone in [1, 2), where num > 0 iff both are. With
-            # noise, variable gain's num and den are homogeneous of degree 2 in (x, y, n0):
-            # all three are scaled so that the largest lies in [0.5, 1). Fixed gain's are
+            # At n0 = 0 num and den are linear in y, and in x, or for a fixed-gain relay
+            # that distorts in (x, mu1). y and x are redone in [0.5, 1), where num > 0 iff
+            # both gains are and num <= sigma_S^2 stays finite; the group (x, mu1) so that
+            # the larger of the two, times p_s where p_s < 1, lies there, so p_s mu1 keeps
+            # its bits too. With noise, variable gain's num and den are homogeneous of
+            # degree 2 in (x, y, n0): all three are scaled so that the largest lies in
+            # [0.5, 1). Fixed gain's are
             # linear in (y, the second hop's n0) and, its gain line p_s mu1 + n0 scaling
             # with them, in (x, mu1, the relay's n0): each group is scaled down so that y,
             # or the larger of x and mu1, lies in [0.5, 1); its den >= n0 (p_s mu1 + n0) /
             # sigma_R^2 does not shrink with the gains, so no small gain is scaled up.
             if n0 == 0.0:
-                xs = 2.0 * np.frexp(x)[0] if alpha or budget.sel_r.eta == 0.0 else x
-                num, den = _num_den(alpha, beta, xs, 2.0 * np.frexp(y)[0], budget, n0)
+                if alpha or budget.sel_r.eta == 0.0:
+                    e, b = -np.frexp(x)[1], beta
+                else:
+                    e = (-np.frexp(np.maximum(x, beta))[1]
+                         - min(max(math.frexp(budget.config.p_s)[1], -1021), 0))
+                    b = np.ldexp(beta, e)
+                num, den = _num_den(alpha, b, np.ldexp(x, e), np.frexp(y)[0], budget, n0)
             elif alpha:
                 e = -np.frexp(np.maximum(np.maximum(x, y), n0))[1]
                 num, den = _num_den(alpha, beta, np.ldexp(x, e), np.ldexp(y, e), budget,

@@ -95,8 +95,9 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
     s, r = budget.sel_s, budget.sel_r
     cfg = budget.config
     alpha, beta = _gain_line(protocol, budget)
-    # a subnormal product keeps few bits, or none: where p_s mu1 or gamma eta_R beta is
-    # one, beta or x0 is formed in an order that keeps it; elsewhere no bit moves
+    # a subnormal product keeps few bits, or none, and an overflowing one none: where
+    # p_s mu1 or gamma eta_R beta is one, beta or x0 is formed in an order that keeps
+    # it; elsewhere no bit moves
     alpha = cfg.p_s * alpha / r.sigma_sq
     beta = (beta * (cfg.p_s / r.sigma_sq) if 0.0 < beta and cfg.p_s * beta < _TINY
             else cfg.p_s * beta / r.sigma_sq)
@@ -108,7 +109,7 @@ def _k1_form(protocol: str, gamma_th: float, budget: LinkBudget, n0: float,
             return 0.0, 0.0, 0.0, 0.0  # q and kappa have a zero factor: no outage
         return math.inf, 0.0, 0.0, 0.0  # q is past the float range: sure outage
     x0 = gamma_th * r.eta * beta
-    x0 = gamma_th * r.eta / a * beta if 0.0 < beta and x0 < _TINY else x0 / a
+    x0 = x0 / a if not 0.0 < beta or _TINY <= x0 < math.inf else gamma_th * (r.eta / a) * beta
     x1 = gamma_th * n0 * (zr2 + r.eta / r.sigma_sq) / a
     a_mu2 = a * cfg.mu2
     if a_mu2 > 0.0:

@@ -140,19 +140,6 @@ def _add_cn(y: np.ndarray, var: float, gen: np.random.Generator) -> np.ndarray:
     return y
 
 
-def _add_cn_rows(y: np.ndarray, rows: np.ndarray, var: float) -> np.ndarray:
-    """y += CN(0, var) from standard normals drawn before, in place; returns y.
-
-    Each row of rows holds the real parts of y's row and then its imaginary
-    parts; rows is scaled where it lies.
-    """
-    n = y.shape[-1]
-    rows *= math.sqrt(var / 2.0)
-    y.real += rows[..., :n]
-    y.imag += rows[..., n:]
-    return y
-
-
 def _check_taps(l: int, n: int) -> None:
     if not (1 <= l <= n):
         raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
@@ -492,41 +479,6 @@ def waveform_outage(protocol: str | tuple[str, ...], gammas, budget: LinkBudget,
     return stats[0] if isinstance(protocol, str) else stats
 
 
-def _relay_input_power(l: int, budget: LinkBudget, rng: Rng, realizations: range,
-                       gen: np.random.Generator) -> np.ndarray:
-    """Mean power of the fixed-gain relay's input, one value per realization.
-
-    Realization i reads the first hop's taps from substream(r, 0) and its
-    QPSK block and first-hop noise from substream(r, 1), r = substream(rng, i),
-    in the order of gen_channel and _hop; the second hop's taps come later in
-    the first stream and are never drawn. gen is reseeded for each stream,
-    and the chain then runs once over all the realizations.
-    """
-    cfg = budget.config
-    n, m = cfg.n_subcarriers, len(realizations)
-    taps = np.zeros((m, 2 * n))  # real parts, then imaginary parts
-    idx = np.empty((m, n), dtype=np.int64)
-    noise = np.empty((m, 2 * n))
-    for row, i in enumerate(realizations):
-        r = substream(rng, i)
-        reseed(gen, substream(r, 0))
-        gen.standard_normal(out=taps[row, :l])
-        gen.standard_normal(out=taps[row, n:n + l])
-        idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
-        if cfg.n0:
-            gen.standard_normal(out=noise[row])
-    freq_h1 = _add_cn_rows(np.zeros((m, n), dtype=complex), taps, n * cfg.mu1 / l)
-    unitary_dft(freq_h1, out=freq_h1)
-    y = _faded(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
-    if cfg.n0:
-        _add_cn_rows(y, noise, cfg.n0)
-    y *= gain_fg(budget)
-    # by Parseval the mean power over subcarriers is the window's mean power
-    power = np.abs(y)
-    power *= power
-    return np.mean(power, axis=1)
-
-
 def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: Rng) -> float:
     """Spread of the relay limiter's input power across channel draws.
 
@@ -535,18 +487,38 @@ def fg_stationarity_check(l: int, budget: LinkBudget, n_realizations: int, rng: 
     in this power; many taps average it away, which is what makes the
     stationary-Gaussian model of the relay input accurate.
 
-    Each realization is one block through the first hop, drawn from its own
-    streams; only the first hop's taps are drawn. The realizations then pass
-    the DFTs, the limiter and the first hop together, in batches of at most
-    _CHUNK samples, so memory does not grow with n_realizations.
+    Realization i, r = substream(rng, i), reads its first hop's taps from
+    substream(r, 0) and its QPSK block and first-hop noise from
+    substream(r, 1), through the calls and in the order of gen_channel and
+    _hop; the second hop's taps are never drawn. One generator is reseeded
+    for each stream. The realizations then pass the DFTs, the limiter and
+    the first hop together, in batches of at most _CHUNK samples, so memory
+    does not grow with n_realizations.
     """
-    if l < 1 or n_realizations < 2:
-        raise DomainError("need l >= 1 and at least 2 realizations")
-    n = budget.config.n_subcarriers
+    cfg = budget.config
+    n = cfg.n_subcarriers
     _check_taps(l, n)
-    gen = generator(rng)  # reseeded for each stream it draws from
+    if n_realizations < 2:
+        raise DomainError(f"need at least 2 realizations, got {n_realizations}")
+    gen = generator(rng)
     rows = max(1, _CHUNK // n)
-    powers = np.concatenate([
-        _relay_input_power(l, budget, rng, range(s, min(s + rows, n_realizations)), gen)
-        for s in range(0, n_realizations, rows)])
+    powers = np.empty(n_realizations)
+    for s in range(0, n_realizations, rows):
+        m = min(rows, n_realizations - s)
+        freq_h1 = np.zeros((m, n), dtype=complex)
+        idx = np.empty((m, n), dtype=np.int64)
+        noise = np.zeros((m, n), dtype=complex)
+        for row in range(m):
+            r = substream(rng, s + row)
+            _add_cn(freq_h1[row, :l], n * cfg.mu1 / l, reseed(gen, substream(r, 0)))
+            idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
+            _add_cn(noise[row], cfg.n0, gen)
+        unitary_dft(freq_h1, out=freq_h1)
+        y = _faded(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
+        y += noise
+        y *= gain_fg(budget)
+        # by Parseval the mean power over subcarriers is the window's mean power
+        power = np.abs(y)
+        power *= power
+        powers[s:s + m] = np.mean(power, axis=1)
     return float(np.std(powers) / np.mean(powers))

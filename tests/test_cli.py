@@ -216,6 +216,19 @@ class TestOutageSweep:
         assert rows and all(row.split(",")[3] == "" for row in rows)
 
 
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_zero_noise_sweep_is_scale_invariant(self, tmp_path, protocol):
+        # at n0 = 0 nothing depends on p_s: at 3080 dB the Monte Carlo read 0.98077 (vg)
+        # at a sure outage, and fixed gain's exact outage 1 where it is 0.858979896818
+        outs = []
+        for snr_db in ("30", "3080"):
+            outs.append(tmp_path / f"{snr_db}.csv")
+            assert main(["outage-sweep", "--protocol", protocol, "--n0", "0", "--snr-db", snr_db,
+                         "--clip-r", "1", "--gamma-db", "0:5:20", "--trials", "1e5",
+                         "--seed", "3", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestPowerSweep:
     def test_vg_summary_slope(self, tmp_path):
         out = tmp_path / "ps.csv"
@@ -263,6 +276,15 @@ class TestPowerSweep:
             assert float(ln.split(",")[2]) == 1.0
         # every point is a sure outage, so the fitted slope is zero, not -0.0
         assert '"slope": 0.0,' in lines[-1]
+
+    @pytest.mark.parametrize("snr_db", ["-4000", "4000"])
+    def test_snr_db_is_not_read(self, tmp_path, snr_db):
+        # the grid sets p_s; --snr-db 4000 exited 2 with "snr_db is too large"
+        base = ["power-sweep", "--protocol", "fg", "--clip-r", "5", "--gamma-db", "0",
+                "--ps-db", "40:10:80"]
+        assert main(base + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(base + ["--snr-db", snr_db, "--out", str(tmp_path / "b.csv")]) == 0
+        assert read_lines(tmp_path / "a.csv") == read_lines(tmp_path / "b.csv")
 
     def test_narrow_grid_rejected(self, tmp_path):
         args = [

@@ -361,13 +361,13 @@ class TestFixedGainOverflow:
         assert mc_outage_sweep("vg", [1.0], budget, 20_000, Rng(1))[0].n_outages == 0
 
 
-def exact_fg_sndr(x, y, budget):
-    """Fixed gain's SNDR at gains x and y in exact rational arithmetic on the budget's floats."""
+def exact_sndr(protocol, x, y, budget):
+    """The SNDR at gains x and y in exact rational arithmetic on the budget's floats."""
     s, r, cfg = budget.sel_s, budget.sel_r, budget.config
     f = Fraction
     x, y, n0, zr2 = f(x), f(y), f(cfg.n0), f(r.zeta) ** 2
     num = f(s.sigma_sq) * f(s.zeta) ** 2 * zr2 * x * y
-    inv_g2 = (f(cfg.p_s) * f(cfg.mu1) + n0) / f(r.sigma_sq)
+    inv_g2 = (f(cfg.p_s) * (x if protocol == "vg" else f(cfg.mu1)) + n0) / f(r.sigma_sq)
     return num / (y * (n0 + f(s.eta) * x) * zr2 + (y * f(r.eta) + n0) * inv_g2)
 
 
@@ -381,11 +381,35 @@ class TestFixedGainFirstHopRescue:
     @pytest.mark.parametrize("x, y, rel", [(1e307, 1e-300, 1e-14), (1e300, 1e-320, 1e-13)])
     def test_huge_first_hop_gain_matches_exact_value(self, x, y, rel):
         b = build_budget(NetworkConfig(p_s=1e10, clip_ratio_s=5.0, clip_ratio_r=8.0))
-        got, exact = sndr("fg", x, y, b), exact_fg_sndr(x, y, b)
+        got, exact = sndr("fg", x, y, b), exact_sndr("fg", x, y, b)
         assert math.isfinite(got)
         assert abs(Fraction(got) - exact) <= Fraction(rel) * exact
         np.testing.assert_array_equal(sndr("fg", np.array([x, 1.0]), np.array([y, 1.0]), b),
                                       [got, sndr("fg", 1.0, 1.0, b)])
+
+
+class TestZeroNoiseRescueAtScale:
+    """At zero noise num and den are linear in y and in x, or for a distorting fixed-gain
+    relay in (x, mu1). At p_s = 1e308 the rescue's gains in [1, 2) overflowed num, and
+    fixed gain left x unscaled: the Monte Carlo read 0.98077 at a sure outage."""
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    @pytest.mark.parametrize("clip_s", [math.inf, 1.0])
+    def test_exponential_gains_at_the_top_of_the_range(self, protocol, clip_s):
+        b = build_budget(NetworkConfig(n0=0.0, p_s=1e308, clip_ratio_s=clip_s, clip_ratio_r=1.0))
+        x, y = np.random.default_rng(11).exponential(1.0, (2, 200))
+        for xi, yi, got in zip(x, y, sndr(protocol, x, y, b)):
+            exact = exact_sndr(protocol, xi, yi, b)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+
+    @pytest.mark.parametrize("p_s, x, y", [(1e308, 1e300, 1e300), (1e308, 1e300, 1e-300),
+                                           (1e-300, 1e300, 1e-300), (1e-300, 1e-300, 1e-300)])
+    def test_far_apart_gains_keep_their_bits(self, p_s, x, y):
+        # (x, mu1) is scaled so that p_s mu1 neither underflows at p_s = 1e-300 nor
+        # loses x: scaling the larger of x and mu1 into [0.5, 1) alone gave inf there
+        b = build_budget(NetworkConfig(n0=0.0, p_s=p_s, clip_ratio_r=1.0))
+        exact = exact_sndr("fg", x, y, b)
+        assert abs(Fraction(sndr("fg", x, y, b)) - exact) <= Fraction(1e-15) * exact
 
 
 # the four clip configurations (source, relay) that test_analytic_pins.py pins

@@ -187,6 +187,16 @@ class TestScaleEdges:
         small = build_budget(replace(cfg, mu1=scale, mu2=scale, p_s=scale))
         assert exact_outage("fg", 100.0, small) == pytest.approx(unit, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_fg_outage_at_the_top_of_the_float_range(self, n0):
+        # gamma eta_R beta overflowed at p_s = 1e308, a sure outage against 0.858979896818
+        unit = build_budget(NetworkConfig(n0=0.0, p_s=1e3, clip_ratio_r=1.0))
+        top = build_budget(NetworkConfig(n0=n0, p_s=1e308, clip_ratio_r=1.0))
+        for gamma in (1.0, 10.0, 10.0**1.5, 100.0):
+            assert exact_outage("fg", gamma, top) == pytest.approx(
+                exact_outage("fg", gamma, unit), rel=1e-15, abs=0.0)
+        assert exact_outage("fg", 10.0**1.5, top) == pytest.approx(0.858979896818, abs=5e-13)
+
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     def test_overflowing_noise_term_is_sure_outage(self, protocol):
         # gamma n0 / (a mu2 mu1) overflows; for variable gain its product with beta = 0

@@ -26,7 +26,6 @@ from afrelay.simulator import (
     _hop,
     _pilot_sndr,
     _qpsk,
-    _qpsk_symbols,
     _relay_gains,
     _relay_stage,
     _residual_energy,
@@ -58,20 +57,15 @@ def qpsk(n, sigma_sq, rng):
     return _qpsk(generator(rng), (n,), sigma_sq)
 
 
-def complex_normal(re, im, var):
-    """CN(0, var) samples from standard normal real and imaginary parts."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    out *= math.sqrt(var / 2.0)
-    return out
-
-
 def cgauss(gen, shape, var):
     """CN(0, var) samples: all real parts drawn, then all imaginary parts."""
+    out = np.zeros(shape, dtype=complex)
     if var == 0.0:
-        return np.zeros(shape, dtype=complex)
-    return complex_normal(gen.standard_normal(shape), gen.standard_normal(shape), var)
+        return out
+    out.real = gen.standard_normal(shape)
+    out.imag = gen.standard_normal(shape)
+    out *= math.sqrt(var / 2.0)
+    return out
 
 
 def noiseless_last_hop(x_freq, channel, budget, protocol, gen):
@@ -481,6 +475,7 @@ class TestStationarity:
         assert fg_stationarity_check(8, b, 40, Rng(96)) == stationarity_reference(8, b, 40, Rng(96))
 
     @pytest.mark.parametrize("l,n,message", [
+        (0, 64, "need 1 <= l <= n, got l=0, n=64"),
         (65, 64, "need 1 <= l <= n, got l=65, n=64"),
         (2, 48, "transform length must be a power of two, got 48"),
     ])
@@ -488,6 +483,13 @@ class TestStationarity:
         b = build_budget(NetworkConfig(n_subcarriers=n, n_taps=1))
         with pytest.raises(DomainError, match=message):
             fg_stationarity_check(l, b, 10, Rng(97))
+
+    @pytest.mark.parametrize("n_real", [0, 1])
+    def test_needs_two_realizations(self, n_real):
+        # one realization has no spread to measure
+        b = build_budget(NetworkConfig(n_subcarriers=64, n_taps=1))
+        with pytest.raises(DomainError, match=f"need at least 2 realizations, got {n_real}$"):
+            fg_stationarity_check(4, b, n_real, Rng(97))
 
     def test_single_tap_matches_conditional_variance_spread(self):
         cfg = NetworkConfig(p_s=100.0, n_subcarriers=256, n_taps=1)
@@ -805,27 +807,6 @@ def pilot_sndr_copying(channel, budget, protocols, n_blocks, rng):
     return out
 
 
-def relay_input_power_copying(l, budget, rng, realizations, gen):
-    cfg = budget.config
-    n, m = cfg.n_subcarriers, len(realizations)
-    taps = np.zeros((m, 2 * n))
-    idx = np.empty((m, n), dtype=np.int64)
-    noise = np.empty((m, 2 * n))
-    for row, i in enumerate(realizations):
-        r = substream(rng, i)
-        reseed(gen, substream(r, 0))
-        gen.standard_normal(out=taps[row, :l])
-        gen.standard_normal(out=taps[row, n:n + l])
-        idx[row] = reseed(gen, substream(r, 1)).integers(0, 4, n)
-        if cfg.n0:
-            gen.standard_normal(out=noise[row])
-    freq_h1 = unitary_dft(complex_normal(taps[:, :n], taps[:, n:], n * cfg.mu1 / l))
-    y = faded_copying(_qpsk_symbols(idx, budget.sel_s.sigma_sq), freq_h1, budget.sel_s.p_max)
-    if cfg.n0:
-        y += complex_normal(noise[:, :n], noise[:, n:], cfg.n0)
-    return np.mean(np.abs(gain_fg(budget) * y) ** 2, axis=1)
-
-
 CHAIN_CFG = NetworkConfig(p_s=100.0, clip_ratio_s=5.0, clip_ratio_r=8.0, n_subcarriers=64,
                           n_taps=4)
 CHAIN_CASES = {
@@ -873,10 +854,9 @@ class TestInPlaceChain:
         assert stats == waveform_outage(protocols, [1.0, 10.0, 30.0], budget, 3, 20, Rng(127))
 
     @pytest.mark.parametrize("l", [1, 3, 64])
-    def test_fg_stationarity_bytes(self, budget, monkeypatch, l):
-        cv = fg_stationarity_check(l, budget, 40, Rng(128, l))
-        monkeypatch.setattr(simulator, "_relay_input_power", relay_input_power_copying)
-        assert cv == fg_stationarity_check(l, budget, 40, Rng(128, l))
+    def test_fg_stationarity_bytes(self, budget, l):
+        assert (fg_stationarity_check(l, budget, 40, Rng(128, l))
+                == stationarity_reference(l, budget, 40, Rng(128, l)))
 
     @pytest.mark.parametrize("shape", [(64,), (5, 64)], ids=["1-D", "2-D"])
     def test_hop_leaves_its_input(self, budget, shape):
