@@ -303,11 +303,32 @@ def _limiter_check(seed: int, earlier: int, ratio: float) -> tuple[str, bool]:
             f"eta {eta_hat:.3e} vs {p.eta:.3e} -> {'ok' if ok else 'FAIL'}"), ok
 
 
+def _check_waveform_range(budget, blocks: int) -> None:
+    """Refuse a waveform check whose sums overflow, in one line naming the product.
+
+    The relay sizes its gain from p_s |h1|^2 + n0 (the stationarity check's fixed gain
+    from p_s mu1 + n0), and measure_sndr sums blocks values of |x|^2 = sigma_S^2 and of
+    |y|^2, about p_ratio p_s |h2|^2 each. A gain |h|^2 is Exp(mu): of the at most
+    2^14 * 202 gains validate draws, one past 64 mu has probability below 1e-21, so each
+    gain is taken at 64 times its mean.
+    """
+    cfg = budget.config
+    for name, factors in (("p_s * mu1 * 64", (cfg.p_s, cfg.mu1, 64)),
+                          ("blocks * sigma_S^2", (blocks, budget.sel_s.sigma_sq)),
+                          ("p_ratio * p_s * mu2 * blocks * 64",
+                           (cfg.p_ratio, cfg.p_s, cfg.mu2, blocks, 64))):
+        if not math.prod(factors) < math.inf:
+            raise DomainError(f"validate's waveform sums overflow: {name} = "
+                              + " * ".join(map(repr, factors)))
+
+
 def cmd_validate(rc: RunConfig) -> int:
     failures = []
     notes = []
     lines = []
     budget = build_budget(rc.network())
+    blocks = max(rc.blocks, 100)
+    _check_waveform_range(budget, blocks)
 
     # limiter coefficients vs sampled clipped Gaussians
     earlier = 0
@@ -323,7 +344,6 @@ def cmd_validate(rc: RunConfig) -> int:
 
     # waveform SNDR vs the per-subcarrier model; the tolerance budgets 10%
     # for the model plus two sigma of the block-limited estimator noise
-    blocks = max(rc.blocks, 100)
     ch = gen_channel(rc.n_taps, rc.n_subcarriers, rc.mu1, rc.mu2, rng=Rng(rc.seed, 21))
     # at most 2^17 samples a batch: 256 blocks up to n = 512, fewer above, so the
     # batch's arrays do not grow with n

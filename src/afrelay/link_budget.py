@@ -185,18 +185,46 @@ def gain_vg(budget: LinkBudget, h1_gain):
     return float(out) if out.ndim == 0 else out
 
 
-def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget, n0, n0_hop2=None):
+class _Wide:
+    """Non-negative floats as m 2**e, m in [0.5, 1) (0 at zero), e int64. *, / and + round m
+    as a float operation rounds a normal result: the same bits wherever the float's are normal."""
+
+    __array_ufunc__ = None  # a numpy scalar operand defers to __rmul__
+
+    def __init__(self, m, e=0):
+        m, de = np.frexp(m)  # int32 exponents, cast before the int64 zero sentinel meets them
+        self.m, self.e = m, np.where(m == 0.0, -(2**40), de.astype(np.int64) + e)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _Wide) else _Wide(o)
+        return _Wide(self.m * o.m, self.e + o.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = o if isinstance(o, _Wide) else _Wide(o)
+        return _Wide(self.m / o.m, self.e - o.e)
+
+    def __add__(self, o):
+        o = o if isinstance(o, _Wide) else _Wide(o)
+        e = np.maximum(self.e, o.e)  # the smaller term moved to e: exact, or below m's half ulp
+        return _Wide(np.ldexp(self.m, self.e - e) + np.ldexp(o.m, o.e - e), e)
+
+    def value(self):  # the nearest float, inf past the range; a subnormal rounds m twice
+        return np.ldexp(self.m, self.e)  # numpy's ldexp clamps an int64 e past int's range
+
+
+def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget, n0):
     s, r = budget.sel_s, budget.sel_r
     zr2 = r.zeta**2
     # sndr = num / den, den = y (n0 + eta_S x) zeta_R^2 + (y eta_R + n0) / g^2, built
-    # in place in the order of that expression, so the rounding is the same; n0_hop2,
-    # if given, is the n0 of (y eta_R + n0), the second hop's noise
+    # in place in the order of that expression, so the rounding is the same
     den = s.eta * x
     den += n0
     den = y * den
     den *= zr2
     relay = y * r.eta
-    relay += n0 if n0_hop2 is None else n0_hop2
+    relay += n0
     inv_g2 = budget.config.p_s * (x if alpha else beta)
     inv_g2 += n0
     inv_g2 /= r.sigma_sq
@@ -207,12 +235,11 @@ def _num_den(alpha: float, beta: float, x, y, budget: LinkBudget, n0, n0_hop2=No
 def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
     """Instantaneous per-subcarrier SNDR for given channel gains.
 
-    Accepts scalars or broadcastable arrays of finite gains >= 0. Written with
-    the inverse relay gain so zero-gain and zero-noise corners produce no
-    intermediate infinities; the degenerate all-zero case returns 0 rather
-    than faulting. At zero noise it is the distortion-limited limit:
-    threshold("vg") for variable gain at any gains > 0, and for fixed gain
-    a function of h1_gain alone whose CDF is outage_floor("fg", ...).
+    Accepts scalars or broadcastable arrays of finite gains >= 0; a zero gain gives 0.
+    At zero noise it is the distortion-limited limit: threshold("vg") for variable gain
+    at any gains > 0, and for fixed gain a function of h1_gain alone whose CDF is
+    outage_floor("fg", ...). An entry whose float num or den leaves the normal range is
+    the same expression evaluated with an unbounded exponent.
     """
     alpha, beta = _gain_line(protocol, budget)
     x, y = check_gains(h1_gain, h2_gain)
@@ -221,36 +248,9 @@ def sndr(protocol: str, h1_gain, h2_gain, budget: LinkBudget):
         num, den = _num_den(alpha, beta, x, y, budget, n0)
         out = np.asarray(num / den)
         if not np.all(ok := (den >= np.finfo(float).tiny) & (den < math.inf) & (out < math.inf)):
-            # den = 0: a zero gain (0), a noiseless, distortion-free path (inf) or an
-            # underflow; a subnormal den: an underflow that lost bits; num or den = inf:
-            # an overflow at large gains. A power-of-two scale moves no bit of num / den.
-            # At n0 = 0 num and den are linear in y, and in x, or for a fixed-gain relay
-            # that distorts in (x, mu1). y and x are redone in [0.5, 1), where num > 0 iff
-            # both gains are and num <= sigma_S^2 stays finite; the group (x, mu1) so that
-            # the larger of the two, times p_s where p_s < 1, lies there, so p_s mu1 keeps
-            # its bits too. With noise, variable gain's num and den are homogeneous of
-            # degree 2 in (x, y, n0): all three are scaled so that the largest lies in
-            # [0.5, 1). Fixed gain's are
-            # linear in (y, the second hop's n0) and, its gain line p_s mu1 + n0 scaling
-            # with them, in (x, mu1, the relay's n0): each group is scaled down so that y,
-            # or the larger of x and mu1, lies in [0.5, 1); its den >= n0 (p_s mu1 + n0) /
-            # sigma_R^2 does not shrink with the gains, so no small gain is scaled up.
-            if n0 == 0.0:
-                if alpha or budget.sel_r.eta == 0.0:
-                    e, b = -np.frexp(x)[1], beta
-                else:
-                    e = (-np.frexp(np.maximum(x, beta))[1]
-                         - min(max(math.frexp(budget.config.p_s)[1], -1021), 0))
-                    b = np.ldexp(beta, e)
-                num, den = _num_den(alpha, b, np.ldexp(x, e), np.frexp(y)[0], budget, n0)
-            elif alpha:
-                e = -np.frexp(np.maximum(np.maximum(x, y), n0))[1]
-                num, den = _num_den(alpha, beta, np.ldexp(x, e), np.ldexp(y, e), budget,
-                                    np.ldexp(n0, e))
-            else:
-                e1 = np.minimum(-np.frexp(np.maximum(x, beta))[1], 0)
-                e2 = np.minimum(-np.frexp(y)[1], 0)
-                num, den = _num_den(alpha, np.ldexp(beta, e1), np.ldexp(x, e1), np.ldexp(y, e2),
-                                    budget, np.ldexp(n0, e1), np.ldexp(n0, e2))
-            out = np.where(ok, out, np.where(num > 0.0, num / den, 0.0))
+            # den = 0 (a zero gain, a noiseless distortion-free path or an underflow),
+            # subnormal or inf, or num / den = inf: the same expression on _Wide
+            xb, yb = (_Wide(np.broadcast_to(g, out.shape)[~ok]) for g in (x, y))
+            num, den = _num_den(alpha, _Wide(beta), xb, yb, budget, _Wide(n0))
+            out[~ok] = np.where(num.m > 0.0, (num / den).value(), 0.0)
     return float(out) if out.ndim == 0 else out

@@ -372,6 +372,36 @@ class TestValidate:
         last = read_lines(out)[-1]
         assert last.startswith("validate: FAIL (outage-mc") if fail else last == "validate: PASS"
 
+    SMALL = ["validate", "--snr-db", "100", "--n", "64", "--taps", "16", "--blocks", "100",
+             "--trials", "1e4"]
+
+    @pytest.mark.parametrize("flag, inside", [("--mu1", ["1e295", "2.8e296"]),
+                                              ("--mu2", ["2.8e294"])])
+    def test_waveform_inside_the_float_range_keeps_its_bytes(self, capsys, flag, inside):
+        # up to each bound of _check_waveform_range the report is the one at a mean gain
+        # of 1e100 (--mu1 1e298 moved its p95 from 0.1977 to 0.2165, with warnings)
+        outs = []
+        for value in ["1e100", *inside]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*self.SMALL, flag, value]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].endswith("validate: PASS\n") and outs == [outs[0]] * len(outs)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--mu1", "2.9e296"], "p_s * mu1 * 64"),
+        (["--mu1", "1e300"], "p_s * mu1 * 64"),
+        (["--mu2", "2.9e294"], "p_ratio * p_s * mu2 * blocks * 64"),
+        (["--snr-db", "3070", "--mu1", "0.01", "--mu2", "1e-6"], "blocks * sigma_S^2"),
+    ], ids=["mu1-edge", "mu1-1e300", "mu2-edge", "source-power"])
+    def test_waveform_past_the_float_range_exits_2(self, capsys, argv, name):
+        # --mu1 1e300 printed a relay input power CV of nan and a spurious sndr-model FAIL
+        # with p95 1.0000, and --mu2 1e298 overflowed measure_sndr's power sums
+        assert main([*self.SMALL, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: validate's waveform sums overflow: {name} = ")
+
 
 class TestValidateLimiterSampling:
     def test_relay_eta_seed_2_passes(self, capsys):

@@ -372,13 +372,10 @@ def exact_sndr(protocol, x, y, budget):
 
 
 class TestFixedGainFirstHopRescue:
-    """Fixed gain's num and den scale with (x, mu1, the relay's n0) as well as with
-    (y, the destination's n0); a first-hop gain past the overflow of eta_S x is redone
-    at scale too. It gave NaN and inf, and a Monte Carlo outage of 0.833 against 1."""
+    """A fixed-gain first-hop gain past the overflow of eta_S x is redone with an unbounded
+    exponent. It gave NaN and inf, and a Monte Carlo outage of 0.833 against 1."""
 
-    # at y = 1e-320 against n0 = 1 the rescaled num is about 8.6e-311, a subnormal whose
-    # last bit is 5.7e-14 of it; no power-of-two scale of either group lifts it
-    @pytest.mark.parametrize("x, y, rel", [(1e307, 1e-300, 1e-14), (1e300, 1e-320, 1e-13)])
+    @pytest.mark.parametrize("x, y, rel", [(1e307, 1e-300, 1e-14), (1e300, 1e-320, 1e-15)])
     def test_huge_first_hop_gain_matches_exact_value(self, x, y, rel):
         b = build_budget(NetworkConfig(p_s=1e10, clip_ratio_s=5.0, clip_ratio_r=8.0))
         got, exact = sndr("fg", x, y, b), exact_sndr("fg", x, y, b)
@@ -389,9 +386,9 @@ class TestFixedGainFirstHopRescue:
 
 
 class TestZeroNoiseRescueAtScale:
-    """At zero noise num and den are linear in y and in x, or for a distorting fixed-gain
-    relay in (x, mu1). At p_s = 1e308 the rescue's gains in [1, 2) overflowed num, and
-    fixed gain left x unscaled: the Monte Carlo read 0.98077 at a sure outage."""
+    """Zero noise at the edges of the float range. At p_s = 1e308 a rescue that redid the
+    gains in [1, 2) overflowed num, and left fixed gain's x unscaled: the Monte Carlo read
+    0.98077 at a sure outage."""
 
     @pytest.mark.parametrize("protocol", ["vg", "fg"])
     @pytest.mark.parametrize("clip_s", [math.inf, 1.0])
@@ -405,8 +402,8 @@ class TestZeroNoiseRescueAtScale:
     @pytest.mark.parametrize("p_s, x, y", [(1e308, 1e300, 1e300), (1e308, 1e300, 1e-300),
                                            (1e-300, 1e300, 1e-300), (1e-300, 1e-300, 1e-300)])
     def test_far_apart_gains_keep_their_bits(self, p_s, x, y):
-        # (x, mu1) is scaled so that p_s mu1 neither underflows at p_s = 1e-300 nor
-        # loses x: scaling the larger of x and mu1 into [0.5, 1) alone gave inf there
+        # neither p_s mu1 underflowing at p_s = 1e-300 nor x is lost: a rescue that scaled
+        # the larger of x and mu1 into [0.5, 1) gave inf there
         b = build_budget(NetworkConfig(n0=0.0, p_s=p_s, clip_ratio_r=1.0))
         exact = exact_sndr("fg", x, y, b)
         assert abs(Fraction(sndr("fg", x, y, b)) - exact) <= Fraction(1e-15) * exact
@@ -414,6 +411,76 @@ class TestZeroNoiseRescueAtScale:
 
 # the four clip configurations (source, relay) that test_analytic_pins.py pins
 CLIPS = ((5.0, 8.0), (math.inf, 5.0), (5.0, math.inf), (8.0, 5.0))
+
+
+def float_pass_refuses(protocol, x, y, budget):
+    """Where sndr's float pass refuses num / den: den zero, subnormal or inf, or num / den inf."""
+    s, r, cfg = budget.sel_s, budget.sel_r, budget.config
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        inv_g2 = (cfg.p_s * (x if protocol == "vg" else cfg.mu1) + cfg.n0) / r.sigma_sq
+        zr2 = r.zeta**2
+        num = s.sigma_sq * s.zeta**2 * zr2 * x * y
+        den = y * (cfg.n0 + s.eta * x) * zr2 + (y * r.eta + cfg.n0) * inv_g2
+        return ~((den >= np.finfo(float).tiny) & (den < math.inf) & (num / den < math.inf))
+
+
+def assert_near_exact(got, protocol, x, y, budget):
+    """got within 1e-15 of the exact SNDR, a subnormal within 2^-1074, one past the range inf."""
+    try:
+        exact = exact_sndr(protocol, x, y, budget)
+    except ZeroDivisionError:  # no noise and no distortion: inf at gains > 0
+        assert got == (math.inf if x > 0.0 and y > 0.0 else 0.0)
+        return
+    context = (protocol, x, y, budget.config, got, float(min(exact, Fraction(2) ** 1023)))
+    if exact >= Fraction(2) ** 1024:
+        assert got == math.inf, context
+    else:
+        small = exact < Fraction(2) ** -1022
+        tol = Fraction(2) ** -1074 if small else Fraction(1e-15) * exact
+        assert abs(Fraction(got) - exact) <= tol, context
+
+
+class TestRescueIsExact:
+    """Each entry the float pass refuses is the same expression evaluated with an unbounded
+    exponent. One rescue per case (n0 = 0, vg and fg with noise) left such entries off,
+    among them inf at 1907 and at 1e180, and 0 at 9.99e-301."""
+
+    GAINS = [0.0, 5e-324, 1e-310, 1e-300, 1e-170, 1e-10, 0.7, 1e10, 1e170, 1e300, 1e307]
+
+    @pytest.mark.parametrize("protocol, x, y, cfg, value", [
+        ("vg", 1e-300, 1e300, NetworkConfig(n0=1e100, p_s=1e100, clip_ratio_s=5.0,
+                                            clip_ratio_r=8.0), 9.994580668945594e-301),
+        ("vg", 1e300, 1e10, NetworkConfig(n0=1e-170), 1e180),
+        ("fg", 0.7, 5e-324, NetworkConfig(n0=1e-170, mu1=1e-300, clip_ratio_s=5.0,
+                                          clip_ratio_r=8.0), 1907.18868511948),
+    ], ids=["vg-read-0", "vg-read-inf", "fg-read-inf"])
+    def test_named_corners(self, protocol, x, y, cfg, value):
+        b = build_budget(cfg)
+        assert float_pass_refuses(protocol, x, y, b)
+        got = sndr(protocol, x, y, b)
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert_near_exact(got, protocol, x, y, b)
+
+    @pytest.mark.parametrize("protocol", ["vg", "fg"])
+    def test_grid_of_extreme_budgets_and_gains(self, protocol):
+        x, y = (g.ravel() for g in np.meshgrid(self.GAINS, self.GAINS))
+        refused = 0
+        mu1s = [1.0] if protocol == "vg" else [1.0, 1e300, 1e-300]  # vg's SNDR reads no mu1
+        for n0, p_s, (clip_s, clip_r), mu1 in itertools.product(
+                [0.0, 1e-170, 1.0, 1e100], [1e-300, 1.0, 1e300],
+                (*CLIPS, (math.inf, math.inf)), mu1s):
+            try:
+                b = build_budget(NetworkConfig(n0=n0, p_s=p_s, mu1=mu1, clip_ratio_s=clip_s,
+                                               clip_ratio_r=clip_r))
+                got = sndr(protocol, x, y, b)
+            except DomainError:  # a clip power, or fixed gain's p_s mu1, past the range
+                continue
+            bad = float_pass_refuses(protocol, x, y, b)
+            for i in np.flatnonzero(bad):
+                assert_near_exact(got[i], protocol, x[i], y[i], b)
+            refused += int(bad.sum())
+        assert refused > 3000
 
 
 def noisy_and_noiseless(cfg):
